@@ -346,8 +346,9 @@ func (g *rvGraph) reduce(maxNodes int) (*stochastic.Numeric, error) {
 // maxima; non-series-parallel remainders are unlocked by duplicating
 // shared predecessors. When — and only when — the reduction itself
 // fails (a *ReductionError: budget exhausted or stuck) the classical
-// evaluation is used as a fallback (documented in DESIGN.md); any other
-// error, such as an invalid schedule, propagates.
+// evaluation is used as a fallback (documented in the README section
+// "Evaluation accuracy", with the Dodin reduction); any other error,
+// such as an invalid schedule, propagates.
 func EvaluateDodin(scen *platform.Scenario, s *schedule.Schedule, gridSize int) (*stochastic.Numeric, error) {
 	rv, err := evaluateDodin(scen, s, gridSize)
 	if err != nil {

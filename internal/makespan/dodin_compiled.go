@@ -6,7 +6,7 @@ import (
 
 // This file is the compiled counterpart of dodin.go: the same
 // series-parallel reduction semantics on flat arrays instead of
-// per-node adjacency maps, with every density drawn from the cache's
+// per-node adjacency maps, with every density drawn from a pooled
 // recycling workspace (stochastic.Ops) instead of fresh allocations.
 //
 // Three structural changes carry the speedup:
@@ -545,8 +545,8 @@ func (m *EvalModel) Dodin() *stochastic.Numeric {
 func (m *EvalModel) DodinStrict() (*stochastic.Numeric, error) {
 	acc := m.cache.acc
 	grid := acc.GridSize
-	ops := m.cache.getOps()
-	defer m.cache.putOps(ops)
+	ops := getOps()
+	defer putOps(ops)
 	d := m.d
 	n := d.N
 	g := newSPGraph(acc, ops, n+2)

@@ -43,8 +43,6 @@ type EvalCache struct {
 
 	mu  sync.RWMutex
 	rvs map[distKey]*cacheEntry
-
-	ops sync.Pool // *stochastic.Ops
 }
 
 // distKey identifies a duration distribution of the scenario: its
@@ -148,14 +146,15 @@ func (c *EvalCache) entry(min, ul float64) *cacheEntry {
 	return e
 }
 
-func (c *EvalCache) getOps() *stochastic.Ops {
-	if o, _ := c.ops.Get().(*stochastic.Ops); o != nil {
-		return o
-	}
-	return &stochastic.Ops{}
-}
+// opsPool holds the evaluation workspaces of every cache, so a
+// workspace's grown scratch and free list outlive the case that grew
+// them. Sharing is safe across accuracies: no Ops result depends on
+// which scratch or which recycled buffer it was computed in.
+var opsPool = sync.Pool{New: func() any { return &stochastic.Ops{} }}
 
-func (c *EvalCache) putOps(o *stochastic.Ops) { c.ops.Put(o) }
+func getOps() *stochastic.Ops { return opsPool.Get().(*stochastic.Ops) }
+
+func putOps(o *stochastic.Ops) { opsPool.Put(o) }
 
 // zeroCommArc is THE skip rule of the evaluation layer, shared by the
 // compiled model and the reference evaluators: a disjunctive arc's
@@ -269,14 +268,16 @@ func (m *EvalModel) Schedule() *schedule.Schedule { return m.sched }
 // at joins — and returns the makespan distribution. The result is
 // bit-for-bit identical to ReferenceEvaluateClassic at the cache's
 // grid size (the equivalence harness enforces this across all workload
-// families): the operator sequence, adjacency order and sink order are
-// the reference's own, with the densities flowing through a recycling
-// workspace instead of fresh allocations.
+// families): every operator gets the reference's operands, in the
+// reference's adjacency and sink order, with the densities flowing
+// through a recycling workspace instead of fresh allocations. A task's
+// communication-arc arrivals are computed before the max chain that
+// consumes them, two at a time (see arrivals).
 func (m *EvalModel) Classic() *stochastic.Numeric {
 	acc := m.cache.acc
 	grid := acc.GridSize
-	ops := m.cache.getOps()
-	defer m.cache.putOps(ops)
+	ops := getOps()
+	defer putOps(ops)
 	d := m.d
 	n := d.N
 	completion := make([]*stochastic.Numeric, n)
@@ -284,8 +285,10 @@ func (m *EvalModel) Classic() *stochastic.Numeric {
 	// disjunctive successor, plus once by the final sink maximum. When
 	// the count hits zero its buffer returns to the workspace.
 	refs := make([]int32, n)
+	maxPreds := int32(0)
 	for t := 0; t < n; t++ {
 		refs[t] = d.SuccStart[t+1] - d.SuccStart[t]
+		maxPreds = max(maxPreds, d.PredStart[t+1]-d.PredStart[t])
 	}
 	for _, s := range d.Sinks {
 		refs[s]++
@@ -297,17 +300,19 @@ func (m *EvalModel) Classic() *stochastic.Numeric {
 			completion[p] = nil
 		}
 	}
+	arrivals := make([]*stochastic.Numeric, maxPreds)
 	zero := stochastic.NewPoint(0)
 	for _, t := range d.Order {
+		lo, hi := d.PredStart[t], d.PredStart[t+1]
+		arr := arrivals[:hi-lo]
+		m.arrivals(ops, arr, lo, hi, completion)
 		start := zero
 		startOwned := false
-		for k := d.PredStart[t]; k < d.PredStart[t+1]; k++ {
+		for k := lo; k < hi; k++ {
 			p := d.PredTask[k]
-			arrival := completion[p]
-			arrivalOwned := false
-			if e := m.comm[k]; e != nil {
-				arrival = ops.AddAcc(completion[p], e.numeric(grid), acc)
-				arrivalOwned = true
+			arrival, arrivalOwned := arr[k-lo], true
+			if arrival == nil {
+				arrival, arrivalOwned = completion[p], false
 			}
 			next := ops.MaxAcc(start, arrival, acc)
 			if startOwned {
@@ -315,6 +320,7 @@ func (m *EvalModel) Classic() *stochastic.Numeric {
 			}
 			if arrivalOwned {
 				ops.Recycle(arrival)
+				arr[k-lo] = nil
 			}
 			release(p)
 			start = next
@@ -339,6 +345,37 @@ func (m *EvalModel) Classic() *stochastic.Numeric {
 	// The result keeps its buffer: it was removed from the free list
 	// and is never recycled, so pooling the workspace stays safe.
 	return makespan
+}
+
+// arrivals fills arr[k-lo] with the arrival density completion ⊕ comm of
+// every communication arc k in [lo, hi) and leaves nil for the arcs
+// without one. The sums are independent of each other and of the max
+// chain that consumes them, so they run two at a time through
+// AddPairAcc, each bit-identical to its own AddAcc.
+func (m *EvalModel) arrivals(ops *stochastic.Ops, arr []*stochastic.Numeric, lo, hi int32, completion []*stochastic.Numeric) {
+	acc := m.cache.acc
+	d := m.d
+	operands := func(k int32) (*stochastic.Numeric, *stochastic.Numeric) {
+		return completion[d.PredTask[k]], m.comm[k].numeric(acc.GridSize)
+	}
+	pending := int32(-1)
+	for k := lo; k < hi; k++ {
+		if m.comm[k] == nil {
+			continue
+		}
+		if pending < 0 {
+			pending = k
+			continue
+		}
+		a1, b1 := operands(pending)
+		a2, b2 := operands(k)
+		arr[pending-lo], arr[k-lo] = ops.AddPairAcc(a1, b1, a2, b2, acc)
+		pending = -1
+	}
+	if pending >= 0 {
+		a, b := operands(pending)
+		arr[pending-lo] = ops.AddAcc(a, b, acc)
+	}
 }
 
 // Spelde propagates (µ, σ²) through the disjunctive order with Clark's

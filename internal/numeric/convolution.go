@@ -13,16 +13,31 @@ func ConvolveDirect(a, b []float64) []float64 {
 
 // convolveDirectInto writes the full convolution into out, which must
 // have length len(a)+len(b)-1 (its prior contents are overwritten).
+//
+// Each nonzero a[i] adds av*b into the window out[i:i+len(b)] — an AXPY
+// unrolled by four over fixed-length sub-slices, so the element accesses
+// carry no bounds checks (one window check per four elements remains).
+// Each out[i+j] still receives the same product a[i]*b[j] in increasing
+// i, so the sums are bit-identical to the plain double loop.
 func convolveDirectInto(out, a, b []float64) []float64 {
-	for i := range out {
-		out[i] = 0
-	}
+	clear(out)
+	nb := len(b)
 	for i, av := range a {
 		if av == 0 { //reprovet:allow floateq sparse skip of exactly-zero mass bins; near-zero bins must still convolve
 			continue
 		}
-		for j, bv := range b {
-			out[i+j] += av * bv
+		o := out[i:][:nb:nb]
+		j := 0
+		for ; j+4 <= nb; j += 4 {
+			b4 := b[j : j+4 : j+4]
+			o4 := o[j : j+4 : j+4]
+			o4[0] += av * b4[0]
+			o4[1] += av * b4[1]
+			o4[2] += av * b4[2]
+			o4[3] += av * b4[3]
+		}
+		for ; j < nb; j++ {
+			o[j] += av * b[j]
 		}
 	}
 	return out

@@ -18,27 +18,35 @@ import (
 // keep one per worker. Input variables are never mutated, so cached
 // (shared) Numerics may be passed freely.
 type Ops struct {
-	spline numeric.SplineScratch
-	conv   numeric.ConvScratch
-	sp     numeric.Spline
+	spline  numeric.SplineScratch
+	conv    numeric.ConvScratch
+	sp, sp2 numeric.Spline // the two lanes of a paired fit
 
-	knotXs []float64 // spline knot grid of the operand being fitted
-	gridXs []float64 // output evaluation grid (must outlive knotXs uses)
-	convXs []float64 // convolution knot grid
-	pa, pb []float64 // work-grid resamples of the two operands
-	cv     []float64 // convolution output
-	fa, fb []float64 // densities on the output grid
-	ca, cb []float64 // CDFs on the output grid
-	cum    []float64 // cumulative-integral scratch
+	knotXs  []float64 // spline knot grid of the operand being fitted
+	knotXs2 []float64 // knot grid of the second lane's operand
+	gridXs  []float64 // output evaluation grid (must outlive knotXs uses)
+	fa, fb  []float64 // densities on the output grid
+	ca, cb  []float64 // CDFs on the output grid
+	cum     []float64 // cumulative-integral scratch
+
+	add [2]addScratch // the grids of up to two sums in flight
 
 	free [][]float64 // recycled result densities
 }
 
+// addScratch holds the intermediate grids of one Add.
+type addScratch struct {
+	pa, pb []float64 // work-grid resamples of the two operands
+	cv     []float64 // convolution output
+	convXs []float64 // convolution knot grid
+}
+
 // grow returns buf resized to n, reallocating only when capacity is
-// short.
+// short — then to at least twice the old capacity, so a workspace whose
+// grids widen case after case settles after a few reallocations.
 func grow(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]float64, n, max(n, 2*cap(*buf)))
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -110,18 +118,30 @@ func (o *Ops) fitOperand(rv *Numeric) error {
 	return nil
 }
 
-// resampleStepInto mirrors Numeric.resampleStep into dst.
-func (o *Ops) resampleStepInto(dst *[]float64, rv *Numeric, h float64) []float64 {
+// resampleStepPair mirrors Numeric.resampleStep of a and of b at the
+// work step h into s.pa and s.pb, fitting the two operand splines as a
+// pair.
+func (o *Ops) resampleStepPair(s *addScratch, a, b *Numeric, h float64) (pa, pb []float64) {
+	xa := linspaceInto(grow(&o.knotXs, len(a.pdf)), a.lo, a.hi)
+	xb := linspaceInto(grow(&o.knotXs2, len(b.pdf)), b.lo, b.hi)
+	errA, errB := numeric.FitPair(&o.sp, xa, a.pdf, &o.sp2, xb, b.pdf, &o.spline)
+	return resampleFitted(&s.pa, &o.sp, errA, a, h), resampleFitted(&s.pb, &o.sp2, errB, b, h)
+}
+
+// resampleFitted finishes Numeric.resampleStep of rv into dst from sp,
+// already fitted over rv's knots with error err.
+func resampleFitted(dst *[]float64, sp *numeric.Spline, err error, rv *Numeric, h float64) []float64 {
 	n := int(math.Round((rv.hi-rv.lo)/h)) + 1
 	if n < 2 {
 		n = 2
 	}
-	if err := o.fitOperand(rv); err != nil {
+	if err != nil {
 		out := grow(dst, 2)
 		out[0], out[1] = 0, 0
 		return out
 	}
-	out := o.sp.ResampleInto(grow(dst, n), rv.lo, rv.hi)
+	sp.SetExtrapolateZero(true)
+	out := sp.ResampleInto(grow(dst, n), rv.lo, rv.hi)
 	for i, v := range out {
 		if v < 0 {
 			out[i] = 0
@@ -136,44 +156,86 @@ func (o *Ops) Add(a, b *Numeric, gridSize int) *Numeric {
 	return o.AddAcc(a, b, EvalAccuracy{GridSize: gridSize})
 }
 
-// AddAcc is Add under an explicit accuracy contract, bit-identical to
-// a.AddAcc(b, acc): the result density has acc.GridSize samples and the
-// intermediate convolution grid is capped at acc.WorkGrid points.
-func (o *Ops) AddAcc(a, b *Numeric, acc EvalAccuracy) *Numeric {
-	acc = acc.Canon()
-	gridSize := acc.GridSize
-	if a.point {
-		return o.shiftCopy(b, a.lo)
-	}
-	if b.point {
-		return o.shiftCopy(a, b.lo)
-	}
+// addPlan is the support and work step of one non-point sum, as
+// Numeric.AddAcc derives them.
+type addPlan struct{ lo, hi, h float64 }
+
+func planAdd(a, b *Numeric, acc EvalAccuracy) addPlan {
 	lo := a.lo + b.lo
 	hi := a.hi + b.hi
 	h := math.Min(a.Step(), b.Step())
 	if w, wcap := hi-lo, float64(acc.WorkGrid); w/h > wcap {
 		h = w / wcap
 	}
-	pa := o.resampleStepInto(&o.pa, a, h)
-	pb := o.resampleStepInto(&o.pb, b, h)
-	conv := numeric.ConvolveInto(grow(&o.cv, len(pa)+len(pb)-1), pa, pb, &o.conv)
+	return addPlan{lo: lo, hi: hi, h: h}
+}
+
+// convolve convolves the work-grid resamples pa and pb into s.cv, scales
+// by the step and clamps negatives, and lays the convolution's knot
+// grid into s.convXs.
+func (o *Ops) convolve(s *addScratch, pa, pb []float64, p addPlan) (xs, conv []float64) {
+	conv = numeric.ConvolveInto(grow(&s.cv, len(pa)+len(pb)-1), pa, pb, &o.conv)
 	for i := range conv {
-		conv[i] *= h
+		conv[i] *= p.h
 		if conv[i] < 0 {
 			conv[i] = 0
 		}
 	}
 	// The convolution grid spans [lo, lo+(len-1)h]; resample onto the
 	// requested grid over the exact support.
-	convHi := lo + float64(len(conv)-1)*h
-	xs := linspaceInto(grow(&o.convXs, len(conv)), lo, convHi)
-	if err := o.sp.Fit(xs, conv, &o.spline); err != nil {
-		return NewPoint((lo + hi) / 2)
+	convHi := p.lo + float64(len(conv)-1)*p.h
+	return linspaceInto(grow(&s.convXs, len(conv)), p.lo, convHi), conv
+}
+
+// addResult resamples the convolution spline sp (fitted with error err)
+// onto the gridSize-point result density.
+func (o *Ops) addResult(sp *numeric.Spline, err error, p addPlan, gridSize int) *Numeric {
+	if err != nil {
+		return NewPoint((p.lo + p.hi) / 2)
 	}
-	o.sp.SetExtrapolateZero(true)
-	out := &Numeric{lo: lo, hi: hi, pdf: o.sp.ResampleInto(o.getBuf(gridSize), lo, hi)}
+	sp.SetExtrapolateZero(true)
+	out := &Numeric{lo: p.lo, hi: p.hi, pdf: sp.ResampleInto(o.getBuf(gridSize), p.lo, p.hi)}
 	out.clampNormalize()
 	return out
+}
+
+// AddAcc is Add under an explicit accuracy contract, bit-identical to
+// a.AddAcc(b, acc): the result density has acc.GridSize samples and the
+// intermediate convolution grid is capped at acc.WorkGrid points.
+func (o *Ops) AddAcc(a, b *Numeric, acc EvalAccuracy) *Numeric {
+	acc = acc.Canon()
+	if a.point {
+		return o.shiftCopy(b, a.lo)
+	}
+	if b.point {
+		return o.shiftCopy(a, b.lo)
+	}
+	p := planAdd(a, b, acc)
+	s := &o.add[0]
+	pa, pb := o.resampleStepPair(s, a, b, p.h)
+	xs, conv := o.convolve(s, pa, pb, p)
+	err := o.sp.Fit(xs, conv, &o.spline)
+	return o.addResult(&o.sp, err, p, acc.GridSize)
+}
+
+// AddPairAcc returns AddAcc(a1, b1, acc) and AddAcc(a2, b2, acc),
+// bit-identical to the two calls, with the splines of the two sums
+// fitted in lockstep: the operand fits of each sum as one pair and the
+// two convolution-grid fits as another. When any operand is a point the
+// sums have no spline work to pair and run as two AddAcc calls.
+func (o *Ops) AddPairAcc(a1, b1, a2, b2 *Numeric, acc EvalAccuracy) (*Numeric, *Numeric) {
+	if a1.point || b1.point || a2.point || b2.point {
+		return o.AddAcc(a1, b1, acc), o.AddAcc(a2, b2, acc)
+	}
+	acc = acc.Canon()
+	p1, p2 := planAdd(a1, b1, acc), planAdd(a2, b2, acc)
+	s1, s2 := &o.add[0], &o.add[1]
+	pa1, pb1 := o.resampleStepPair(s1, a1, b1, p1.h)
+	pa2, pb2 := o.resampleStepPair(s2, a2, b2, p2.h)
+	xs1, conv1 := o.convolve(s1, pa1, pb1, p1)
+	xs2, conv2 := o.convolve(s2, pa2, pb2, p2)
+	err1, err2 := numeric.FitPair(&o.sp, xs1, conv1, &o.sp2, xs2, conv2, &o.spline)
+	return o.addResult(&o.sp, err1, p1, acc.GridSize), o.addResult(&o.sp2, err2, p2, acc.GridSize)
 }
 
 // cdfAt mirrors Numeric.CDFAt with scratch for the cumulative integral.

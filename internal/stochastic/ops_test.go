@@ -128,3 +128,43 @@ func TestOpsSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state Ops allocates %g objects per Add+Max, want <= 2 headers", allocs)
 	}
 }
+
+// AddPairAcc must equal two AddAcc calls — and so two Numeric.AddAcc
+// calls — at every accuracy preset, for point operands in any of the
+// four slots (the fallback) and for wide-by-narrow sums whose work grid
+// hits the preset's cap. The workspace is shared across presets, so its
+// free list mixes density buffers of different grid sizes.
+func TestOpsAddPairMatchesTwoAdds(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	paired := &Ops{}
+	for _, name := range AccuracyNames() {
+		acc, _ := AccuracyByName(name)
+		grid := acc.GridSize
+		single := &Ops{}
+		for trial := 0; trial < 60; trial++ {
+			rvs := make([]*Numeric, 4)
+			for i := range rvs {
+				rvs[i] = randomRV(rng, grid)
+				switch rng.Intn(6) {
+				case 0:
+					rvs[i] = NewPoint(rng.Float64() * 50)
+				case 1:
+					// Wide operand: the sum's work grid reaches the cap.
+					rvs[i] = rvs[i].AddAcc(FromDist(Uniform{Lo: 0, Hi: 2000 + rng.Float64()*4000}, grid), acc)
+				}
+			}
+			got1, got2 := paired.AddPairAcc(rvs[0], rvs[1], rvs[2], rvs[3], acc)
+			want1 := single.AddAcc(rvs[0], rvs[1], acc)
+			want2 := single.AddAcc(rvs[2], rvs[3], acc)
+			sameRV(t, name+" first", got1, want1)
+			sameRV(t, name+" second", got2, want2)
+			sameRV(t, name+" first vs Numeric", got1, rvs[0].AddAcc(rvs[1], acc))
+			sameRV(t, name+" second vs Numeric", got2, rvs[2].AddAcc(rvs[3], acc))
+			for _, rv := range []*Numeric{got1, got2, want1, want2} {
+				if !rv.point {
+					paired.Recycle(rv)
+				}
+			}
+		}
+	}
+}
