@@ -459,7 +459,7 @@ func benchDodinSizes(b *testing.B, compiled bool, ul float64) {
 						b.Fatal(err)
 					}
 				} else {
-					if _, err := makespan.EvaluateDodinStrict(scen, s, 64); err != nil {
+					if _, err := makespan.ReferenceEvaluateDodin(scen, s, 64); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -629,19 +629,6 @@ func benchKernel(b *testing.B, mode stochastic.SamplerMode) {
 
 func BenchmarkKernelExact(b *testing.B) { benchKernel(b, stochastic.SamplerExact) }
 func BenchmarkKernelTable(b *testing.B) { benchKernel(b, stochastic.SamplerTable) }
-
-// BenchmarkKernelTableStats is the metric path: streaming moments and
-// histogram only, never materializing the sample slice.
-func BenchmarkKernelTableStats(b *testing.B) {
-	sim := benchSim(b)
-	k := sim.Compile(stochastic.SamplerTable)
-	k.Stats(benchMCCount, 0, 0, schedule.KernelOptions{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Stats(benchMCCount, int64(i), 0, schedule.KernelOptions{})
-	}
-	reportPerRealization(b)
-}
 
 func BenchmarkMetrics(b *testing.B) {
 	scen := benchScenario(b)

@@ -185,18 +185,14 @@ func AccuracyStudyRun(cfg Config) (*AccuracyStudy, error) {
 			if err != nil {
 				return err
 			}
-			p := cfg.params()
-			p.GridSize = stochastic.DefaultGridSize
-			refVec := refModel.Metrics(p).Vector()
+			refVec := refModel.Metrics(cfg.params(stochastic.AccuracyReference)).Vector()
 			into.samples++
 			for i, acc := range accs {
 				m, err := caches[i].Model(s)
 				if err != nil {
 					return err
 				}
-				pa := p
-				pa.GridSize = acc.GridSize
-				vec := m.Metrics(pa).Vector()
+				vec := m.Metrics(cfg.params(acc)).Vector()
 				into.add(i, vec[:], refVec[:])
 			}
 			return nil

@@ -16,11 +16,10 @@ func TestConfigEvalAccuracyValue(t *testing.T) {
 	if !acc.IsReference() {
 		t.Errorf("default config accuracy %+v, want reference", acc)
 	}
-	cfg.GridSize = 48
+	cfg.EvalAccuracy = "grid=48"
 	if acc, _ = cfg.EvalAccuracyValue(); acc.GridSize != 48 || acc.WorkGrid != stochastic.DefaultMaxWorkGrid {
-		t.Errorf("GridSize=48 resolves to %+v", acc)
+		t.Errorf("grid=48 resolves to %+v", acc)
 	}
-	// A preset overrides the legacy GridSize field.
 	cfg.EvalAccuracy = "coarse"
 	if acc, _ = cfg.EvalAccuracyValue(); acc != stochastic.AccuracyCoarse {
 		t.Errorf("coarse preset resolves to %+v", acc)
@@ -57,22 +56,15 @@ func TestEvalAccuracyCacheKeyStability(t *testing.T) {
 		}
 	}
 
-	// Changing the density grid changes the key identically whether it
-	// is spelled through GridSize or EvalAccuracy.
-	byField := base
-	byField.GridSize = 48
-	fieldKey, err := CaseCacheKey(spec, byField)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Changing the density grid changes the key.
 	bySpelling := base
 	bySpelling.EvalAccuracy = "grid=48"
 	spellKey, err := CaseCacheKey(spec, bySpelling)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fieldKey == ref || fieldKey != spellKey {
-		t.Error("grid=48 must change the key and agree with GridSize=48")
+	if spellKey == ref {
+		t.Error("grid=48 must change the key")
 	}
 
 	// Non-reference resampling policies namespace into v4 keys.

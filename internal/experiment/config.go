@@ -19,7 +19,6 @@ import (
 type Config struct {
 	Schedules      int     // random schedules per case (paper: 10000, 2000 for n=100)
 	MCRealizations int     // Monte-Carlo realizations (paper: 100000)
-	GridSize       int     // density samples (paper: 64)
 	Workers        int     // parallel workers; <= 0 selects GOMAXPROCS
 	Seed           int64   // base RNG seed
 	Delta          float64 // absolute probabilistic half-width (paper: 0.1)
@@ -37,12 +36,11 @@ type Config struct {
 	// (never their distribution).
 	MCBlockSize int
 
-	// EvalAccuracy selects the numeric evaluation accuracy: empty keeps
-	// the reference resampling policy at GridSize; otherwise a preset
-	// name ("reference", "fast", "coarse") or an explicit
-	// "grid=G[,work=W]" spelling (stochastic.ParseEvalAccuracy), which
-	// overrides GridSize. An invalid spelling is an error, never a
-	// silent fallback.
+	// EvalAccuracy selects the numeric evaluation accuracy: empty is the
+	// paper's reference contract (64-point densities); otherwise a
+	// preset name ("reference", "fast", "coarse") or an explicit
+	// "grid=G[,work=W]" spelling (stochastic.ParseEvalAccuracy). An
+	// invalid spelling is an error, never a silent fallback.
 	EvalAccuracy string
 
 	// CaseTimeout bounds the wall-clock time of one case attempt;
@@ -72,7 +70,6 @@ func DefaultConfig() Config {
 	return Config{
 		Schedules:      150,
 		MCRealizations: 20000,
-		GridSize:       64,
 		Workers:        runtime.GOMAXPROCS(0),
 		Seed:           1,
 		Delta:          0.1,
@@ -99,20 +96,15 @@ func BenchConfig() Config {
 	return c
 }
 
-// params converts the config into metric parameters.
-func (c Config) params() robustness.Params {
-	return robustness.Params{Delta: c.Delta, Gamma: c.Gamma, GridSize: c.GridSize}
+// params converts the config into metric parameters on the density
+// grid of the resolved accuracy acc.
+func (c Config) params(acc stochastic.EvalAccuracy) robustness.Params {
+	return robustness.Params{Delta: c.Delta, Gamma: c.Gamma, GridSize: acc.GridSize}
 }
 
-// EvalAccuracyValue resolves the effective evaluation accuracy: the
-// EvalAccuracy spelling when set (its grid overrides GridSize),
-// otherwise the legacy GridSize field under the reference resampling
-// policy — so configs written before the accuracy knob existed resolve
-// to bit-identical evaluations.
+// EvalAccuracyValue resolves the EvalAccuracy spelling into its
+// canonical contract (empty is the reference contract).
 func (c Config) EvalAccuracyValue() (stochastic.EvalAccuracy, error) {
-	if c.EvalAccuracy == "" {
-		return stochastic.EvalAccuracy{GridSize: c.GridSize}.Canon(), nil
-	}
 	return stochastic.ParseEvalAccuracy(c.EvalAccuracy)
 }
 
@@ -120,18 +112,6 @@ func (c Config) EvalAccuracyValue() (stochastic.EvalAccuracy, error) {
 func (c Config) ValidateEval() error {
 	_, err := c.EvalAccuracyValue()
 	return err
-}
-
-// resolveAccuracy resolves the effective accuracy and aligns GridSize
-// with it, so drivers that resolve once keep cache construction and
-// metric parameters (params) on the same grid.
-func (c Config) resolveAccuracy() (Config, stochastic.EvalAccuracy, error) {
-	acc, err := c.EvalAccuracyValue()
-	if err != nil {
-		return c, acc, err
-	}
-	c.GridSize = acc.GridSize
-	return c, acc, nil
 }
 
 // mcOptions converts the config into Monte-Carlo kernel options. An
@@ -173,7 +153,6 @@ func (c Config) degraded() (Config, stochastic.EvalAccuracy, bool) {
 		return c, acc, false
 	}
 	c.EvalAccuracy = dacc.String()
-	c.GridSize = dacc.GridSize
 	return c, dacc, true
 }
 

@@ -504,7 +504,7 @@ func TestDiracJoinCaseConstantColumns(t *testing.T) {
 	cfg := testConfig()
 	rng := rand.New(rand.NewSource(3))
 	scheds := heuristics.RandomSchedules(scen, 12, rng)
-	cache := makespan.NewEvalCache(scen, cfg.GridSize)
+	cache := makespan.NewEvalCache(scen, 0)
 	metrics := make([]robustness.Metrics, len(scheds))
 	for i, s := range scheds {
 		var err error

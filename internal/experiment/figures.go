@@ -39,7 +39,7 @@ func Fig1(cfg Config, sizes []int, schedulesPerSize int) ([]Fig1Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, acc, err := cfg.resolveAccuracy()
+	acc, err := cfg.EvalAccuracyValue()
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +122,7 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, acc, err := cfg.resolveAccuracy()
+	acc, err := cfg.EvalAccuracyValue()
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +246,7 @@ type Fig9Row struct {
 // i.i.d.) schedule is the most robust with no slack, while the
 // imbalanced schedule has ample slack and poor robustness.
 func Fig9(cfg Config, n int) ([]Fig9Row, error) {
-	cfg, acc, err := cfg.resolveAccuracy()
+	acc, err := cfg.EvalAccuracyValue()
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +278,7 @@ func Fig9(cfg Config, n int) ([]Fig9Row, error) {
 		if err != nil {
 			return Fig9Row{}, fmt.Errorf("experiment: fig9 %s: %w", name, err)
 		}
-		m := model.Metrics(cfg.params())
+		m := model.Metrics(cfg.params(acc))
 		return Fig9Row{Name: name, Slack: m.AvgSlack, StdDev: m.StdDev, Makespan: m.Makespan}, nil
 	}
 

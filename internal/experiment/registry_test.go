@@ -11,6 +11,7 @@ import (
 	"repro/internal/robustness"
 	"repro/internal/runner"
 	"repro/internal/schedule"
+	"repro/internal/stochastic"
 )
 
 // Regression for the silent-clamp bug: choleskyTiles used to cap its
@@ -200,7 +201,7 @@ type cacheCfgPart struct {
 // the stable name and must never collide with any v2 key.
 func TestCacheKeyV3NeverAliasesV2(t *testing.T) {
 	cfg := DefaultConfig()
-	part := cacheCfgPart{cfg.Schedules, cfg.GridSize, cfg.Delta, cfg.Gamma, "exact", schedule.DefaultBlockSize}
+	part := cacheCfgPart{cfg.Schedules, stochastic.DefaultGridSize, cfg.Delta, cfg.Gamma, "exact", schedule.DefaultBlockSize}
 	legacyNames := []string{"random", "cholesky", "gausselim", "join"}
 	v2 := make(map[string]string)
 	for kind, name := range legacyNames {

@@ -23,7 +23,7 @@ func chaosConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Schedules = 8
 	cfg.MCRealizations = 500
-	cfg.GridSize = 32
+	cfg.EvalAccuracy = "grid=32"
 	cfg.Seed = 7
 	return cfg
 }

@@ -83,7 +83,7 @@ func evaluateOne(cache *makespan.EvalCache, s *schedule.Schedule, cfg Config) (r
 	if err != nil {
 		return robustness.Metrics{}, err
 	}
-	return m.Metrics(cfg.params()), nil
+	return m.Metrics(cfg.params(cache.Accuracy())), nil
 }
 
 // RunCase executes one correlation case: it generates the scenario,
@@ -103,7 +103,7 @@ func RunCase(spec CaseSpec, cfg Config) (*CaseResult, error) {
 // written into index-addressed slots, so they are identical for every
 // worker count.
 func RunCaseOn(ctx context.Context, spec CaseSpec, cfg Config, pool *runner.Pool) (*CaseResult, error) {
-	cfg, acc, err := cfg.resolveAccuracy()
+	acc, err := cfg.EvalAccuracyValue()
 	if err != nil {
 		return nil, err
 	}

@@ -55,7 +55,7 @@ type SDHEFTPoint struct {
 // runCorr draws schedules for a prepared scenario and returns
 // Pearson(E(M), σ_M) over them.
 func runCorr(scen *platform.Scenario, nSched int, seed int64, cfg Config) (float64, error) {
-	cfg, acc, err := cfg.resolveAccuracy()
+	acc, err := cfg.EvalAccuracyValue()
 	if err != nil {
 		return 0, err
 	}
@@ -81,7 +81,7 @@ func runCorr(scen *platform.Scenario, nSched int, seed int64, cfg Config) (float
 // equivalence breaks, the makespan↔σ correlation drops, and a
 // σ-aware heuristic (SDHEFT) can buy robustness that HEFT cannot see.
 func VariableUL(cfg Config, lambda float64) (*VariableULResult, error) {
-	cfg, acc, err := cfg.resolveAccuracy()
+	acc, err := cfg.EvalAccuracyValue()
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +180,7 @@ func VariableUL(cfg Config, lambda float64) (*VariableULResult, error) {
 // matrix over the random schedules so callers can verify the metric
 // equivalences survive the distribution swap.
 func OscillatingDurationsCase(cfg Config) (*CaseResult, error) {
-	cfg, acc, err := cfg.resolveAccuracy()
+	acc, err := cfg.EvalAccuracyValue()
 	if err != nil {
 		return nil, err
 	}

@@ -339,39 +339,31 @@ func (g *rvGraph) reduce(maxNodes int) (*stochastic.Numeric, error) {
 }
 
 // EvaluateDodin evaluates the makespan distribution by Dodin's method
-// on the retained map-based reduction — the differential reference for
-// the compiled EvalModel.Dodin: the disjunctive graph becomes a graph
-// whose nodes carry task-duration variables and whose edges carry
-// communication variables, reduced by series convolutions and parallel
-// maxima; non-series-parallel remainders are unlocked by duplicating
-// shared predecessors. When — and only when — the reduction itself
-// fails (a *ReductionError: budget exhausted or stuck) the classical
-// evaluation is used as a fallback (documented in the README section
-// "Evaluation accuracy", with the Dodin reduction); any other error,
-// such as an invalid schedule, propagates.
+// through the compiled evaluation model (EvalModel.Dodin): the
+// disjunctive graph is reduced by series convolutions and parallel
+// maxima, and non-series-parallel remainders are unlocked by
+// duplicating shared predecessors. When — and only when — the reduction
+// itself fails (a *ReductionError: budget exhausted or stuck) the
+// classical evaluation is used as a fallback (documented in the README
+// section "Evaluation accuracy"); any other error, such as an invalid
+// schedule, propagates. One-shot convenience: callers evaluating many
+// schedules of one scenario should hold an EvalCache and call
+// Model(s).Dodin() directly.
 func EvaluateDodin(scen *platform.Scenario, s *schedule.Schedule, gridSize int) (*stochastic.Numeric, error) {
-	rv, err := evaluateDodin(scen, s, gridSize)
+	m, err := NewEvalCache(scen, gridSize).Model(s)
 	if err != nil {
-		if IsReductionError(err) {
-			// Documented fallback: the classical evaluation makes the
-			// same independence approximation without needing SP
-			// structure.
-			return EvaluateClassic(scen, s, gridSize)
-		}
 		return nil, err
 	}
-	return rv, nil
+	return m.Dodin(), nil
 }
 
-// EvaluateDodinStrict is EvaluateDodin without the classical fallback:
-// it fails when the series-parallel reduction cannot finish within its
-// duplication budget. Tests use it to guarantee the reduction path is
-// actually exercised.
-func EvaluateDodinStrict(scen *platform.Scenario, s *schedule.Schedule, gridSize int) (*stochastic.Numeric, error) {
-	return evaluateDodin(scen, s, gridSize)
-}
-
-func evaluateDodin(scen *platform.Scenario, s *schedule.Schedule, gridSize int) (*stochastic.Numeric, error) {
+// ReferenceEvaluateDodin is the retained map-based reduction (rvGraph),
+// the differential reference for EvalModel.DodinStrict. Like
+// DodinStrict it has no classical fallback: it returns the
+// *ReductionError when the series-parallel reduction cannot finish
+// within its duplication budget, so tests can tell the reduction path
+// was actually exercised.
+func ReferenceEvaluateDodin(scen *platform.Scenario, s *schedule.Schedule, gridSize int) (*stochastic.Numeric, error) {
 	m, err := NewEvalCache(scen, gridSize).Model(s)
 	if err != nil {
 		return nil, err

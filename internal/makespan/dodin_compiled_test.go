@@ -33,7 +33,7 @@ func TestCompiledDodinMatchesLegacyOnSP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compiled strict Dodin failed on a chain: %v", err)
 	}
-	want, err := EvaluateDodinStrict(scen, s, 64)
+	want, err := ReferenceEvaluateDodin(scen, s, 64)
 	if err != nil {
 		t.Fatalf("legacy strict Dodin failed on a chain: %v", err)
 	}
@@ -57,7 +57,7 @@ func TestCompiledDodinMatchesLegacyOnSP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compiled strict Dodin failed on fork-join: %v", err)
 	}
-	want2, err := EvaluateDodinStrict(scen2, s2, 64)
+	want2, err := ReferenceEvaluateDodin(scen2, s2, 64)
 	if err != nil {
 		t.Fatalf("legacy strict Dodin failed on fork-join: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestCompiledDodinMatchesLegacyOnRandom(t *testing.T) {
 		s := heuristics.RandomSchedule(scen, rng)
 		m := modelFor(t, scen, s)
 		got, gotErr := m.DodinStrict()
-		want, wantErr := EvaluateDodinStrict(scen, s, 64)
+		want, wantErr := ReferenceEvaluateDodin(scen, s, 64)
 		cls := m.Classic()
 		if gotErr == nil && !almostEqual(got.Mean(), cls.Mean(), 0.05*cls.Mean()) {
 			t.Errorf("trial %d: compiled Dodin mean %g vs classic %g", i, got.Mean(), cls.Mean())

@@ -14,10 +14,11 @@ import (
 )
 
 // Acceptance harness: on every registered workload family the compiled
-// EvalModel.Dodin must match the legacy EvaluateDodin within
-// differential tolerance. Both sides use their documented
-// reduction-failure fallback (the classical method), so the comparison
-// holds regardless of which reducer completes strictly.
+// EvalModel.Dodin must match the legacy ReferenceEvaluateDodin within
+// differential tolerance. Both sides use the documented
+// reduction-failure fallback (the classical method) — the reference has
+// none of its own, so the test applies it — and the comparison holds
+// regardless of which reducer completes strictly.
 func TestCompiledDodinMatchesLegacyOnAllFamilies(t *testing.T) {
 	for _, family := range experiment.FamilyNames() {
 		family := family
@@ -38,7 +39,10 @@ func TestCompiledDodinMatchesLegacyOnAllFamilies(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := m.Dodin()
-				want, err := makespan.EvaluateDodin(scen, s, 0)
+				want, err := makespan.ReferenceEvaluateDodin(scen, s, 0)
+				if makespan.IsReductionError(err) {
+					want, err = makespan.EvaluateClassic(scen, s, 0)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -107,7 +107,7 @@ func TestDodinStrictOnSPStructures(t *testing.T) {
 	g := graphgen.Chain(4, 0)
 	scen := uniformScenario(g, 1, 10, 1.3)
 	s := allOnProc(t, g, 1, 0)
-	rv, err := EvaluateDodinStrict(scen, s, 64)
+	rv, err := ReferenceEvaluateDodin(scen, s, 64)
 	if err != nil {
 		t.Fatalf("strict Dodin failed on a chain: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestDodinStrictOnSPStructures(t *testing.T) {
 	s2.Assign(2, 1)
 	s2.Assign(3, 2)
 	s2.Assign(4, 0)
-	if _, err := EvaluateDodinStrict(scen2, s2, 64); err != nil {
+	if _, err := ReferenceEvaluateDodin(scen2, s2, 64); err != nil {
 		t.Fatalf("strict Dodin failed on fork-join: %v", err)
 	}
 }
@@ -145,7 +145,7 @@ func TestDodinStrictOnRandomSchedules(t *testing.T) {
 			UL: 1.1,
 		}
 		s := heuristics.RandomSchedule(scen, rng)
-		rv, err := EvaluateDodinStrict(scen, s, 64)
+		rv, err := ReferenceEvaluateDodin(scen, s, 64)
 		if err != nil {
 			continue
 		}

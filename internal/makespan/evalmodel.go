@@ -99,10 +99,6 @@ func NewEvalCacheAccuracy(scen *platform.Scenario, acc stochastic.EvalAccuracy) 
 // Scenario returns the scenario the cache was built for.
 func (c *EvalCache) Scenario() *platform.Scenario { return c.scen }
 
-// GridSize returns the density grid size of the cache's
-// discretizations.
-func (c *EvalCache) GridSize() int { return c.acc.GridSize }
-
 // Accuracy returns the cache's evaluation accuracy contract.
 func (c *EvalCache) Accuracy() stochastic.EvalAccuracy { return c.acc }
 
@@ -492,13 +488,6 @@ func (m *EvalModel) Metrics(p robustness.Params) robustness.Metrics {
 // robustness.FromSamples, without the per-call disjunctive rebuild.
 func (m *EvalModel) MetricsFromSamples(emp *stochastic.Empirical, p robustness.Params) robustness.Metrics {
 	return robustness.FromSamplesSlacks(emp, m.Slacks(), p)
-}
-
-// MetricsFromKernelStats is MetricsFromSamples for the realization
-// kernel's streaming accumulator — the model-holding form of
-// robustness.FromKernelStats.
-func (m *EvalModel) MetricsFromKernelStats(st *schedule.MCStats, p robustness.Params) robustness.Metrics {
-	return robustness.FromKernelStatsSlacks(st, m.Slacks(), p)
 }
 
 // SlackIdentity runs the paper's §V consistency test on the compiled

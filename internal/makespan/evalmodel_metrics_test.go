@@ -1,10 +1,10 @@
 package makespan_test
 
 // Equivalence tests for the model-holding metric entry points added
-// with the EvalAccuracy refactor: MetricsFromSamples,
-// MetricsFromKernelStats and SlackIdentity must reproduce the retained
-// robustness reference paths exactly (same slack vector, same
-// distribution metrics), without the per-call disjunctive rebuild.
+// with the EvalAccuracy refactor: MetricsFromSamples and SlackIdentity
+// must reproduce the retained robustness reference paths exactly (same
+// slack vector, same distribution metrics), without the per-call
+// disjunctive rebuild.
 
 import (
 	"math"
@@ -49,28 +49,6 @@ func TestMetricsFromSamplesMatchesReference(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("MetricsFromSamples differs from reference:\n  got  %+v\n  want %+v", got, want)
-	}
-}
-
-func TestMetricsFromKernelStatsMatchesReference(t *testing.T) {
-	cache, s := metricsScenario(t)
-	scen := cache.Scenario()
-	m, err := cache.Model(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := makespan.MonteCarloStats(scen, s, 20000, 7, makespan.MCOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := robustness.Params{Delta: 0.1, Gamma: 1.0003, GridSize: 64}
-	got := m.MetricsFromKernelStats(st, p)
-	want, err := robustness.FromKernelStats(scen, s, st, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("MetricsFromKernelStats differs from reference:\n  got  %+v\n  want %+v", got, want)
 	}
 }
 

@@ -39,15 +39,3 @@ func MonteCarloWith(scen *platform.Scenario, s *schedule.Schedule, count int, se
 	}
 	return sim.Compile(opt.Sampler).Empirical(count, seed, opt.kernelOptions()), nil
 }
-
-// MonteCarloStats streams count realizations into the kernel's
-// moment/histogram accumulator without materializing the sample
-// slice — the metric path for realization counts where a sorted
-// 100 000-float copy per schedule would dominate memory traffic.
-func MonteCarloStats(scen *platform.Scenario, s *schedule.Schedule, count int, seed int64, opt MCOptions) (*schedule.MCStats, error) {
-	sim, err := schedule.NewSimulator(scen, s)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Compile(opt.Sampler).Stats(count, seed, 0, opt.kernelOptions()), nil
-}

@@ -169,45 +169,6 @@ func fillSampleDist(m *Metrics, emp *stochastic.Empirical, p Params) {
 	}
 }
 
-// FromKernelStats computes the metrics from the realization kernel's
-// streaming accumulator: the distribution-based metrics come from the
-// exact streaming moments and the fixed-range histogram, so
-// metric-only Monte-Carlo callers never materialize (or sort) the
-// full sample slice. Quantile-shaped quantities (lateness, the
-// probabilistic metrics, the entropy density) are histogram
-// estimates, accurate to the accumulator's bin width.
-func FromKernelStats(scen *platform.Scenario, s *schedule.Schedule, st *schedule.MCStats, p Params) (Metrics, error) {
-	var m Metrics
-	fillKernelDist(&m, st, p)
-	if err := fillSlack(scen, s, &m); err != nil {
-		return m, err
-	}
-	return m, nil
-}
-
-// FromKernelStatsSlacks computes the metric vector from the kernel's
-// streaming accumulator and a precomputed per-task slack vector — the
-// compiled-evaluation form of FromKernelStats.
-func FromKernelStatsSlacks(st *schedule.MCStats, slacks []float64, p Params) Metrics {
-	var m Metrics
-	fillKernelDist(&m, st, p)
-	applySlacks(&m, slacks)
-	return m
-}
-
-// fillKernelDist fills the distribution-based metrics from the
-// streaming accumulator.
-func fillKernelDist(m *Metrics, st *schedule.MCStats, p Params) {
-	m.Makespan = st.Mean()
-	m.StdDev = st.StdDev()
-	m.Entropy = st.ToNumeric(p.GridSize).Entropy()
-	m.Lateness = st.LatenessAboveMean()
-	m.AbsProb = st.ProbWithin(m.Makespan-p.Delta, m.Makespan+p.Delta)
-	if p.Gamma > 0 {
-		m.RelProb = st.ProbWithin(m.Makespan/p.Gamma, m.Makespan*p.Gamma)
-	}
-}
-
 // latenessOf computes E(M') − E(M) where M' is M conditioned on
 // exceeding its mean. The integrand is truncated at the mean, so the
 // tail integrals are evaluated on a fine spline-resampled grid over

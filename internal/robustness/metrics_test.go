@@ -237,69 +237,3 @@ func TestVerifySlackIdentity(t *testing.T) {
 		t.Errorf("critical path = %g, want %g", cp, want)
 	}
 }
-
-// The streaming-accumulator metric path must agree with the
-// materialized-sample path on the same realization stream: moments
-// exactly (identical block merges), the histogram-estimated metrics
-// within a couple of bin widths.
-func TestFromKernelStatsMatchesFromSamples(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g, w := graphgen.Random(graphgen.DefaultRandomParams(15), rng)
-	tau, lat := platform.NewUniformNetwork(3, 1, 0)
-	scen := &platform.Scenario{
-		G:  g,
-		P:  &platform.Platform{M: 3, ETC: platform.GenerateETCFromWeights(w, 3, 0.5, rng), Tau: tau, Lat: lat},
-		UL: 1.3,
-	}
-	s := schedule.New(g.N(), 3)
-	order, err := g.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, task := range order {
-		s.Assign(task, rng.Intn(3))
-	}
-	const count = 30000
-	opt := makespan.MCOptions{Sampler: stochastic.SamplerTable}
-	emp, err := makespan.MonteCarloWith(scen, s, count, 7, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := makespan.MonteCarloStats(scen, s, count, 7, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := DefaultParams()
-	ms, err := FromSamples(scen, s, emp, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk, err := FromKernelStats(scen, s, st, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(mk.Makespan, ms.Makespan, 1e-9*ms.Makespan) {
-		t.Errorf("mean: streaming %g vs samples %g", mk.Makespan, ms.Makespan)
-	}
-	if !almostEqual(mk.StdDev, ms.StdDev, 1e-6*ms.StdDev) {
-		t.Errorf("std: streaming %g vs samples %g", mk.StdDev, ms.StdDev)
-	}
-	binW := (st.Max() - st.Min()) / float64(schedule.DefaultHistBins)
-	if !almostEqual(mk.Lateness, ms.Lateness, 2*binW+0.01*ms.Lateness) {
-		t.Errorf("lateness: streaming %g vs samples %g", mk.Lateness, ms.Lateness)
-	}
-	if !almostEqual(mk.AbsProb, ms.AbsProb, 0.02) {
-		t.Errorf("A(δ): streaming %g vs samples %g", mk.AbsProb, ms.AbsProb)
-	}
-	if !almostEqual(mk.RelProb, ms.RelProb, 0.02) {
-		t.Errorf("R(γ): streaming %g vs samples %g", mk.RelProb, ms.RelProb)
-	}
-	// Both entropy paths histogram the same realizations onto the
-	// same grid size; they differ only in the intermediate binning.
-	if !almostEqual(mk.Entropy, ms.Entropy, 0.2) {
-		t.Errorf("entropy: streaming %g vs samples %g", mk.Entropy, ms.Entropy)
-	}
-	if mk.AvgSlack != ms.AvgSlack || mk.SlackStdDev != ms.SlackStdDev {
-		t.Error("slack metrics must not depend on the distribution source")
-	}
-}

@@ -20,7 +20,7 @@ func detConfig() experiment.Config {
 	cfg := experiment.DefaultConfig()
 	cfg.Schedules = 10
 	cfg.MCRealizations = 500
-	cfg.GridSize = 32
+	cfg.EvalAccuracy = "grid=32"
 	cfg.Seed = 7
 	return cfg
 }

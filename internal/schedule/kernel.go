@@ -1,13 +1,11 @@
 package schedule
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/numeric"
 	"repro/internal/stochastic"
 )
 
@@ -54,11 +52,6 @@ type RealizationKernel struct {
 	// exact-mode realization-major sampling consumes the RNG stream in
 	// the legacy order.
 	samplers []stochastic.BatchSampler
-	slotMin  []float64
-	slotMax  []float64
-
-	minMakespan float64
-	maxMakespan float64
 
 	workerPool sync.Pool // *kernelWorker, reused across Run calls
 }
@@ -120,10 +113,8 @@ func (sim *Simulator) Compile(mode stochastic.SamplerMode) *RealizationKernel {
 	// Slots are allocated in legacy draw order: walk tasks in the
 	// disjunctive topological order, arcs before the task's own
 	// duration.
-	addSlot := func(d stochastic.Dist, lo, hi float64) int32 {
+	addSlot := func(d stochastic.Dist) int32 {
 		k.samplers = append(k.samplers, stochastic.NewBatchSampler(d, mode))
-		k.slotMin = append(k.slotMin, lo)
-		k.slotMax = append(k.slotMax, hi)
 		return int32(len(k.samplers) - 1)
 	}
 	for _, t := range sim.order {
@@ -136,18 +127,16 @@ func (sim *Simulator) Compile(mode stochastic.SamplerMode) *RealizationKernel {
 				k.predVal[j] = pi.min
 				k.predSlot[j] = -1
 			} else {
-				k.predSlot[j] = addSlot(pi.comm, pi.min, pi.max)
+				k.predSlot[j] = addSlot(pi.comm)
 			}
 		}
 		if _, isPoint := sim.dur[t].(stochastic.Dirac); isPoint {
 			k.durVal[t] = sim.durMin[t]
 			k.durSlot[t] = -1
 		} else {
-			k.durSlot[t] = addSlot(sim.dur[t], sim.durMin[t], sim.durMax[t])
+			k.durSlot[t] = addSlot(sim.dur[t])
 		}
 	}
-	k.minMakespan = sim.MinTiming().Makespan
-	k.maxMakespan = sim.MaxTiming().Makespan
 	return k
 }
 
@@ -157,20 +146,6 @@ func (k *RealizationKernel) Mode() stochastic.SamplerMode { return k.mode }
 // Slots returns the number of stochastic sample slots per realization
 // (zero for a fully deterministic schedule).
 func (k *RealizationKernel) Slots() int { return len(k.samplers) }
-
-// Bounds returns the support of the makespan as reported by the
-// distributions: the timings with every duration at the bottom and
-// the top of its Support(). For the paper's bounded models (Beta,
-// Uniform, Dirac) this is exact; distributions whose Support() is a
-// heuristic truncation of an unbounded tail (Normal, LogNormal,
-// Exponential, Gamma) can sample past it, in which case the streaming
-// histogram clamps the draw into its edge bin while Min and Max still
-// report the true observed extremes. MCStats.Clamped counts those
-// draws, so callers can tell how much tail mass their histogram-based
-// estimates are missing.
-func (k *RealizationKernel) Bounds() (lo, hi float64) {
-	return k.minMakespan, k.maxMakespan
-}
 
 // kernelWorker is the reusable per-goroutine state of a run: one RNG
 // (reseeded per block), the structure-of-arrays sample block, and the
@@ -251,41 +226,44 @@ func (k *RealizationKernel) pass(w *kernelWorker, r, m int) float64 {
 	return makespan
 }
 
-// run streams every block of a count-realization job through perBlock,
-// fanning whole blocks out over the option's workers. perBlock is
-// called concurrently with the block index and the block's makespans
-// (valid only during the call).
-func (k *RealizationKernel) run(count int, seed int64, opt KernelOptions, perBlock func(kb int, lo int, ms []float64)) {
-	if count <= 0 {
+// Realizations draws count makespan realizations. Deterministic for a
+// fixed (count, seed, block size, mode) at any worker count; in exact
+// mode at DefaultBlockSize it is bit-identical to
+// Simulator.Realizations.
+func (k *RealizationKernel) Realizations(count int, seed int64, opt KernelOptions) []float64 {
+	out := make([]float64, count)
+	k.RealizationsInto(out, seed, opt)
+	return out
+}
+
+// RealizationsInto is Realizations writing into a caller-owned slice,
+// for steady-state loops that want zero per-call sample allocations.
+// Whole blocks fan out over the option's workers, each block timing its
+// realizations straight into its own window of out.
+func (k *RealizationKernel) RealizationsInto(out []float64, seed int64, opt KernelOptions) {
+	count := len(out)
+	if count == 0 {
 		return
 	}
 	block := opt.block()
 	bs := blockSeeds(count, block, seed)
-	workers := opt.workers()
-	if workers > len(bs) {
-		workers = len(bs)
-	}
+	workers := min(opt.workers(), len(bs))
 	var next int64
 	runWorker := func() {
 		w := k.getWorker(block)
 		defer k.workerPool.Put(w)
-		ms := make([]float64, block)
 		for {
 			kb := int(atomic.AddInt64(&next, 1)) - 1
 			if kb >= len(bs) {
 				return
 			}
 			lo := kb * block
-			m := block
-			if lo+m > count {
-				m = count - lo
-			}
+			ms := out[lo:min(lo+block, count)]
 			w.rng.Seed(bs[kb])
-			k.sampleBlock(w, m)
-			for r := 0; r < m; r++ {
-				ms[r] = k.pass(w, r, m)
+			k.sampleBlock(w, len(ms))
+			for r := range ms {
+				ms[r] = k.pass(w, r, len(ms))
 			}
-			perBlock(kb, lo, ms[:m])
 		}
 	}
 	if workers <= 1 {
@@ -303,373 +281,8 @@ func (k *RealizationKernel) run(count int, seed int64, opt KernelOptions, perBlo
 	wg.Wait()
 }
 
-// Realizations draws count makespan realizations. Deterministic for a
-// fixed (count, seed, block size, mode) at any worker count; in exact
-// mode at DefaultBlockSize it is bit-identical to
-// Simulator.Realizations.
-func (k *RealizationKernel) Realizations(count int, seed int64, opt KernelOptions) []float64 {
-	out := make([]float64, count)
-	k.RealizationsInto(out, seed, opt)
-	return out
-}
-
-// RealizationsInto is Realizations writing into a caller-owned slice,
-// for steady-state loops that want zero per-call sample allocations.
-func (k *RealizationKernel) RealizationsInto(out []float64, seed int64, opt KernelOptions) {
-	k.run(len(out), seed, opt, func(_, lo int, ms []float64) {
-		copy(out[lo:], ms)
-	})
-}
-
 // Empirical draws count realizations and wraps them as an empirical
 // distribution.
 func (k *RealizationKernel) Empirical(count int, seed int64, opt KernelOptions) *stochastic.Empirical {
 	return stochastic.NewEmpirical(k.Realizations(count, seed, opt))
-}
-
-// DefaultHistBins is the histogram resolution of streaming statistics:
-// fine enough that rebinning to the paper's 64-point metric grid is
-// exact to the bin, coarse enough to stay cache-resident.
-const DefaultHistBins = 2048
-
-// MCStats accumulates makespan realizations block by block: exact
-// streaming moments plus a fixed-range histogram over the schedule's
-// analytic makespan support. Metric-only callers get means, standard
-// deviations, quantiles and tail expectations without ever
-// materializing the full sample slice. All merges happen in block
-// order, so the result is deterministic at any worker count.
-type MCStats struct {
-	mcMoments
-
-	lo, hi  float64 // histogram range (analytic makespan support)
-	bins    []int64
-	clamped int64 // draws outside [lo, hi], forced into the edge bins
-}
-
-// newMCStats builds an empty accumulator over [lo, hi].
-func newMCStats(lo, hi float64, bins int) *MCStats {
-	if bins <= 0 {
-		bins = DefaultHistBins
-	}
-	return &MCStats{
-		mcMoments: newMCMoments(),
-		lo:        lo, hi: hi,
-		bins: make([]int64, bins),
-	}
-}
-
-// mcMoments is the streaming moment state, both the per-block partial
-// and (embedded in MCStats) the running total. Partials are tiny (one
-// struct per block) and merged in block order, so the floating-point
-// moment sums are identical at any worker count.
-type mcMoments struct {
-	count    int
-	mean, m2 float64
-	min, max float64
-}
-
-// newMCMoments returns an empty partial.
-func newMCMoments() mcMoments {
-	return mcMoments{min: math.Inf(1), max: math.Inf(-1)}
-}
-
-// observe folds ms into the partial with Welford's exact one-pass
-// update.
-func (p *mcMoments) observe(ms []float64) {
-	for _, x := range ms {
-		p.count++
-		d := x - p.mean
-		p.mean += d / float64(p.count)
-		p.m2 += d * (x - p.mean)
-		if x < p.min {
-			p.min = x
-		}
-		if x > p.max {
-			p.max = x
-		}
-	}
-}
-
-// merge folds a partial into st (Chan et al. pairwise merge); callers
-// must merge in block order for cross-worker determinism.
-func (st *mcMoments) merge(p mcMoments) {
-	if p.count == 0 {
-		return
-	}
-	if st.count == 0 {
-		st.count, st.mean, st.m2 = p.count, p.mean, p.m2
-	} else {
-		na, nb := float64(st.count), float64(p.count)
-		d := p.mean - st.mean
-		n := na + nb
-		st.mean += d * nb / n
-		st.m2 += p.m2 + d*d*na*nb/n
-		st.count += p.count
-	}
-	if p.min < st.min {
-		st.min = p.min
-	}
-	if p.max > st.max {
-		st.max = p.max
-	}
-}
-
-// binAll histograms ms into the accumulator's fixed-range bins,
-// counting draws that fall outside the range (possible only when a
-// duration distribution's Support() truncates an unbounded tail).
-// Integer counts commute, so concurrent blocks may bin in any order
-// (under the caller's lock) without affecting the result.
-func (st *MCStats) binAll(ms []float64) {
-	scale := 0.0
-	if st.hi > st.lo {
-		scale = float64(len(st.bins)) / (st.hi - st.lo)
-	}
-	top := len(st.bins) - 1
-	for _, x := range ms {
-		if x < st.lo || x > st.hi {
-			st.clamped++
-		}
-		b := int((x - st.lo) * scale)
-		if b < 0 {
-			b = 0
-		}
-		if b > top {
-			b = top
-		}
-		st.bins[b]++
-	}
-}
-
-// Count returns the number of accumulated realizations.
-func (st *MCStats) Count() int { return st.count }
-
-// Clamped returns how many realizations fell outside the analytic
-// makespan support [Bounds] and were clamped into the histogram's
-// edge bins. It is always zero for the paper's bounded duration
-// models (Beta, Uniform, Dirac); a positive count appears when a
-// Scenario.DurFn swaps in an unbounded-tail distribution (Normal,
-// LogNormal, ...) whose Support() is a heuristic truncation. Moments
-// and extremes (Mean, StdDev, Min, Max) stay exact regardless;
-// histogram-backed estimates (CDFAt, Quantile, ProbWithin,
-// LatenessAboveMean) degrade gracefully, attributing the clamped mass
-// to the edge bins. Callers needing exact tail quantiles under such
-// models should use the materialized-sample path instead.
-func (st *MCStats) Clamped() int64 { return st.clamped }
-
-// Mean returns the sample mean.
-func (st *MCStats) Mean() float64 { return st.mean }
-
-// Variance returns the population sample variance.
-func (st *MCStats) Variance() float64 {
-	if st.count == 0 {
-		return 0
-	}
-	return st.m2 / float64(st.count)
-}
-
-// StdDev returns the sample standard deviation.
-func (st *MCStats) StdDev() float64 { return math.Sqrt(st.Variance()) }
-
-// Min returns the smallest observed makespan (0 when empty).
-func (st *MCStats) Min() float64 {
-	if st.count == 0 {
-		return 0
-	}
-	return st.min
-}
-
-// Max returns the largest observed makespan (0 when empty).
-func (st *MCStats) Max() float64 {
-	if st.count == 0 {
-		return 0
-	}
-	return st.max
-}
-
-// binWidth returns the histogram cell width.
-func (st *MCStats) binWidth() float64 {
-	return (st.hi - st.lo) / float64(len(st.bins))
-}
-
-// CDFAt returns the histogram estimate of P(M <= x), interpolating
-// linearly inside the cell containing x.
-func (st *MCStats) CDFAt(x float64) float64 {
-	if st.count == 0 {
-		return 0
-	}
-	if x < st.lo {
-		return 0
-	}
-	if x >= st.hi {
-		return 1
-	}
-	w := st.binWidth()
-	if w <= 0 {
-		return 1
-	}
-	pos := (x - st.lo) / w
-	cell := int(pos)
-	if cell >= len(st.bins) {
-		cell = len(st.bins) - 1
-	}
-	var below int64
-	for i := 0; i < cell; i++ {
-		below += st.bins[i]
-	}
-	frac := pos - float64(cell)
-	return (float64(below) + frac*float64(st.bins[cell])) / float64(st.count)
-}
-
-// ProbWithin returns the histogram estimate of P(lo <= M <= hi).
-func (st *MCStats) ProbWithin(lo, hi float64) float64 {
-	if hi < lo {
-		return 0
-	}
-	v := st.CDFAt(hi) - st.CDFAt(lo)
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
-// Quantile returns the histogram estimate of the p-quantile.
-func (st *MCStats) Quantile(p float64) float64 {
-	if st.count == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return st.Min()
-	}
-	if p >= 1 {
-		return st.Max()
-	}
-	target := p * float64(st.count)
-	var cum float64
-	w := st.binWidth()
-	for i, c := range st.bins {
-		next := cum + float64(c)
-		if next >= target {
-			frac := 0.0
-			if c > 0 {
-				frac = (target - cum) / float64(c)
-			}
-			return st.lo + (float64(i)+frac)*w
-		}
-		cum = next
-	}
-	return st.Max()
-}
-
-// LatenessAboveMean returns the histogram estimate of
-// E[M | M > E(M)] − E(M), the paper's average-lateness metric,
-// evaluated at cell midpoints with the boundary cell split linearly.
-func (st *MCStats) LatenessAboveMean() float64 {
-	if st.count == 0 {
-		return 0
-	}
-	mu := st.mean
-	w := st.binWidth()
-	if w <= 0 {
-		return 0
-	}
-	var mass, moment float64
-	for i, c := range st.bins {
-		if c == 0 {
-			continue
-		}
-		left := st.lo + float64(i)*w
-		right := left + w
-		if right <= mu {
-			continue
-		}
-		frac := 1.0
-		lo := left
-		if left < mu {
-			frac = (right - mu) / w
-			lo = mu
-		}
-		m := float64(c) * frac
-		mass += m
-		moment += m * (lo + right) / 2
-	}
-	if mass == 0 { //reprovet:allow floateq guard against dividing by an exactly-zero accumulated mass
-		return 0
-	}
-	return moment/mass - mu
-}
-
-// ToNumeric converts the histogram into a grid-PDF random variable
-// with the given grid size (the entropy path of the robustness
-// metrics), mirroring Empirical.ToNumeric's smoothing.
-func (st *MCStats) ToNumeric(gridSize int) *stochastic.Numeric {
-	if gridSize <= 0 {
-		gridSize = stochastic.DefaultGridSize
-	}
-	if st.count == 0 {
-		return stochastic.NewPoint(0)
-	}
-	lo, hi := st.Min(), st.Max()
-	if hi <= lo {
-		return stochastic.NewPoint(lo)
-	}
-	// Rebin the histogram onto a gridSize-point density over the
-	// observed range, assigning each source cell's count to the grid
-	// knot nearest its center (the source bins are much finer than
-	// the grid, so at most a knot's worth of mass aliases).
-	pdf := make([]float64, gridSize)
-	w := st.binWidth()
-	gw := (hi - lo) / float64(gridSize-1)
-	for i, c := range st.bins {
-		if c == 0 {
-			continue
-		}
-		center := st.lo + (float64(i)+0.5)*w
-		b := int((center-lo)/gw + 0.5)
-		if b < 0 {
-			b = 0
-		}
-		if b >= gridSize {
-			b = gridSize - 1
-		}
-		pdf[b] += float64(c)
-	}
-	// Same 3-point smoothing Empirical.ToNumeric applies to its
-	// histogram before normalizing.
-	rv, err := stochastic.FromPDF(lo, hi, numeric.MovingAverage(pdf, 1))
-	if err != nil {
-		return stochastic.NewPoint(lo)
-	}
-	return rv
-}
-
-// Stats streams count realizations into an MCStats accumulator without
-// materializing the sample slice: per-block partial accumulators are
-// computed in parallel and merged in block order, so the result is
-// deterministic at any worker count. histBins <= 0 selects
-// DefaultHistBins.
-func (k *RealizationKernel) Stats(count int, seed int64, histBins int, opt KernelOptions) *MCStats {
-	lo, hi := k.Bounds()
-	total := newMCStats(lo, hi, histBins)
-	if count <= 0 {
-		return total
-	}
-	block := opt.block()
-	nb := (count + block - 1) / block
-	parts := make([]mcMoments, nb)
-	var histMu sync.Mutex
-	k.run(count, seed, opt, func(kb, _ int, ms []float64) {
-		p := newMCMoments()
-		p.observe(ms)
-		parts[kb] = p
-		histMu.Lock()
-		total.binAll(ms)
-		histMu.Unlock()
-	})
-	for _, p := range parts {
-		total.merge(p)
-	}
-	return total
 }

@@ -123,7 +123,7 @@ func TestAddAccReferenceBitIdentity(t *testing.T) {
 			"Numeric.AddAcc(zero)": a.AddAcc(b, EvalAccuracy{}),
 			"Numeric.AddAcc(ref)":  a.AddAcc(b, AccuracyReference),
 			"Ops.AddAcc(ref)":      ops.AddAcc(a, b, AccuracyReference),
-			"Ops.Add":              ops.Add(a, b, DefaultGridSize),
+			"Ops.AddAcc(grid)":     ops.AddAcc(a, b, EvalAccuracy{GridSize: DefaultGridSize}),
 		} {
 			if got.Lo() != want.Lo() || got.Hi() != want.Hi() {
 				t.Fatalf("trial %d %s: support [%g,%g], want [%g,%g]",

@@ -7,9 +7,9 @@ import (
 )
 
 // Ops is a workspace for the two hot Numeric operators of the makespan
-// evaluation: Add (convolution) and Max (CDF product). The methods
-// produce results bit-for-bit identical to Numeric.Add and
-// Numeric.MaxWith — they mirror the same floating-point operations in
+// evaluation: AddAcc (convolution) and MaxAcc (CDF product). The
+// methods produce results bit-for-bit identical to Numeric.AddAcc and
+// Numeric.MaxAcc — they mirror the same floating-point operations in
 // the same order — but draw every intermediate grid from reusable
 // scratch and every result density from a free list fed by Recycle, so
 // a steady-state evaluation loop performs no per-operation allocations.
@@ -150,12 +150,6 @@ func resampleFitted(dst *[]float64, sp *numeric.Spline, err error, rv *Numeric, 
 	return out
 }
 
-// Add returns the distribution of a+b, bit-identical to
-// a.Add(b, gridSize), with all intermediates drawn from the workspace.
-func (o *Ops) Add(a, b *Numeric, gridSize int) *Numeric {
-	return o.AddAcc(a, b, EvalAccuracy{GridSize: gridSize})
-}
-
 // addPlan is the support and work step of one non-point sum, as
 // Numeric.AddAcc derives them.
 type addPlan struct{ lo, hi, h float64 }
@@ -199,9 +193,10 @@ func (o *Ops) addResult(sp *numeric.Spline, err error, p addPlan, gridSize int) 
 	return out
 }
 
-// AddAcc is Add under an explicit accuracy contract, bit-identical to
-// a.AddAcc(b, acc): the result density has acc.GridSize samples and the
-// intermediate convolution grid is capped at acc.WorkGrid points.
+// AddAcc returns the distribution of a+b, bit-identical to
+// a.AddAcc(b, acc), with all intermediates drawn from the workspace: the
+// result density has acc.GridSize samples and the intermediate
+// convolution grid is capped at acc.WorkGrid points.
 func (o *Ops) AddAcc(a, b *Numeric, acc EvalAccuracy) *Numeric {
 	acc = acc.Canon()
 	if a.point {
@@ -328,19 +323,12 @@ func (o *Ops) cdfOnGridInto(dst *[]float64, rv *Numeric, xs []float64) []float64
 	return out
 }
 
-// MaxAcc is Max under an explicit accuracy contract (the maximum never
-// builds an intermediate grid, so only acc.GridSize matters).
+// MaxAcc returns the distribution of max(x, y), bit-identical to
+// x.MaxAcc(y, acc), with all intermediates drawn from the workspace. The
+// maximum never builds an intermediate grid, so only acc.GridSize
+// matters.
 func (o *Ops) MaxAcc(x, y *Numeric, acc EvalAccuracy) *Numeric {
-	return o.Max(x, y, acc.Canon().GridSize)
-}
-
-// Max returns the distribution of max(x, y), bit-identical to
-// x.MaxWith(y, gridSize), with all intermediates drawn from the
-// workspace.
-func (o *Ops) Max(x, y *Numeric, gridSize int) *Numeric {
-	if gridSize <= 0 {
-		gridSize = DefaultGridSize
-	}
+	gridSize := acc.Canon().GridSize
 	a, b := x, y
 	// Point cases.
 	if a.point && b.point {

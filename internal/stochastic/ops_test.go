@@ -30,8 +30,8 @@ func sameRV(t *testing.T, label string, got, want *Numeric) {
 	}
 }
 
-// Ops.Add and Ops.Max must be bit-identical to Numeric.Add and
-// Numeric.MaxWith across the operand shapes the evaluators produce:
+// Ops.AddAcc and Ops.MaxAcc must be bit-identical to Numeric.Add and
+// Numeric.MaxWith at the same grid size across the operand shapes the evaluators produce:
 // generic pairs, wide-vs-narrow (the overlap-add/direct regime), point
 // operands on either side, truncating and dominating constants, and
 // disjoint supports. The workspace is reused throughout, so stale
@@ -42,6 +42,7 @@ func TestOpsBitIdenticalToNumeric(t *testing.T) {
 	grids := []int{64, 128}
 	for trial := 0; trial < 200; trial++ {
 		grid := grids[trial%len(grids)]
+		acc := EvalAccuracy{GridSize: grid}
 		a := randomRV(rng, grid)
 		b := randomRV(rng, grid)
 		// Periodically widen a to push Add into the capped work-grid
@@ -49,31 +50,31 @@ func TestOpsBitIdenticalToNumeric(t *testing.T) {
 		if trial%5 == 0 {
 			a = a.Add(FromDist(Uniform{Lo: 0, Hi: 400 + rng.Float64()*400}, grid), grid)
 		}
-		sameRV(t, "add", ops.Add(a, b, grid), a.Add(b, grid))
-		sameRV(t, "max", ops.Max(a, b, grid), a.MaxWith(b, grid))
+		sameRV(t, "add", ops.AddAcc(a, b, acc), a.Add(b, grid))
+		sameRV(t, "max", ops.MaxAcc(a, b, acc), a.MaxWith(b, grid))
 
 		p := NewPoint(rng.Float64() * 50)
-		sameRV(t, "add-point-l", ops.Add(p, a, grid), p.Add(a, grid))
-		sameRV(t, "add-point-r", ops.Add(a, p, grid), a.Add(p, grid))
-		sameRV(t, "max-point-l", ops.Max(p, a, grid), p.MaxWith(a, grid))
-		sameRV(t, "max-point-r", ops.Max(a, p, grid), a.MaxWith(p, grid))
+		sameRV(t, "add-point-l", ops.AddAcc(p, a, acc), p.Add(a, grid))
+		sameRV(t, "add-point-r", ops.AddAcc(a, p, acc), a.Add(p, grid))
+		sameRV(t, "max-point-l", ops.MaxAcc(p, a, acc), p.MaxWith(a, grid))
+		sameRV(t, "max-point-r", ops.MaxAcc(a, p, acc), a.MaxWith(p, grid))
 
 		// Truncating constant strictly inside the support.
 		c := NewPoint(a.Lo() + (a.Hi()-a.Lo())*(0.1+0.8*rng.Float64()))
-		sameRV(t, "max-trunc", ops.Max(a, c, grid), a.MaxWith(c, grid))
+		sameRV(t, "max-trunc", ops.MaxAcc(a, c, acc), a.MaxWith(c, grid))
 		// Dominating and dominated constants.
-		sameRV(t, "max-dom", ops.Max(a, NewPoint(a.Hi()+1), grid), a.MaxWith(NewPoint(a.Hi()+1), grid))
-		sameRV(t, "max-sub", ops.Max(a, NewPoint(a.Lo()-1), grid), a.MaxWith(NewPoint(a.Lo()-1), grid))
+		sameRV(t, "max-dom", ops.MaxAcc(a, NewPoint(a.Hi()+1), acc), a.MaxWith(NewPoint(a.Hi()+1), grid))
+		sameRV(t, "max-sub", ops.MaxAcc(a, NewPoint(a.Lo()-1), acc), a.MaxWith(NewPoint(a.Lo()-1), grid))
 
 		// Disjoint supports.
 		far := FromDist(NewBetaUL(a.Hi()+10, 1.2), grid)
-		sameRV(t, "max-disjoint", ops.Max(a, far, grid), a.MaxWith(far, grid))
-		sameRV(t, "max-disjoint-r", ops.Max(far, a, grid), far.MaxWith(a, grid))
+		sameRV(t, "max-disjoint", ops.MaxAcc(a, far, acc), a.MaxWith(far, grid))
+		sameRV(t, "max-disjoint-r", ops.MaxAcc(far, a, acc), far.MaxWith(a, grid))
 
 		// Two points.
 		q := NewPoint(rng.Float64() * 50)
-		sameRV(t, "max-pp", ops.Max(p, q, grid), p.MaxWith(q, grid))
-		sameRV(t, "add-pp", ops.Add(p, q, grid), p.Add(q, grid))
+		sameRV(t, "max-pp", ops.MaxAcc(p, q, acc), p.MaxWith(q, grid))
+		sameRV(t, "add-pp", ops.AddAcc(p, q, acc), p.Add(q, grid))
 	}
 }
 
@@ -82,15 +83,16 @@ func TestOpsBitIdenticalToNumeric(t *testing.T) {
 func TestOpsRecycleDoesNotCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ops := &Ops{}
+	acc := EvalAccuracy{GridSize: 64}
 	a := randomRV(rng, 64)
 	b := randomRV(rng, 64)
-	keep := ops.Add(a, b, 64)
+	keep := ops.AddAcc(a, b, acc)
 	want := append([]float64(nil), keep.pdf...)
 
 	// Produce and recycle a stream of temporaries.
 	for i := 0; i < 50; i++ {
-		tmp := ops.Add(randomRV(rng, 64), randomRV(rng, 64), 64)
-		tmp2 := ops.Max(tmp, randomRV(rng, 64), 64)
+		tmp := ops.AddAcc(randomRV(rng, 64), randomRV(rng, 64), acc)
+		tmp2 := ops.MaxAcc(tmp, randomRV(rng, 64), acc)
 		ops.Recycle(tmp)
 		ops.Recycle(tmp2)
 	}
@@ -99,8 +101,8 @@ func TestOpsRecycleDoesNotCorrupt(t *testing.T) {
 			t.Fatalf("live result corrupted at %d after recycling", i)
 		}
 	}
-	if got := ops.Add(a, b, 64); got.Mean() != keep.Mean() {
-		t.Fatal("Ops.Add not deterministic after heavy recycling")
+	if got := ops.AddAcc(a, b, acc); got.Mean() != keep.Mean() {
+		t.Fatal("Ops.AddAcc not deterministic after heavy recycling")
 	}
 }
 
@@ -109,16 +111,17 @@ func TestOpsRecycleDoesNotCorrupt(t *testing.T) {
 func TestOpsSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ops := &Ops{}
+	acc := EvalAccuracy{GridSize: 64}
 	a := randomRV(rng, 64)
 	b := randomRV(rng, 64)
 	// Warm up: seed the free list with enough result buffers.
 	for i := 0; i < 4; i++ {
-		ops.Recycle(ops.Add(a, b, 64))
-		ops.Recycle(ops.Max(a, b, 64))
+		ops.Recycle(ops.AddAcc(a, b, acc))
+		ops.Recycle(ops.MaxAcc(a, b, acc))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		r := ops.Add(a, b, 64)
-		m := ops.Max(r, b, 64)
+		r := ops.AddAcc(a, b, acc)
+		m := ops.MaxAcc(r, b, acc)
 		ops.Recycle(r)
 		ops.Recycle(m)
 	})

@@ -64,8 +64,6 @@ type (
 	// MCOptions tunes the Monte-Carlo kernel (sampler mode, block
 	// size, workers).
 	MCOptions = makespan.MCOptions
-	// MCStats is the kernel's streaming moment/quantile accumulator.
-	MCStats = schedule.MCStats
 	// EvalCache is the per-scenario compiled evaluation state: cached
 	// discretizations and graph tables shared by every schedule of a
 	// case (build one per scenario when evaluating many schedules).
@@ -196,12 +194,6 @@ func MonteCarlo(scen *Scenario, s *Schedule, count int, seed int64) (*EmpiricalR
 // MCOptions{Sampler: SamplerTable} for bulk runs).
 func MonteCarloWith(scen *Scenario, s *Schedule, count int, seed int64, opt MCOptions) (*EmpiricalRV, error) {
 	return makespan.MonteCarloWith(scen, s, count, seed, opt)
-}
-
-// MonteCarloStats streams count realizations into the kernel's
-// moment/quantile accumulator without materializing the sample slice.
-func MonteCarloStats(scen *Scenario, s *Schedule, count int, seed int64, opt MCOptions) (*MCStats, error) {
-	return makespan.MonteCarloStats(scen, s, count, seed, opt)
 }
 
 // NewEvalCache builds the compiled evaluation state for a scenario.

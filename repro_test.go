@@ -131,3 +131,51 @@ func TestFacadeMethodsAgree(t *testing.T) {
 		t.Errorf("min-duration makespan %g exceeds expected makespan %g", got, means[0])
 	}
 }
+
+// The facade's Dodin must be the compiled EvalModel.Dodin, bit for bit:
+// one production Dodin path, with the map-based reducer kept only as a
+// test reference.
+func TestFacadeDodinMatchesModel(t *testing.T) {
+	for _, family := range []string{"random", "fft", "cholesky"} {
+		for seed := int64(1); seed <= 6; seed++ {
+			scen, err := NewScenario(family, 30, 4, 1.2, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := RandomSchedule(scen, seed+100)
+			got, err := MakespanDistribution(scen, s, MethodDodin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewEvalCache(scen, 0).Model(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := m.Dodin()
+			if !sameBits(got, want) {
+				t.Errorf("%s seed %d: facade Dodin mean %.12g differs from EvalModel.Dodin mean %.12g",
+					family, seed, got.Mean(), want.Mean())
+			}
+		}
+	}
+}
+
+// sameBits reports whether two makespan distributions have identical
+// supports and densities down to the last bit.
+func sameBits(a, b *MakespanRV) bool {
+	if a.IsPoint() != b.IsPoint() ||
+		math.Float64bits(a.Lo()) != math.Float64bits(b.Lo()) ||
+		math.Float64bits(a.Hi()) != math.Float64bits(b.Hi()) {
+		return false
+	}
+	pa, pb := a.PDFGrid(), b.PDFGrid()
+	if len(pa) != len(pb) {
+		return false
+	}
+	for i := range pa {
+		if math.Float64bits(pa[i]) != math.Float64bits(pb[i]) {
+			return false
+		}
+	}
+	return true
+}
