@@ -3,7 +3,8 @@ package repro
 // One benchmark per table/figure of the paper (BenchmarkFig1..9), plus
 // micro-benchmarks, ablation benches for the numeric substrate, and the
 // old-vs-new Monte-Carlo kernel comparison (BenchmarkRealizations*,
-// BenchmarkKernel*). Run: go test -bench=. -benchmem
+// BenchmarkKernel*) and Fig. 1's Monte-Carlo distance
+// (BenchmarkKSAgainstEmpirical). Run: go test -bench=. -benchmem
 
 import (
 	"math/rand"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/robustness"
 	"repro/internal/schedule"
+	"repro/internal/stats"
 	"repro/internal/stochastic"
 )
 
@@ -629,6 +631,25 @@ func benchKernel(b *testing.B, mode stochastic.SamplerMode) {
 
 func BenchmarkKernelExact(b *testing.B) { benchKernel(b, stochastic.SamplerExact) }
 func BenchmarkKernelTable(b *testing.B) { benchKernel(b, stochastic.SamplerTable) }
+
+// BenchmarkKSAgainstEmpirical times Fig. 1's distance alone: the exact
+// KS distance between the Fig. 3 Cholesky schedule's Classic density
+// and 100 000 table-mode realizations of it.
+func BenchmarkKSAgainstEmpirical(b *testing.B) {
+	sim := benchSim(b)
+	rv, err := makespan.EvaluateClassic(sim.Scenario(), sim.Schedule(), stochastic.DefaultGridSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	emp := sim.Compile(stochastic.SamplerTable).Empirical(100000, 1, schedule.KernelOptions{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ksSink = stats.KSAgainstEmpirical(rv, emp)
+	}
+}
+
+// ksSink keeps BenchmarkKSAgainstEmpirical's result live.
+var ksSink float64
 
 func BenchmarkMetrics(b *testing.B) {
 	scen := benchScenario(b)

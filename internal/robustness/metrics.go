@@ -202,7 +202,8 @@ func probWithin(rv *stochastic.Numeric, lo, hi float64) float64 {
 	if hi < lo {
 		return 0
 	}
-	v := rv.CDFAt(hi) - rv.CDFAt(lo)
+	cdf := rv.CDFTable()
+	v := cdf.CDFAt(hi) - cdf.CDFAt(lo)
 	return numeric.Clamp(v, 0, 1)
 }
 

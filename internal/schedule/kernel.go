@@ -22,8 +22,9 @@ import (
 //   - every stochastic duration/arc gets a slot in a
 //     structure-of-arrays sample block: the kernel samples all slots
 //     for a block of B realizations at once through
-//     stochastic.BatchSampler, then runs B branch-light timing passes
-//     over the block.
+//     stochastic.BatchSampler, then times the whole block in one
+//     task-major pass, each task's B finish times a contiguous row
+//     updated by branch-light loops over the block's sample rows.
 //
 // Realizations are seeded per block exactly like
 // Simulator.Realizations, so the kernel's exact mode at
@@ -148,15 +149,19 @@ func (k *RealizationKernel) Mode() stochastic.SamplerMode { return k.mode }
 func (k *RealizationKernel) Slots() int { return len(k.samplers) }
 
 // kernelWorker is the reusable per-goroutine state of a run: one RNG
-// (reseeded per block), the structure-of-arrays sample block, and the
-// finish vector of the timing pass. Workers are pooled on the kernel,
-// so steady-state runs do not allocate per realization or per call.
+// (reseeded per block), the structure-of-arrays sample block (one row
+// of block realizations per slot), and the finish rows of the timing
+// pass (one row of block realizations per task). Workers are pooled on
+// the kernel, so steady-state runs do not allocate per realization or
+// per call.
 type kernelWorker struct {
 	rng    *rand.Rand
 	block  []float64
 	finish []float64
 }
 
+// getWorker returns a pooled worker with room for blockLen
+// realizations per row.
 func (k *RealizationKernel) getWorker(blockLen int) *kernelWorker {
 	w, _ := k.workerPool.Get().(*kernelWorker)
 	if w == nil {
@@ -165,8 +170,8 @@ func (k *RealizationKernel) getWorker(blockLen int) *kernelWorker {
 	if need := len(k.samplers) * blockLen; cap(w.block) < need {
 		w.block = make([]float64, need)
 	}
-	if cap(w.finish) < k.n {
-		w.finish = make([]float64, k.n)
+	if need := k.n * blockLen; cap(w.finish) < need {
+		w.finish = make([]float64, need)
 	}
 	return w
 }
@@ -191,39 +196,71 @@ func (k *RealizationKernel) sampleBlock(w *kernelWorker, m int) {
 	}
 }
 
-// pass runs one branch-light timing pass over realization r of an
-// m-realization block and returns its makespan. The arithmetic
-// mirrors Simulator.timing exactly (same operations, same order), so
-// identical samples produce bit-identical makespans.
-func (k *RealizationKernel) pass(w *kernelWorker, r, m int) float64 {
+// passBlock times the m realizations of the sampled block at once and
+// writes their makespans into ms (m long). It walks the tasks in the
+// disjunctive order; task t's row ft holds its m finish times:
+//
+//	ft = row of t's processor predecessor, or zeros
+//	for each arc (p, c): ft[r] = max(ft[r], fp[r] + c[r])
+//	ft[r] += d[r]; ms[r] = max(ms[r], ft[r])
+//
+// Per realization these are the operations of Simulator.timing in the
+// same order, so identical samples produce bit-identical makespans.
+// Constant arcs and durations use a scalar in place of a sample row.
+func (k *RealizationKernel) passBlock(w *kernelWorker, ms []float64) {
+	m := len(ms)
 	buf := w.block
-	finish := w.finish
-	var makespan float64
+	finish := w.finish[:k.n*m]
+	// Rows are resliced to m so the loops below run without bounds
+	// checks.
+	row := func(i int) []float64 { return finish[i*m : (i+1)*m][:m] }
+	slot := func(s int) []float64 { return buf[s*m : (s+1)*m][:m] }
+	clear(ms)
 	for _, t := range k.order {
-		st := 0.0
+		ft := row(int(t))
 		if p := k.prevProc[t]; p >= 0 {
-			st = finish[p]
+			copy(ft, row(int(p)))
+		} else {
+			clear(ft)
 		}
 		for j := k.predStart[t]; j < k.predStart[t+1]; j++ {
-			c := k.predVal[j]
-			if s := k.predSlot[j]; s >= 0 {
-				c = buf[int(s)*m+r]
-			}
-			if arr := finish[k.predTask[j]] + c; arr > st {
-				st = arr
+			fp := row(int(k.predTask[j]))
+			if s := int(k.predSlot[j]); s >= 0 {
+				c := slot(s)
+				for r := range ms {
+					if arr := fp[r] + c[r]; arr > ft[r] {
+						ft[r] = arr
+					}
+				}
+			} else {
+				c := k.predVal[j]
+				for r := range ms {
+					if arr := fp[r] + c; arr > ft[r] {
+						ft[r] = arr
+					}
+				}
 			}
 		}
-		d := k.durVal[t]
-		if s := k.durSlot[t]; s >= 0 {
-			d = buf[int(s)*m+r]
-		}
-		f := st + d
-		finish[t] = f
-		if f > makespan {
-			makespan = f
+		if s := int(k.durSlot[t]); s >= 0 {
+			d := slot(s)
+			for r := range ms {
+				f := ft[r] + d[r]
+				ft[r] = f
+				if f > ms[r] {
+					ms[r] = f
+				}
+			}
+		} else {
+			d := k.durVal[t]
+			for r := range ms {
+				f := ft[r] + d
+				ft[r] = f
+				if f > ms[r] {
+					ms[r] = f
+				}
+			}
 		}
 	}
-	return makespan
 }
 
 // Realizations draws count makespan realizations. Deterministic for a
@@ -250,7 +287,9 @@ func (k *RealizationKernel) RealizationsInto(out []float64, seed int64, opt Kern
 	workers := min(opt.workers(), len(bs))
 	var next int64
 	runWorker := func() {
-		w := k.getWorker(block)
+		// No block holds more than count realizations, so a block size
+		// beyond count sizes the buffers by what is drawn.
+		w := k.getWorker(min(block, count))
 		defer k.workerPool.Put(w)
 		for {
 			kb := int(atomic.AddInt64(&next, 1)) - 1
@@ -261,9 +300,7 @@ func (k *RealizationKernel) RealizationsInto(out []float64, seed int64, opt Kern
 			ms := out[lo:min(lo+block, count)]
 			w.rng.Seed(bs[kb])
 			k.sampleBlock(w, len(ms))
-			for r := range ms {
-				ms[r] = k.pass(w, r, len(ms))
-			}
+			k.passBlock(w, ms)
 		}
 	}
 	if workers <= 1 {

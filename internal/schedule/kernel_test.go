@@ -14,6 +14,13 @@ import (
 // with stochastic durations and cross-processor arcs.
 func randomSimulator(t *testing.T, n, m int, ul float64, seed int64) *Simulator {
 	t.Helper()
+	return randomSimulatorDur(t, n, m, ul, seed, nil)
+}
+
+// randomSimulatorDur is randomSimulator with the scenario's DurFn set to
+// durFn (nil keeps the paper's Beta model).
+func randomSimulatorDur(t *testing.T, n, m int, ul float64, seed int64, durFn func(min, ul float64) stochastic.Dist) *Simulator {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g, w := graphgen.Random(graphgen.DefaultRandomParams(n), rng)
 	tau, lat := platform.NewUniformNetwork(m, 1, 0)
@@ -23,7 +30,7 @@ func randomSimulator(t *testing.T, n, m int, ul float64, seed int64) *Simulator 
 		Tau: tau,
 		Lat: lat,
 	}
-	scen := &platform.Scenario{G: g, P: p, UL: ul}
+	scen := &platform.Scenario{G: g, P: p, UL: ul, DurFn: durFn}
 	s := New(n, m)
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -51,6 +58,141 @@ func TestKernelExactBitIdenticalToLegacy(t *testing.T) {
 			if got[i] != legacy[i] {
 				t.Fatalf("count %d: realization %d = %v, legacy %v (not bit-identical)",
 					count, i, got[i], legacy[i])
+			}
+		}
+	}
+}
+
+// legacyPass is the kernel's former per-realization timing pass, kept
+// verbatim as the oracle of passBlock: it times realization r of an
+// m-realization sample block in w.block, using w.finish (n long) as its
+// finish vector.
+func (k *RealizationKernel) legacyPass(w *kernelWorker, r, m int) float64 {
+	buf := w.block
+	finish := w.finish
+	var makespan float64
+	for _, t := range k.order {
+		st := 0.0
+		if p := k.prevProc[t]; p >= 0 {
+			st = finish[p]
+		}
+		for j := k.predStart[t]; j < k.predStart[t+1]; j++ {
+			c := k.predVal[j]
+			if s := k.predSlot[j]; s >= 0 {
+				c = buf[int(s)*m+r]
+			}
+			if arr := finish[k.predTask[j]] + c; arr > st {
+				st = arr
+			}
+		}
+		d := k.durVal[t]
+		if s := k.durSlot[t]; s >= 0 {
+			d = buf[int(s)*m+r]
+		}
+		f := st + d
+		finish[t] = f
+		if f > makespan {
+			makespan = f
+		}
+	}
+	return makespan
+}
+
+// legacyRealizations draws count realizations block by block with the
+// kernel's own seeding and sampling, timing each one with legacyPass.
+func (k *RealizationKernel) legacyRealizations(count int, seed int64, block int) []float64 {
+	out := make([]float64, count)
+	w := &kernelWorker{
+		rng:    rand.New(rand.NewSource(0)),
+		block:  make([]float64, k.Slots()*min(block, count)),
+		finish: make([]float64, k.n),
+	}
+	for kb, bs := range blockSeeds(count, block, seed) {
+		lo := kb * block
+		m := min(block, count-lo)
+		w.rng.Seed(bs)
+		k.sampleBlock(w, m)
+		for r := 0; r < m; r++ {
+			out[lo+r] = k.legacyPass(w, r, m)
+		}
+	}
+	return out
+}
+
+// diracEveryThird is a DurFn that makes every duration or arc whose
+// minimum truncates to a multiple of 3 deterministic and keeps the
+// paper's Beta model for the rest, so a schedule mixes constant and
+// sampled slots among its durations and cross-processor arcs.
+func diracEveryThird(min, ul float64) stochastic.Dist {
+	if min <= 0 || int(min)%3 == 0 {
+		return stochastic.Dirac{Value: min}
+	}
+	return stochastic.NewBetaUL(min, ul)
+}
+
+// The task-major block pass must reproduce the per-realization pass bit
+// for bit in both sampler modes, at block sizes that do and do not
+// divide the count (partial last blocks), on schedules with constant
+// arcs (co-located tasks) and constant durations (Dirac tasks).
+func TestKernelBlockPassMatchesLegacyPass(t *testing.T) {
+	sims := []struct {
+		name string
+		sim  *Simulator
+	}{
+		{"random", randomSimulator(t, 25, 4, 1.3, 3)},
+		{"dirac-durations", randomSimulatorDur(t, 25, 3, 1.3, 31, diracEveryThird)},
+	}
+	for _, tc := range sims {
+		for _, mode := range []stochastic.SamplerMode{stochastic.SamplerExact, stochastic.SamplerTable} {
+			k := tc.sim.Compile(mode)
+			var constArcs, constDurs int
+			for _, s := range k.predSlot {
+				if s < 0 {
+					constArcs++
+				}
+			}
+			for _, s := range k.durSlot {
+				if s < 0 {
+					constDurs++
+				}
+			}
+			if constArcs == 0 || k.Slots() == 0 {
+				t.Fatalf("%s: %d constant arcs, %d slots; both kinds must be exercised", tc.name, constArcs, k.Slots())
+			}
+			if tc.name == "dirac-durations" && (constDurs == 0 || constDurs == k.n) {
+				t.Fatalf("%s: %d of %d durations constant; want a mix", tc.name, constDurs, k.n)
+			}
+			for _, block := range []int{1, 7, DefaultBlockSize, 1000} {
+				for _, count := range []int{1, 255, 3000} {
+					want := k.legacyRealizations(count, 42, block)
+					got := k.Realizations(count, 42, KernelOptions{BlockSize: block, Workers: 2})
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s, mode %v, block %d, count %d: realization %d = %v, legacy pass %v",
+								tc.name, mode, block, count, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A block size beyond the realization count must size the worker
+// buffers by the realizations drawn: one block of count realizations,
+// the same bits as BlockSize == count.
+func TestKernelHugeBlockSize(t *testing.T) {
+	sim := randomSimulator(t, 25, 4, 1.3, 3)
+	for _, mode := range []stochastic.SamplerMode{stochastic.SamplerExact, stochastic.SamplerTable} {
+		k := sim.Compile(mode)
+		want := k.Realizations(100, 7, KernelOptions{BlockSize: 100})
+		for _, block := range []int{1 << 40, math.MaxInt} {
+			got := k.Realizations(100, 7, KernelOptions{BlockSize: block})
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("mode %v, block %d: realization %d = %v, want %v (BlockSize 100)",
+						mode, block, i, got[i], want[i])
+				}
 			}
 		}
 	}

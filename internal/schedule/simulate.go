@@ -231,7 +231,10 @@ const DefaultBlockSize = 256
 // realizations in blocks of size block.
 func blockSeeds(count, block int, seed int64) []int64 {
 	fam := seeds.NewFamily(seed, "mc-block")
-	nb := (count + block - 1) / block
+	nb := count / block
+	if count%block != 0 {
+		nb++ // a partial last block; no overflow for any block size
+	}
 	out := make([]int64, nb)
 	for k := range out {
 		out[k] = fam.Seed(k)

@@ -58,16 +58,27 @@ func LinReg(xs, ys []float64) (slope, intercept, r float64, err error) {
 	return slope, intercept, Pearson(xs, ys), nil
 }
 
-// CDF is anything that can evaluate its cumulative distribution — both
-// stochastic.Numeric and stochastic.Empirical satisfy it.
+// CDF is anything that can evaluate its cumulative distribution —
+// stochastic.Numeric, its CDFTable and stochastic.Empirical satisfy it.
 type CDF interface {
 	CDFAt(x float64) float64
 }
 
 var (
 	_ CDF = (*stochastic.Numeric)(nil)
+	_ CDF = stochastic.CDFTable{}
 	_ CDF = (*stochastic.Empirical)(nil)
 )
+
+// tabulate replaces a numeric CDF by its table, so the distances below
+// integrate its density once instead of once per evaluated point. The
+// values are identical; any other CDF passes through.
+func tabulate(f CDF) CDF {
+	if rv, ok := f.(*stochastic.Numeric); ok {
+		return rv.CDFTable()
+	}
+	return f
+}
 
 // KS returns the Kolmogorov–Smirnov distance sup|F1−F2| between two
 // CDFs, estimated on a uniform grid of gridN points over [lo, hi]
@@ -76,6 +87,7 @@ func KS(f1, f2 CDF, lo, hi float64, gridN int) float64 {
 	if gridN <= 0 {
 		gridN = 512
 	}
+	f1, f2 = tabulate(f1), tabulate(f2)
 	var d float64
 	for _, x := range numeric.Linspace(lo, hi, gridN) {
 		if v := math.Abs(f1.CDFAt(x) - f2.CDFAt(x)); v > d {
@@ -94,6 +106,7 @@ func KSAgainstEmpirical(f CDF, emp *stochastic.Empirical) float64 {
 	if n == 0 {
 		return 0
 	}
+	f = tabulate(f)
 	var d float64
 	for i, x := range sorted {
 		fx := f.CDFAt(x)
@@ -119,6 +132,7 @@ func CMArea(f1, f2 CDF, lo, hi float64, gridN int) float64 {
 	if hi <= lo {
 		return 0
 	}
+	f1, f2 = tabulate(f1), tabulate(f2)
 	xs := numeric.Linspace(lo, hi, gridN)
 	y := make([]float64, gridN)
 	for i, x := range xs {
@@ -138,6 +152,7 @@ func CvMSquared(f1, f2 CDF, lo, hi float64, gridN int) float64 {
 	if hi <= lo {
 		return 0
 	}
+	f1, f2 = tabulate(f1), tabulate(f2)
 	xs := numeric.Linspace(lo, hi, gridN)
 	// dF2 between consecutive grid points, midpoint value of (ΔF)².
 	var sum float64

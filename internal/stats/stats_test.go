@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/numeric"
 	"repro/internal/stochastic"
 )
 
@@ -119,6 +120,103 @@ func TestKSAgainstEmpirical(t *testing.T) {
 	}
 	if KSAgainstEmpirical(rv, stochastic.NewEmpirical(nil)) != 0 {
 		t.Error("empty empirical should give 0")
+	}
+}
+
+// perCallCDF is Numeric.CDFAt as it was before CDFTable, rebuilt from
+// the public API: a fresh cumulative trapezoid of PDFGrid() for every
+// x. It is not a *stochastic.Numeric, so the distances evaluate it
+// point by point.
+type perCallCDF struct{ rv *stochastic.Numeric }
+
+func (c perCallCDF) CDFAt(x float64) float64 {
+	rv := c.rv
+	if rv.IsPoint() {
+		if x < rv.Lo() {
+			return 0
+		}
+		return 1
+	}
+	if x <= rv.Lo() {
+		return 0
+	}
+	if x >= rv.Hi() {
+		return 1
+	}
+	h := rv.Step()
+	cum := numeric.CumTrapezoid(rv.PDFGrid(), h)
+	pos := (x - rv.Lo()) / h
+	i := int(pos)
+	if i >= len(cum)-1 {
+		return numeric.Clamp(cum[len(cum)-1], 0, 1)
+	}
+	frac := pos - float64(i)
+	v := cum[i] + frac*(cum[i+1]-cum[i])
+	return numeric.Clamp(v, 0, 1)
+}
+
+// edgeSamples returns samples at every edge of rv's CDF: below Lo,
+// exactly at Lo and Hi, above Hi, every grid node, inside the top grid
+// cell up to the float just below Hi, and uniform interior draws.
+func edgeSamples(rv *stochastic.Numeric, rng *rand.Rand) []float64 {
+	lo, hi := rv.Lo(), rv.Hi()
+	xs := []float64{lo - 1, math.Nextafter(lo, math.Inf(-1)), lo, math.Nextafter(lo, math.Inf(1)),
+		hi, math.Nextafter(hi, math.Inf(1)), hi + 1}
+	if rv.IsPoint() {
+		return xs
+	}
+	h := rv.Step()
+	xs = append(xs, rv.XGrid()...)
+	xs = append(xs, hi-h/2, hi-h/1e6, math.Nextafter(hi, math.Inf(-1)))
+	for i := 0; i < 2000; i++ {
+		xs = append(xs, lo+(hi-lo)*rng.Float64())
+	}
+	return xs
+}
+
+// Tabulating a numeric CDF once must not move a bit: the distances and
+// the pointwise CDF equal the per-call integration at every edge of
+// the support, for grid densities and a point variable.
+func TestDistancesMatchPerCallCDF(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, rv := range []*stochastic.Numeric{
+		stochastic.FromDist(stochastic.NewBetaUL(10, 1.3), stochastic.DefaultGridSize),
+		stochastic.FromDist(stochastic.Normal{Mu: 0, Sigma: 1}, 512),
+		stochastic.NewPoint(4),
+	} {
+		emp := stochastic.NewEmpirical(edgeSamples(rv, rng))
+		old := perCallCDF{rv}
+		lo, hi := SupportUnion(rv, emp)
+		same := func(name string, got, want float64) {
+			t.Helper()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("[%g,%g] %s = %v, per-call CDF gives %v", rv.Lo(), rv.Hi(), name, got, want)
+			}
+		}
+		for _, x := range emp.Sorted() {
+			same("CDFAt", rv.CDFAt(x), old.CDFAt(x))
+		}
+		same("KSAgainstEmpirical", KSAgainstEmpirical(rv, emp), KSAgainstEmpirical(old, emp))
+		same("CMArea", CMArea(rv, emp, lo, hi, 1024), CMArea(old, emp, lo, hi, 1024))
+		same("KS", KS(rv, emp, lo, hi, 1024), KS(old, emp, lo, hi, 1024))
+		same("CvMSquared", CvMSquared(emp, rv, lo, hi, 1024), CvMSquared(emp, old, lo, hi, 1024))
+	}
+}
+
+// KSAgainstEmpirical tabulates the numeric CDF once per call, not once
+// per sample, so its allocations do not grow with the sample count.
+func TestKSAgainstEmpiricalAllocations(t *testing.T) {
+	d := stochastic.NewBetaUL(10, 1.3)
+	rv := stochastic.FromDist(d, stochastic.DefaultGridSize)
+	rng := rand.New(rand.NewSource(3))
+	samples := make([]float64, 100000)
+	for i := range samples {
+		samples[i] = d.Sample(rng)
+	}
+	emp := stochastic.NewEmpirical(samples)
+	allocs := testing.AllocsPerRun(3, func() { KSAgainstEmpirical(rv, emp) })
+	if allocs > 2 {
+		t.Errorf("KSAgainstEmpirical allocates %g times on %d samples, want <= 2", allocs, len(samples))
 	}
 }
 

@@ -168,23 +168,50 @@ func (rv *Numeric) PDFAt(x float64) float64 {
 }
 
 // CDFAt evaluates the CDF at x by linear interpolation of the cumulative
-// trapezoidal integral of the density.
+// trapezoidal integral of the density. Each call integrates the density
+// afresh; callers reading many points should tabulate once with
+// CDFTable.
 func (rv *Numeric) CDFAt(x float64) float64 {
-	if rv.point {
-		if x < rv.lo {
+	return rv.CDFTable().CDFAt(x)
+}
+
+// CDFTable is the CDF of a Numeric tabulated once: the cumulative
+// trapezoidal integral of its density on its grid, so each CDFAt is an
+// interpolation without re-integrating.
+type CDFTable struct {
+	lo, hi, h float64
+	cum       []float64
+	point     bool
+}
+
+// CDFTable integrates the density once for repeated CDF reads.
+func (rv *Numeric) CDFTable() CDFTable {
+	return rv.cdfTableInto(make([]float64, len(rv.pdf)))
+}
+
+// cdfTableInto is CDFTable with the cumulative integral written into
+// cum, which must be len(rv.pdf) long.
+func (rv *Numeric) cdfTableInto(cum []float64) CDFTable {
+	h := rv.Step()
+	return CDFTable{lo: rv.lo, hi: rv.hi, h: h, cum: numeric.CumTrapezoidInto(cum, rv.pdf, h), point: rv.point}
+}
+
+// CDFAt evaluates the tabulated CDF at x by linear interpolation.
+func (t CDFTable) CDFAt(x float64) float64 {
+	if t.point {
+		if x < t.lo {
 			return 0
 		}
 		return 1
 	}
-	if x <= rv.lo {
+	if x <= t.lo {
 		return 0
 	}
-	if x >= rv.hi {
+	if x >= t.hi {
 		return 1
 	}
-	h := rv.Step()
-	cum := numeric.CumTrapezoid(rv.pdf, h)
-	pos := (x - rv.lo) / h
+	cum := t.cum
+	pos := (x - t.lo) / t.h
 	i := int(pos)
 	if i >= len(cum)-1 {
 		return numeric.Clamp(cum[len(cum)-1], 0, 1)

@@ -233,32 +233,6 @@ func (o *Ops) AddPairAcc(a1, b1, a2, b2 *Numeric, acc EvalAccuracy) (*Numeric, *
 	return o.addResult(&o.sp, err1, p1, acc.GridSize), o.addResult(&o.sp2, err2, p2, acc.GridSize)
 }
 
-// cdfAt mirrors Numeric.CDFAt with scratch for the cumulative integral.
-func (o *Ops) cdfAt(rv *Numeric, x float64) float64 {
-	if rv.point {
-		if x < rv.lo {
-			return 0
-		}
-		return 1
-	}
-	if x <= rv.lo {
-		return 0
-	}
-	if x >= rv.hi {
-		return 1
-	}
-	h := rv.Step()
-	cum := numeric.CumTrapezoidInto(grow(&o.cum, len(rv.pdf)), rv.pdf, h)
-	pos := (x - rv.lo) / h
-	i := int(pos)
-	if i >= len(cum)-1 {
-		return numeric.Clamp(cum[len(cum)-1], 0, 1)
-	}
-	frac := pos - float64(i)
-	v := cum[i] + frac*(cum[i+1]-cum[i])
-	return numeric.Clamp(v, 0, 1)
-}
-
 // pdfOnGridInto mirrors Numeric.pdfOnGrid into dst.
 func (o *Ops) pdfOnGridInto(dst *[]float64, rv *Numeric, xs []float64) []float64 {
 	out := grow(dst, len(xs))
@@ -349,7 +323,7 @@ func (o *Ops) MaxAcc(x, y *Numeric, acc EvalAccuracy) *Numeric {
 			// first grid cell. The reference path evaluates PDFAt per
 			// grid point, rebuilding the same spline each time; one
 			// fit yields the same per-point values.
-			atom := o.cdfAt(a, c)
+			atom := a.cdfTableInto(grow(&o.cum, len(a.pdf))).CDFAt(c)
 			n := gridSize
 			xs := linspaceInto(grow(&o.gridXs, n), c, a.hi)
 			pdf := o.getBuf(n)
