@@ -3,8 +3,9 @@ package repro
 // One benchmark per table/figure of the paper (BenchmarkFig1..9), plus
 // micro-benchmarks, ablation benches for the numeric substrate, and the
 // old-vs-new Monte-Carlo kernel comparison (BenchmarkRealizations*,
-// BenchmarkKernel*) and Fig. 1's Monte-Carlo distance
-// (BenchmarkKSAgainstEmpirical). Run: go test -bench=. -benchmem
+// BenchmarkKernel*), Fig. 1's Monte-Carlo distance
+// (BenchmarkKSAgainstEmpirical) and BIL on wide FFTs
+// (BenchmarkBILWide). Run: go test -bench=. -benchmem
 
 import (
 	"math/rand"
@@ -226,6 +227,30 @@ func BenchmarkBIL(b *testing.B) {
 		if _, err := heuristics.BIL(scen); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBILWide schedules FFT butterflies on 8 processors, the
+// graphs whose wide ready sets make BIL's priority upkeep dominate:
+// 1 024 tasks, and the 11 264 of the heuristics-large benchmark
+// workload (skipped with -short).
+func BenchmarkBILWide(b *testing.B) {
+	for _, n := range []int{1024, 11264} {
+		b.Run("N="+itoa(n), func(b *testing.B) {
+			if n > 1024 && testing.Short() {
+				b.Skip("the 11 264-task FFT is skipped with -short")
+			}
+			scen, err := NewScenario(experiment.FFTFamily, n, 8, 1.1, 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := heuristics.BIL(scen); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package heuristics
 
 import (
+	"math"
+
 	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/internal/schedule"
@@ -19,6 +21,18 @@ import (
 // and placed on the processor minimizing its (revised) BIM. When more
 // tasks are ready than processors, the BIM is inflated by the expected
 // queuing factor w(i,p)·(#ready/m − 1) as in the original paper.
+//
+// The priorities are kept incrementally. A ready task's predecessors
+// are all placed, so its latest data arrival on each processor is fixed
+// when it becomes ready; EST(i,p) is that arrival or p's ready time,
+// whichever is later, and a step moves only the chosen processor's
+// ready time, and only forwards. Each ready task therefore keeps its m
+// BIMs and its processors ordered by BIM: its priority is the k-th
+// entry of that order, and after a placement on p only the ready tasks
+// now waiting for p get a new BIM(i,p), with p moved rightwards in
+// their order. A step costs O(#ready) priority reads plus O(m) per
+// revised order, and a task costs O(m·(in-degree + m)) once when it
+// becomes ready — instead of O(#ready · m · (in-degree + k)) per step.
 //
 // Compiled implementation, bit-identical to ReferenceBIL.
 func BIL(scen *platform.Scenario) (Result, error) {
@@ -72,29 +86,51 @@ func BIL(scen *platform.Scenario) (Result, error) {
 	for i := range start {
 		start[i] = -1
 	}
-	// estAppend mirrors builder.estAppend on the flat model.
-	estAppend := func(t dag.Task, p int) float64 {
-		est := procReady[p]
-		for k := csr.PredStart[t]; k < csr.PredStart[t+1]; k++ {
-			pr := csr.PredAdj[k]
-			arr := finish[pr] + cm.Comm(csr.PredEdge[k], sched.Proc[pr], p)
-			if arr > est {
-				est = arr
-			}
+	// Per ready task t, flat n×m row-major: arrive holds the latest
+	// predecessor data arrival on each processor, bim the BIMs, and
+	// byBIM the processors in ascending BIM order.
+	arrive := make([]float64, n*m)
+	bim := make([]float64, n*m)
+	byBIM := make([]int32, n*m)
+	// est folds the fixed arrival with p's ready time the way
+	// builder.estAppend does: the ready time unless data arrive later.
+	est := func(t dag.Task, p int) float64 {
+		if a := arrive[int(t)*m+p]; a > procReady[p] {
+			return a
 		}
-		return est
+		return procReady[p]
+	}
+	var ready []dag.Task
+	makeReady := func(t dag.Task) {
+		row := int(t) * m
+		for p := 0; p < m; p++ {
+			a := math.Inf(-1)
+			for k := csr.PredStart[t]; k < csr.PredStart[t+1]; k++ {
+				pr := csr.PredAdj[k]
+				if arr := finish[pr] + cm.Comm(csr.PredEdge[k], sched.Proc[pr], p); arr > a {
+					a = arr
+				}
+			}
+			arrive[row+p] = a
+			b := est(t, p) + bil[row+p]
+			bim[row+p] = b
+			// Insertion sort of the processors by BIM.
+			j := p
+			for ; j > 0 && bim[row+int(byBIM[row+j-1])] > b; j-- {
+				byBIM[row+j] = byBIM[row+j-1]
+			}
+			byBIM[row+j] = int32(p)
+		}
+		ready = append(ready, t)
 	}
 
 	indeg := make([]int32, n)
-	var ready []dag.Task
 	for t := 0; t < n; t++ {
 		indeg[t] = csr.PredStart[t+1] - csr.PredStart[t]
 		if indeg[t] == 0 {
-			ready = append(ready, dag.Task(t))
+			makeReady(dag.Task(t))
 		}
 	}
-	bims := make([]float64, m)
-	scratch := make([]float64, m)
 	for len(ready) > 0 {
 		k := len(ready)
 		if k > m {
@@ -104,10 +140,8 @@ func BIL(scen *platform.Scenario) (Result, error) {
 		bestIdx := -1
 		bestPriority := 0.0
 		for idx, t := range ready {
-			for p := 0; p < m; p++ {
-				bims[p] = estAppend(t, p) + bil[int(t)*m+p]
-			}
-			prio := kthSmallest(bims, k, scratch)
+			row := int(t) * m
+			prio := bim[row+int(byBIM[row+k-1])]
 			if bestIdx < 0 || prio > bestPriority ||
 				(prio == bestPriority && t < ready[bestIdx]) { //reprovet:allow floateq deterministic tie-break on exactly equal priorities (paper rule)
 				bestIdx, bestPriority = idx, prio
@@ -123,13 +157,13 @@ func BIL(scen *platform.Scenario) (Result, error) {
 		bestVal := 0.0
 		bestStart := 0.0
 		for p := 0; p < m; p++ {
-			est := estAppend(t, p)
-			val := est + bil[int(t)*m+p]
+			e := est(t, p)
+			val := e + bil[int(t)*m+p]
 			if overload > 0 {
 				val += cm.MeanETC[int(t)*m+p] * overload
 			}
 			if bestProc < 0 || val < bestVal {
-				bestProc, bestVal, bestStart = p, val, est
+				bestProc, bestVal, bestStart = p, val, e
 			}
 		}
 		// Commit (append mode), mirroring builder.place.
@@ -138,12 +172,33 @@ func BIL(scen *platform.Scenario) (Result, error) {
 		finish[t] = bestStart + cm.MeanETC[int(t)*m+bestProc]
 		if finish[t] > procReady[bestProc] {
 			procReady[bestProc] = finish[t]
+			// Only the ready tasks whose data reach bestProc no later
+			// than its new ready time see their EST there move. BIMs only
+			// grow, so bestProc only moves rightwards in their orders.
+			rt := procReady[bestProc]
+			for _, r := range ready {
+				row := int(r) * m
+				if arrive[row+bestProc] > rt {
+					continue
+				}
+				b := rt + bil[row+bestProc]
+				bim[row+bestProc] = b
+				order := byBIM[row : row+m]
+				j := 0
+				for int(order[j]) != bestProc {
+					j++
+				}
+				for ; j+1 < m && bim[row+int(order[j+1])] < b; j++ {
+					order[j] = order[j+1]
+				}
+				order[j] = int32(bestProc)
+			}
 		}
 		for j := csr.SuccStart[t]; j < csr.SuccStart[t+1]; j++ {
 			s := csr.SuccAdj[j]
 			indeg[s]--
 			if indeg[s] == 0 {
-				ready = append(ready, dag.Task(s))
+				makeReady(dag.Task(s))
 			}
 		}
 	}
@@ -154,34 +209,4 @@ func BIL(scen *platform.Scenario) (Result, error) {
 		}
 	}
 	return Result{Schedule: sched, Makespan: ms}, nil
-}
-
-// kthSmallest returns the k-th smallest value of xs (1-based) without
-// mutating xs; k is clamped to [1, len(xs)]. A scratch buffer of
-// cap ≥ len(xs) avoids the copy allocation. Selection by repeated min
-// extraction — nProc is small.
-func kthSmallest(xs []float64, k int, scratch []float64) float64 {
-	if k < 1 {
-		k = 1
-	}
-	if k > len(xs) {
-		k = len(xs)
-	}
-	var tmp []float64
-	if cap(scratch) >= len(xs) {
-		tmp = scratch[:len(xs)]
-		copy(tmp, xs)
-	} else {
-		tmp = append([]float64(nil), xs...)
-	}
-	for i := 0; i < k; i++ {
-		minIdx := i
-		for j := i + 1; j < len(tmp); j++ {
-			if tmp[j] < tmp[minIdx] {
-				minIdx = j
-			}
-		}
-		tmp[i], tmp[minIdx] = tmp[minIdx], tmp[i]
-	}
-	return tmp[k-1]
 }

@@ -50,6 +50,21 @@ func assertIdentical(t *testing.T, label string, opt, ref heuristics.Result) {
 	}
 }
 
+// caseScenario builds the scenario of one harness cell, or returns nil
+// when the size is off the family's grid (e.g. strassen at 10).
+func caseScenario(t *testing.T, spec experiment.CaseSpec) *platform.Scenario {
+	t.Helper()
+	scen, err := spec.BuildScenario()
+	var se *experiment.SizeError
+	if errors.As(err, &se) {
+		return nil
+	}
+	if err != nil {
+		t.Fatalf("%s/n=%d: %v", spec.Family, spec.N, err)
+	}
+	return scen
+}
+
 func runPair(t *testing.T, label string, scen *platform.Scenario,
 	opt, ref func(*platform.Scenario) (heuristics.Result, error)) {
 	t.Helper()
@@ -90,17 +105,11 @@ func TestOptimizedHeuristicsMatchReference(t *testing.T) {
 			}
 			for _, ul := range cellULs {
 				for _, seed := range cellSeeds {
-					spec := experiment.CaseSpec{
+					scen := caseScenario(t, experiment.CaseSpec{
 						Name: "equiv", Family: family, N: n, M: 4, UL: ul, Seed: seed,
-					}
-					scen, err := spec.BuildScenario()
-					var se *experiment.SizeError
-					if errors.As(err, &se) {
-						// Size off this family's grid (e.g. strassen at 10).
+					})
+					if scen == nil {
 						continue
-					}
-					if err != nil {
-						t.Fatalf("%s/n=%d: %v", family, n, err)
 					}
 					for _, pair := range heuristicPairs {
 						label := pair.name + "/" + family + "/n=" +
@@ -109,6 +118,50 @@ func TestOptimizedHeuristicsMatchReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBILMatchesReferenceAcrossProcessorCounts pins BIL's incremental
+// ready-set priorities against ReferenceBIL beyond the m = 4 of the
+// sweep above: m = 1 (a single order entry), m = 2 and the n = 10
+// cells at m ≥ 8 (ready sets narrower than m, so k = #ready < m), and
+// UL 1.0 (deterministic costs, where equal BIMs and equal priorities
+// are common). The wide FFT cells keep over a hundred tasks ready at
+// once, whose orders are revised after every placement.
+func TestBILMatchesReferenceAcrossProcessorCounts(t *testing.T) {
+	bilPair := func(t *testing.T, spec experiment.CaseSpec) {
+		t.Helper()
+		scen := caseScenario(t, spec)
+		if scen == nil {
+			return
+		}
+		label := "BIL/" + spec.Family + "/n=" + itoa(spec.N) + "/m=" + itoa(spec.M) +
+			"/ul=" + ftoa(spec.UL) + "/seed=" + itoa(int(spec.Seed))
+		runPair(t, label, scen, heuristics.BIL, heuristics.ReferenceBIL)
+	}
+	for _, family := range experiment.FamilyNames() {
+		for _, n := range []int{10, 100} {
+			for _, m := range []int{1, 2, 8, 16} {
+				for _, ul := range []float64{1.0, 1.5} {
+					for _, seed := range []int64{1, 2, 3} {
+						bilPair(t, experiment.CaseSpec{Name: "equiv-bil",
+							Family: family, N: n, M: m, UL: ul, Seed: seed})
+					}
+				}
+			}
+		}
+	}
+	// Wide FFTs: ~1 000 tasks (ReferenceBIL ~0.2 s) in every tier,
+	// ~2 000 (~1 s) only without -short.
+	wide := []int{1000}
+	if !testing.Short() {
+		wide = append(wide, 2000)
+	}
+	for _, n := range wide {
+		for _, ul := range []float64{1.0, 1.1} {
+			bilPair(t, experiment.CaseSpec{Name: "equiv-bil-wide",
+				Family: experiment.FFTFamily, N: n, M: 8, UL: ul, Seed: 1})
 		}
 	}
 }

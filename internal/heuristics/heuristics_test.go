@@ -253,16 +253,11 @@ func TestHEFTInsertionUsesGaps(t *testing.T) {
 
 func TestKthSmallest(t *testing.T) {
 	xs := []float64{5, 1, 4, 2}
-	if kthSmallest(xs, 1, nil) != 1 || kthSmallest(xs, 2, nil) != 2 || kthSmallest(xs, 4, nil) != 5 {
+	if kthSmallest(xs, 1) != 1 || kthSmallest(xs, 2) != 2 || kthSmallest(xs, 4) != 5 {
 		t.Error("kthSmallest wrong")
 	}
-	if kthSmallest(xs, 0, nil) != 1 || kthSmallest(xs, 10, nil) != 5 {
+	if kthSmallest(xs, 0) != 1 || kthSmallest(xs, 10) != 5 {
 		t.Error("kthSmallest clamping wrong")
-	}
-	// A scratch buffer must not change results and must protect xs.
-	scratch := make([]float64, 4)
-	if kthSmallest(xs, 3, scratch) != 4 {
-		t.Error("kthSmallest with scratch wrong")
 	}
 	// Input must not be mutated.
 	if xs[0] != 5 || xs[1] != 1 {

@@ -384,7 +384,7 @@ func ReferenceBIL(scen *platform.Scenario) (Result, error) {
 			for p := 0; p < nProc; p++ {
 				bims[p] = b.estAppend(t, p) + bil[t][p]
 			}
-			prio := kthSmallest(bims, k, nil)
+			prio := kthSmallest(bims, k)
 			if bestIdx < 0 || prio > bestPriority ||
 				(prio == bestPriority && t < ready[bestIdx]) { //reprovet:allow floateq deterministic tie-break on exactly equal priorities (paper rule)
 				bestIdx, bestPriority = idx, prio
@@ -418,6 +418,29 @@ func ReferenceBIL(scen *platform.Scenario) (Result, error) {
 		}
 	}
 	return Result{Schedule: b.sched, Makespan: b.makespan()}, nil
+}
+
+// kthSmallest returns the k-th smallest value of xs (1-based) without
+// mutating xs; k is clamped to [1, len(xs)]. Selection by repeated min
+// extraction on a copy — nProc is small.
+func kthSmallest(xs []float64, k int) float64 {
+	if k < 1 {
+		k = 1
+	}
+	if k > len(xs) {
+		k = len(xs)
+	}
+	tmp := append([]float64(nil), xs...)
+	for i := 0; i < k; i++ {
+		minIdx := i
+		for j := i + 1; j < len(tmp); j++ {
+			if tmp[j] < tmp[minIdx] {
+				minIdx = j
+			}
+		}
+		tmp[i], tmp[minIdx] = tmp[minIdx], tmp[i]
+	}
+	return tmp[k-1]
 }
 
 // ReferenceHBMCT is the original hybrid heuristic implementation
