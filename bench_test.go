@@ -8,6 +8,7 @@ package repro
 // (BenchmarkBILWide). Run: go test -bench=. -benchmem
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -73,7 +74,7 @@ func BenchmarkFig6(b *testing.B) {
 	cfg := experiment.BenchConfig()
 	cfg.Schedules = 15
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig6(cfg, nil); err != nil {
+		if _, err := experiment.Fig6Run(context.Background(), cfg, experiment.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -259,16 +260,6 @@ func BenchmarkHBMCT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := heuristics.HBMCT(scen); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCPOP(b *testing.B) {
-	scen := benchRandom30(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := heuristics.CPOP(scen); err != nil {
 			b.Fatal(err)
 		}
 	}

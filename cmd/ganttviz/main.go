@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	ganttviz [-graph FAMILY] [-n 10] [-m 3]
-//	         [-ul 1.1] [-heuristic heft|bil|hbmct|random] [-seed 1] [-width 100]
+//	ganttviz [-graph FAMILY] [-n 10] [-m 3] [-ul 1.1]
+//	         [-heuristic heft|bil|hbmct|sdheft|random] [-seed 1] [-width 100]
 //
 // -graph accepts any registered workload family (see
 // experiment.FamilyNames).
@@ -24,6 +24,10 @@ import (
 	"repro/internal/schedule"
 )
 
+// heuristicNames lists the -heuristic values: the names
+// heuristics.ByName resolves, plus random.
+const heuristicNames = "heft, bil, hbmct, sdheft or random"
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ganttviz: ")
@@ -32,7 +36,7 @@ func main() {
 	n := flag.Int("n", 10, "approximate task count")
 	m := flag.Int("m", 3, "processor count")
 	ul := flag.Float64("ul", 1.1, "uncertainty level")
-	heuristic := flag.String("heuristic", "heft", "heft, bil, hbmct or random")
+	heuristic := flag.String("heuristic", "heft", heuristicNames)
 	seed := flag.Int64("seed", 1, "RNG seed")
 	width := flag.Int("width", 100, "chart width in characters")
 	flag.Parse()
@@ -50,7 +54,7 @@ func main() {
 	} else {
 		fn := heuristics.ByName(*heuristic)
 		if fn == nil {
-			log.Fatalf("unknown heuristic %q", *heuristic)
+			log.Fatalf("unknown heuristic %q (want %s)", *heuristic, heuristicNames)
 		}
 		res, err := fn(scen)
 		if err != nil {

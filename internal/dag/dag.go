@@ -1,7 +1,7 @@
 // Package dag implements the task-graph model of the paper:
 // G = (V, E, C) where V are tasks, E are precedence edges and C carries
 // the communication volume of each edge. It provides topological order,
-// top/bottom levels, critical paths and the disjunctive-graph
+// top/bottom levels, critical-path lengths and the disjunctive-graph
 // augmentation used to evaluate a schedule's makespan distribution.
 package dag
 

@@ -72,47 +72,6 @@ func (g *Graph) CriticalPathLength(nodeW []float64, edgeW EdgeWeight) (float64, 
 	return best, nil
 }
 
-// CriticalPath returns one longest entry→exit path as a task sequence.
-func (g *Graph) CriticalPath(nodeW []float64, edgeW EdgeWeight) ([]Task, error) {
-	bl, err := g.BottomLevels(nodeW, edgeW)
-	if err != nil {
-		return nil, err
-	}
-	if edgeW == nil {
-		edgeW = ZeroEdges
-	}
-	if g.n == 0 {
-		return nil, nil
-	}
-	// Start at the source with the largest bottom level.
-	var cur Task = -1
-	best := -1.0
-	for _, t := range g.Sources() {
-		if bl[t] > best {
-			best, cur = bl[t], t
-		}
-	}
-	path := []Task{cur}
-	for len(g.succ[cur]) > 0 {
-		var next Task = -1
-		bestNext := -1.0
-		for _, s := range g.succ[cur] {
-			cand := edgeW(cur, s) + bl[s]
-			if cand > bestNext {
-				bestNext, next = cand, s
-			}
-		}
-		// The path ends when no successor continues the longest path
-		// (all remaining length is cur's own weight).
-		if next < 0 || nodeW[cur]+bestNext < bl[cur]-1e-12 {
-			break
-		}
-		path = append(path, next)
-		cur = next
-	}
-	return path, nil
-}
-
 // Slacks returns, for each task, s_i = M − Bl(i) − Tl(i) where M is the
 // critical-path length (paper §IV). Tasks on a critical path have zero
 // slack.

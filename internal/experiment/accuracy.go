@@ -32,20 +32,6 @@ type AccuracyRow struct {
 	HeurMeanErr []float64 `json:"heur_mean_rel_err,omitempty"` // heuristic schedules, per metric
 }
 
-// MaxOverMetrics returns the row's worst per-metric max error across
-// both schedule sources.
-func (r AccuracyRow) MaxOverMetrics() float64 {
-	worst := 0.0
-	for _, errs := range [][]float64{r.MaxErr, r.HeurMaxErr} {
-		for _, e := range errs {
-			if e > worst {
-				worst = e
-			}
-		}
-	}
-	return worst
-}
-
 // AccuracyStudy is the full report: the studied accuracies (the fast
 // and coarse presets plus a density-grid sweep under the reference
 // resampling policy) against the reference evaluation.

@@ -67,15 +67,3 @@ func TestWriteAccuracySections(t *testing.T) {
 		t.Error("legacy study without heuristic columns rendered heuristic sections")
 	}
 }
-
-// MaxOverMetrics must consider both schedule sources.
-func TestAccuracyRowMaxOverBothSources(t *testing.T) {
-	st := syntheticStudy(true)
-	if got := st.Rows[0].MaxOverMetrics(); got != 1.8 {
-		t.Errorf("MaxOverMetrics = %v, want the heuristic-source worst 1.8", got)
-	}
-	st = syntheticStudy(false)
-	if got := st.Rows[0].MaxOverMetrics(); got != 0.8 {
-		t.Errorf("MaxOverMetrics = %v, want 0.8", got)
-	}
-}

@@ -430,36 +430,6 @@ func TestBuiltinFamilyNames(t *testing.T) {
 	}
 }
 
-func TestPairStats(t *testing.T) {
-	res := &Fig6Result{
-		Mean: [][]float64{
-			{1, 0.9, 0, 0, 0, 0, 0, 0},
-			{0.9, 1, 0, 0, 0, 0, 0, 0},
-			{0, 0, 1, 0, 0, 0, 0, 0},
-			{0, 0, 0, 1, 0, 0, 0, 0},
-			{0, 0, 0, 0, 1, 0, 0, 0},
-			{0, 0, 0, 0, 0, 1, 0, 0},
-			{0, 0, 0, 0, 0, 0, 1, 0},
-			{0, 0, 0, 0, 0, 0, 0, 1},
-		},
-		Std: make([][]float64, 8),
-	}
-	for i := range res.Std {
-		res.Std[i] = make([]float64, 8)
-	}
-	res.Std[0][1] = 0.05
-	mean, std, err := res.PairStats("makespan", "stddev")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean != 0.9 || std != 0.05 {
-		t.Errorf("PairStats = (%g,%g), want (0.9,0.05)", mean, std)
-	}
-	if _, _, err := res.PairStats("makespan", "nope"); err == nil {
-		t.Error("unknown metric accepted")
-	}
-}
-
 func TestRunCaseSingleProcessor(t *testing.T) {
 	// Degenerate platform: one processor. Slack is all zero, several
 	// correlations are NaN; the runner must not crash.

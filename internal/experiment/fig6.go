@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"repro/internal/stats"
@@ -19,19 +18,12 @@ type Fig6Result struct {
 	RelByMkspnStd  float64 // its std-dev across cases (paper: 0.009)
 }
 
-// Fig6 runs all correlation cases and aggregates their Pearson
-// matrices. progress, when non-nil, receives one call per finished
-// case.
-func Fig6(cfg Config, progress func(done, total int, name string)) (*Fig6Result, error) {
-	return Fig6Run(context.Background(), cfg, RunOptions{Progress: progress})
-}
-
-// Fig6Run is Fig6 under the orchestrator: all cases progress
-// concurrently through one shared worker pool (opts.Pool, or a
-// temporary one), optionally resuming from opts.Cache. The
-// aggregation visits cases in spec order, so the result — and any
-// report rendered from it — is byte-identical to a sequential run for
-// a fixed seed, at every worker count.
+// Fig6Run runs all correlation cases and aggregates their Pearson
+// matrices. The cases progress concurrently through one shared worker
+// pool (opts.Pool, or a temporary one), optionally resuming from
+// opts.Cache. The aggregation visits cases in spec order, so the
+// result — and any report rendered from it — is byte-identical to a
+// sequential run for a fixed seed, at every worker count.
 func Fig6Run(ctx context.Context, cfg Config, opts RunOptions) (*Fig6Result, error) {
 	return AggregateCases(ctx, Fig6Cases(cfg.Seed), cfg, opts)
 }
@@ -82,26 +74,7 @@ func AggregateCases(ctx context.Context, specs []CaseSpec, cfg Config, opts RunO
 	return res, nil
 }
 
-// PairStats returns the aggregated mean and std of the correlation
-// between two metrics by name (as listed in robustness.MetricNames).
-func (r *Fig6Result) PairStats(nameA, nameB string) (mean, std float64, err error) {
-	ia, ib := metricIndex(nameA), metricIndex(nameB)
-	if ia < 0 || ib < 0 {
-		return 0, 0, fmt.Errorf("experiment: unknown metric name %q or %q", nameA, nameB)
-	}
-	return r.Mean[ia][ib], r.Std[ia][ib], nil
-}
-
-func metricIndex(name string) int {
-	for i, n := range metricShortNames {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// metricShortNames are compact labels used in reports and PairStats.
+// metricShortNames are compact labels used in reports.
 var metricShortNames = []string{
 	"makespan", "stddev", "entropy", "slack", "slackstd", "lateness", "absprob", "relprob",
 }

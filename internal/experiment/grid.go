@@ -26,9 +26,6 @@ type Sweep struct {
 	// RepsFor overrides Reps per family name (Fig. 6 runs two random
 	// instances per cell but one of each structured graph).
 	RepsFor map[string]int
-	// Procs maps a size to a processor count; nil selects
-	// DefaultSweepProcs, the paper's platform scaling.
-	Procs func(n int) int
 }
 
 // DefaultSweepProcs is the paper's platform scaling: 3 processors for
@@ -79,10 +76,6 @@ func (s Sweep) Cases(seed int64) ([]CaseSpec, error) {
 	if prefix == "" {
 		prefix = "sweep"
 	}
-	procs := s.Procs
-	if procs == nil {
-		procs = DefaultSweepProcs
-	}
 	reps := func(family string) int {
 		if r, ok := s.RepsFor[family]; ok && r > 0 {
 			return r
@@ -95,7 +88,7 @@ func (s Sweep) Cases(seed int64) ([]CaseSpec, error) {
 	var cases []CaseSpec
 	id := 0
 	for _, n := range s.Sizes {
-		m := procs(n)
+		m := DefaultSweepProcs(n)
 		for _, ul := range s.ULs {
 			for _, family := range s.Families {
 				for rep := 0; rep < reps(family); rep++ {

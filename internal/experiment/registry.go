@@ -25,8 +25,6 @@ type GraphFamily struct {
 	// it appears in case names, JSON documents, CLI flags and cache
 	// keys, so renaming a family invalidates its cached results.
 	Name string
-	// Describe is a one-line description for CLI/README listings.
-	Describe string
 	// RoundSize returns the achievable task count closest to the
 	// requested n. When the closest achievable count is off by more
 	// than a factor of two it returns a *SizeError — never a silently
@@ -208,7 +206,6 @@ const treeArity = 2
 func init() {
 	MustRegisterFamily(GraphFamily{
 		Name:      RandomFamily,
-		Describe:  "layered random DAG of §V (CCR 0.1, Gamma task/comm costs)",
 		RoundSize: exactSize(RandomFamily, 1),
 		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
 			g, weights := graphgen.Random(graphgen.DefaultRandomParams(n), rng)
@@ -217,7 +214,6 @@ func init() {
 	})
 	MustRegisterFamily(GraphFamily{
 		Name:      CholeskyFamily,
-		Describe:  "tiled right-looking Cholesky factorization (paper Fig. 3)",
 		RoundSize: sizeOnly(choleskyRound),
 		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
 			tiles, _, err := choleskyRound(n)
@@ -229,7 +225,6 @@ func init() {
 	})
 	MustRegisterFamily(GraphFamily{
 		Name:      GaussElimFamily,
-		Describe:  "Cosnard et al. Gaussian elimination (paper Fig. 5)",
 		RoundSize: sizeOnly(gaussElimRound),
 		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
 			size, _, err := gaussElimRound(n)
@@ -241,7 +236,6 @@ func init() {
 	})
 	MustRegisterFamily(GraphFamily{
 		Name:      JoinFamily,
-		Describe:  "join of Fig. 9: n-1 independent sources feeding one sink (n tasks total)",
 		RoundSize: exactSize(JoinFamily, 2),
 		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
 			return graphgen.Join(n, 0), nil, nil
@@ -249,7 +243,6 @@ func init() {
 	})
 	MustRegisterFamily(GraphFamily{
 		Name:      InTreeFamily,
-		Describe:  "complete binary in-tree (reduction): leaves feed the root",
 		RoundSize: exactSize(InTreeFamily, 1),
 		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
 			return graphgen.InTree(n, treeArity, 10, 20, rng), nil, nil
@@ -257,7 +250,6 @@ func init() {
 	})
 	MustRegisterFamily(GraphFamily{
 		Name:      OutTreeFamily,
-		Describe:  "complete binary out-tree (divide): the root feeds the leaves",
 		RoundSize: exactSize(OutTreeFamily, 1),
 		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
 			return graphgen.OutTree(n, treeArity, 10, 20, rng), nil, nil
@@ -265,7 +257,6 @@ func init() {
 	})
 	MustRegisterFamily(GraphFamily{
 		Name:      SeriesParallelFamily,
-		Describe:  "random two-terminal series-parallel DAG (fork/join programs)",
 		RoundSize: exactSize(SeriesParallelFamily, 2),
 		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
 			return graphgen.SeriesParallel(n, 10, 20, rng), nil, nil
@@ -273,7 +264,6 @@ func init() {
 	})
 	MustRegisterFamily(GraphFamily{
 		Name:      FFTFamily,
-		Describe:  "p-point FFT butterfly, p a power of two (Topcuoglu et al.)",
 		RoundSize: sizeOnly(fftRound),
 		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
 			points, _, err := fftRound(n)
@@ -285,7 +275,6 @@ func init() {
 	})
 	MustRegisterFamily(GraphFamily{
 		Name:      StrassenFamily,
-		Describe:  "r-level Strassen matrix multiplication (25, 193, 1369, ... tasks)",
 		RoundSize: sizeOnly(strassenRound),
 		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
 			levels, _, err := strassenRound(n)
@@ -297,7 +286,6 @@ func init() {
 	})
 	MustRegisterFamily(GraphFamily{
 		Name:      STGFamily,
-		Describe:  "Tobita-Kasahara-style layered STG (width/regularity/density/jump)",
 		RoundSize: exactSize(STGFamily, 3),
 		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
 			return graphgen.STG(graphgen.DefaultSTGParams(n), 10, 20, rng), nil, nil

@@ -105,32 +105,6 @@ func TestChainForkJoin(t *testing.T) {
 	}
 }
 
-func TestLayered(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := Layered(4, 3, 0.5, 1, rng)
-	if g.N() != 12 {
-		t.Fatalf("layered N = %d, want 12", g.N())
-	}
-	if !g.IsAcyclic() {
-		t.Fatal("layered graph cyclic")
-	}
-	// Every node in layers 1..3 must have a parent.
-	for i := 3; i < 12; i++ {
-		if len(g.Pred(dag.Task(i))) == 0 {
-			t.Errorf("layered node %d orphaned", i)
-		}
-	}
-	depth, err := g.Levels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		if want := i / 3; depth[i] != want {
-			t.Errorf("node %d depth = %d, want %d", i, depth[i], want)
-		}
-	}
-}
-
 func TestCholeskyTaskCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for n := 1; n <= 6; n++ {

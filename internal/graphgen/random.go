@@ -116,27 +116,3 @@ func ForkJoin(width int, vol float64) *dag.Graph {
 	}
 	return g
 }
-
-// Layered returns a strict layered DAG with the given number of layers
-// and width; every task in layer l connects to each task of layer l+1
-// with probability density, and at least one parent is guaranteed.
-func Layered(layers, width int, density, vol float64, rng *rand.Rand) *dag.Graph {
-	n := layers * width
-	g := dag.New(n)
-	id := func(l, w int) dag.Task { return dag.Task(l*width + w) }
-	for l := 0; l+1 < layers; l++ {
-		for w2 := 0; w2 < width; w2++ {
-			connected := false
-			for w1 := 0; w1 < width; w1++ {
-				if rng.Float64() < density {
-					_ = g.AddEdge(id(l, w1), id(l+1, w2), vol)
-					connected = true
-				}
-			}
-			if !connected {
-				_ = g.AddEdge(id(l, rng.Intn(width)), id(l+1, w2), vol)
-			}
-		}
-	}
-	return g
-}

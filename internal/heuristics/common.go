@@ -1,13 +1,13 @@
 // Package heuristics implements the schedule generators of the paper:
 // the random 3-phase generator of §V and the three makespan-centric
 // list heuristics compared in the evaluation — HEFT (Topcuoglu et al.),
-// BIL (Oh & Ha) and Hyb.BMCT (Sakellariou & Zhao) — plus the CPOP and
-// SDHEFT extensions. All heuristics work on mean durations under the
+// BIL (Oh & Ha) and Hyb.BMCT (Sakellariou & Zhao) — plus the SDHEFT
+// extension. All heuristics work on mean durations under the
 // Beta(2,5)/UL uncertainty model; with a constant UL this is
 // equivalent to using the minimum durations.
 //
 // Each heuristic exists twice: the exported entry points (HEFT, BIL,
-// HBMCT, CPOP, SDHEFT) run on the compiled CostModel — flat CSR
+// HBMCT, SDHEFT) run on the compiled CostModel — flat CSR
 // adjacency, precomputed per-edge communication costs, gap-indexed
 // processor timelines — and the Reference* functions in reference.go
 // retain the original Model-based implementations. The two are
@@ -176,7 +176,7 @@ func buildFromPlacement(pos []int32, nProc int, proc []int, start []float64) *sc
 func almostLE(a, b float64) bool { return a <= b+1e-9 }
 
 // ByName returns the heuristic with the given name ("heft", "bil",
-// "hbmct", "cpop", "sdheft"), or nil.
+// "hbmct", "sdheft"), or nil.
 func ByName(name string) func(*platform.Scenario) (Result, error) {
 	switch name {
 	case "heft", "HEFT":
@@ -185,8 +185,6 @@ func ByName(name string) func(*platform.Scenario) (Result, error) {
 		return BIL
 	case "hbmct", "HBMCT", "hyb.bmct", "Hyb.BMCT":
 		return HBMCT
-	case "cpop", "CPOP":
-		return CPOP
 	case "sdheft", "SDHEFT":
 		return func(s *platform.Scenario) (Result, error) { return SDHEFT(s, 1) }
 	default:

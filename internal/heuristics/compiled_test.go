@@ -142,7 +142,7 @@ func zeroDurScenario(m int) *platform.Scenario {
 // tie-break in RankOrder could feed HBMCT a non-precedence-compatible
 // sequence (negative-index panic on an unplaced predecessor), and
 // HBMCT's rebalancing dereferenced task -1 when a whole group finishes
-// at 0. All five heuristics — compiled and reference — must emit valid
+// at 0. All four heuristics — compiled and reference — must emit valid
 // schedules.
 func TestZeroDurationTieBreak(t *testing.T) {
 	for _, m := range []int{1, 3} {
@@ -152,7 +152,6 @@ func TestZeroDurationTieBreak(t *testing.T) {
 			fn   func(*platform.Scenario) (Result, error)
 		}{
 			{"HEFT", HEFT}, {"ReferenceHEFT", ReferenceHEFT},
-			{"CPOP", CPOP}, {"ReferenceCPOP", ReferenceCPOP},
 			{"BIL", BIL}, {"ReferenceBIL", ReferenceBIL},
 			{"HBMCT", HBMCT}, {"ReferenceHBMCT", ReferenceHBMCT},
 			{"SDHEFT", func(s *platform.Scenario) (Result, error) { return SDHEFT(s, 1) }},

@@ -27,7 +27,6 @@ var heuristicPairs = []struct {
 	ref  func(*platform.Scenario) (heuristics.Result, error)
 }{
 	{"HEFT", heuristics.HEFT, heuristics.ReferenceHEFT},
-	{"CPOP", heuristics.CPOP, heuristics.ReferenceCPOP},
 	{"BIL", heuristics.BIL, heuristics.ReferenceBIL},
 	{"HBMCT", heuristics.HBMCT, heuristics.ReferenceHBMCT},
 	{"SDHEFT", func(s *platform.Scenario) (heuristics.Result, error) { return heuristics.SDHEFT(s, 1) },

@@ -10,52 +10,6 @@ import (
 	"repro/internal/stochastic"
 )
 
-func TestCPOPProducesValidSchedule(t *testing.T) {
-	for _, scen := range []*platform.Scenario{
-		randomScenario(30, 4, 1.1, 20),
-		choleskyScenario(1.01, 21),
-	} {
-		res, err := CPOP(scen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Schedule.Validate(scen.G); err != nil {
-			t.Fatalf("CPOP schedule invalid: %v", err)
-		}
-		if res.Makespan <= 0 {
-			t.Error("CPOP makespan not positive")
-		}
-	}
-}
-
-func TestCPOPCompetitiveWithRandom(t *testing.T) {
-	scen := randomScenario(40, 4, 1.1, 22)
-	res, err := CPOP(scen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := schedule.NewSimulator(scen, res.Schedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpop := sim.MeanTiming().Makespan
-	rng := rand.New(rand.NewSource(23))
-	beaten := 0
-	for i := 0; i < 100; i++ {
-		s := RandomSchedule(scen, rng)
-		rs, err := schedule.NewSimulator(scen, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs.MeanTiming().Makespan > cpop {
-			beaten++
-		}
-	}
-	if beaten < 95 {
-		t.Errorf("CPOP beats only %d/100 random schedules", beaten)
-	}
-}
-
 func TestSDHEFTProducesValidSchedule(t *testing.T) {
 	scen := randomScenario(30, 4, 1.1, 24)
 	for _, lambda := range []float64{0, 1, 2, -3} {
@@ -229,7 +183,7 @@ func TestHeuristicsSingleProcessor(t *testing.T) {
 		name string
 		fn   func(*platform.Scenario) (Result, error)
 	}{
-		{"HEFT", HEFT}, {"BIL", BIL}, {"HBMCT", HBMCT}, {"CPOP", CPOP},
+		{"HEFT", HEFT}, {"BIL", BIL}, {"HBMCT", HBMCT},
 		{"SDHEFT", func(s *platform.Scenario) (Result, error) { return SDHEFT(s, 1) }},
 	} {
 		res, err := h.fn(scen)
@@ -248,22 +202,5 @@ func TestHeuristicsSingleProcessor(t *testing.T) {
 		if res.Makespan < serial-1e-6 {
 			t.Errorf("%s: makespan %g below serial bound %g", h.name, res.Makespan, serial)
 		}
-	}
-}
-
-func TestCPOPSingleTask(t *testing.T) {
-	g := dag.New(1)
-	tau, lat := platform.NewUniformNetwork(2, 1, 0)
-	scen := &platform.Scenario{
-		G:  g,
-		P:  &platform.Platform{M: 2, ETC: [][]float64{{5, 3}}, Tau: tau, Lat: lat},
-		UL: 1,
-	}
-	res, err := CPOP(scen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan != 3 {
-		t.Errorf("single-task CPOP makespan = %g, want 3 (fastest proc)", res.Makespan)
 	}
 }

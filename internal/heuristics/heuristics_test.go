@@ -296,7 +296,7 @@ func TestReachability(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"heft", "HEFT", "bil", "BIL", "hbmct", "Hyb.BMCT"} {
+	for _, name := range []string{"heft", "HEFT", "bil", "BIL", "hbmct", "Hyb.BMCT", "sdheft", "SDHEFT"} {
 		if ByName(name) == nil {
 			t.Errorf("ByName(%q) = nil", name)
 		}

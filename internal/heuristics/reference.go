@@ -162,146 +162,6 @@ func ReferenceHEFT(scen *platform.Scenario) (Result, error) {
 	return Result{Schedule: s, Makespan: ms}, nil
 }
 
-// ReferenceCPOP is the original Critical-Path-on-a-Processor
-// implementation (Topcuoglu, Hariri and Wu): tasks are prioritized by
-// rank_u + rank_d; every task on the critical path is pinned to the
-// single processor that executes the whole path fastest, and the
-// remaining tasks are placed by earliest finish time with insertion.
-func ReferenceCPOP(scen *platform.Scenario) (Result, error) {
-	m := NewModel(scen)
-	g := scen.G
-	n := g.N()
-	nProc := scen.P.M
-
-	rankU, err := m.UpwardRanks()
-	if err != nil {
-		return Result{}, err
-	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		return Result{}, err
-	}
-	// rank_d: longest average-cost path from an entry node (excluding
-	// the task itself).
-	rankD := make([]float64, n)
-	for _, t := range order {
-		for _, p := range g.Pred(t) {
-			cand := rankD[p] + m.AvgDur[p] + m.AvgComm(p, t)
-			if cand > rankD[t] {
-				rankD[t] = cand
-			}
-		}
-	}
-	prio := make([]float64, n)
-	for t := 0; t < n; t++ {
-		prio[t] = rankU[t] + rankD[t]
-	}
-
-	// The critical path: start from the highest-priority entry task,
-	// repeatedly follow the highest-priority successor.
-	cpLen := 0.0
-	for _, t := range g.Sources() {
-		if prio[t] > cpLen {
-			cpLen = prio[t]
-		}
-	}
-	onCP := make([]bool, n)
-	var cur dag.Task = -1
-	for _, t := range g.Sources() {
-		if prio[t] >= cpLen-1e-9 {
-			cur = t
-			break
-		}
-	}
-	for cur >= 0 {
-		onCP[cur] = true
-		var next dag.Task = -1
-		best := -1.0
-		for _, s := range g.Succ(cur) {
-			if prio[s] > best {
-				best, next = prio[s], s
-			}
-		}
-		cur = next
-	}
-
-	// The critical-path processor minimizes the total execution time
-	// of the critical tasks.
-	cpProc, cpCost := 0, -1.0
-	for p := 0; p < nProc; p++ {
-		var sum float64
-		for t := 0; t < n; t++ {
-			if onCP[t] {
-				sum += m.MeanETC[t][p]
-			}
-		}
-		if cpCost < 0 || sum < cpCost {
-			cpProc, cpCost = p, sum
-		}
-	}
-
-	// Priority-queue list scheduling with insertion-based placement.
-	slots := make([][]slot, nProc)
-	start := make([]float64, n)
-	finish := make([]float64, n)
-	proc := make([]int, n)
-	indeg := make([]int, n)
-	pq := &taskPQ{prio: prio}
-	for t := 0; t < n; t++ {
-		indeg[t] = len(g.Pred(dag.Task(t)))
-		if indeg[t] == 0 {
-			pq.push(dag.Task(t))
-		}
-	}
-	var makespan float64
-	for pq.Len() > 0 {
-		t := pq.pop()
-		est := func(p int) float64 {
-			v := 0.0
-			for _, pr := range g.Pred(t) {
-				arr := finish[pr] + m.MeanComm(pr, t, proc[pr], p)
-				if arr > v {
-					v = arr
-				}
-			}
-			return v
-		}
-		var chosen int
-		if onCP[t] {
-			chosen = cpProc
-		} else {
-			bestFinish := -1.0
-			for p := 0; p < nProc; p++ {
-				dur := m.MeanETC[t][p]
-				ft := insertionStart(slots[p], est(p), dur) + dur
-				if bestFinish < 0 || ft < bestFinish {
-					chosen, bestFinish = p, ft
-				}
-			}
-		}
-		dur := m.MeanETC[t][chosen]
-		st := insertionStart(slots[chosen], est(chosen), dur)
-		proc[t] = chosen
-		start[t] = st
-		finish[t] = st + dur
-		slots[chosen] = insertSlot(slots[chosen], slot{start: st, finish: st + dur})
-		if finish[t] > makespan {
-			makespan = finish[t]
-		}
-		for _, s := range g.Succ(t) {
-			indeg[s]--
-			if indeg[s] == 0 {
-				pq.push(s)
-			}
-		}
-	}
-	pos, err := topoPositions(g)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Schedule: buildFromPlacement(pos, nProc, proc, start), Makespan: makespan}, nil
-}
-
 // ReferenceBIL is the original Best Imaginary Level implementation
 // (Oh & Ha) for unrelated processors. The basic imaginary level of
 // task i on processor p is

@@ -61,42 +61,3 @@ func CumTrapezoidInto(out, y []float64, h float64) []float64 {
 	}
 	return out
 }
-
-// SimpsonFunc integrates f over [a,b] with n subintervals (rounded up to
-// even) using composite Simpson's rule.
-func SimpsonFunc(f func(float64) float64, a, b float64, n int) float64 {
-	if n < 2 {
-		n = 2
-	}
-	if n%2 == 1 {
-		n++
-	}
-	h := (b - a) / float64(n)
-	sum := f(a) + f(b)
-	for i := 1; i < n; i++ {
-		x := a + float64(i)*h
-		if i%2 == 1 {
-			sum += 4 * f(x)
-		} else {
-			sum += 2 * f(x)
-		}
-	}
-	return h / 3 * sum
-}
-
-// Derivative returns the numerical derivative of uniform-grid samples
-// using central differences in the interior and one-sided differences at
-// the boundaries.
-func Derivative(y []float64, h float64) []float64 {
-	n := len(y)
-	out := make([]float64, n)
-	if n < 2 || h == 0 { //reprovet:allow floateq degenerate step guard: only an exact zero divides by zero
-		return out
-	}
-	out[0] = (y[1] - y[0]) / h
-	out[n-1] = (y[n-1] - y[n-2]) / h
-	for i := 1; i < n-1; i++ {
-		out[i] = (y[i+1] - y[i-1]) / (2 * h)
-	}
-	return out
-}

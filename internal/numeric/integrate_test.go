@@ -69,36 +69,3 @@ func TestCumTrapezoid(t *testing.T) {
 		}
 	}
 }
-
-func TestSimpsonFunc(t *testing.T) {
-	got := SimpsonFunc(func(x float64) float64 { return math.Exp(x) }, 0, 1, 33)
-	if want := math.E - 1; !almostEqual(got, want, 1e-8) {
-		t.Errorf("SimpsonFunc exp = %g, want %g", got, want)
-	}
-	// Odd n gets rounded up rather than mis-integrating.
-	got = SimpsonFunc(func(x float64) float64 { return x }, 0, 2, 3)
-	if !almostEqual(got, 2, 1e-12) {
-		t.Errorf("SimpsonFunc odd n = %g, want 2", got)
-	}
-}
-
-func TestDerivative(t *testing.T) {
-	n := 11
-	h := 0.1
-	y := make([]float64, n)
-	for i := range y {
-		x := float64(i) * h
-		y[i] = x * x
-	}
-	d := Derivative(y, h)
-	// Central differences are exact for quadratics in the interior.
-	for i := 1; i < n-1; i++ {
-		want := 2 * float64(i) * h
-		if !almostEqual(d[i], want, 1e-10) {
-			t.Errorf("d[%d] = %g, want %g", i, d[i], want)
-		}
-	}
-	if len(Derivative([]float64{1}, 0.1)) != 1 {
-		t.Error("derivative of singleton should have length 1")
-	}
-}

@@ -42,21 +42,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// MinMax returns the smallest and largest values in xs. For an empty
-// slice it returns (+Inf, -Inf) so that subsequent min/max folds work.
-func MinMax(xs []float64) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // MovingAverage smooths uniform-grid samples with a centred window of
 // the given half-width (window = 2*halfWidth+1), shrinking the window at
 // the boundaries. halfWidth <= 0 returns a copy.

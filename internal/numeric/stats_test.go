@@ -54,17 +54,6 @@ func TestVarianceShiftInvariance(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = (%g,%g), want (-1,7)", lo, hi)
-	}
-	lo, hi = MinMax(nil)
-	if !math.IsInf(lo, 1) || !math.IsInf(hi, -1) {
-		t.Errorf("empty MinMax = (%g,%g), want (+Inf,-Inf)", lo, hi)
-	}
-}
-
 func TestMovingAverage(t *testing.T) {
 	y := []float64{1, 2, 3, 4, 5}
 	got := MovingAverage(y, 1)

@@ -77,16 +77,6 @@ func (p *Platform) MinCommTime(volume float64, pi, pj int) float64 {
 	return p.Lat[pi][pj] + volume*p.Tau[pi][pj]
 }
 
-// AvgETC returns the average of task i's computation time over all
-// processors (used by rank-based heuristics).
-func (p *Platform) AvgETC(i int) float64 {
-	var sum float64
-	for _, v := range p.ETC[i] {
-		sum += v
-	}
-	return sum / float64(p.M)
-}
-
 // AvgTau returns the average off-diagonal τ (used by rank-based
 // heuristics to estimate communication costs before placement).
 func (p *Platform) AvgTau() float64 {

@@ -80,12 +80,6 @@ func TestAverages(t *testing.T) {
 		Tau: [][]float64{{0, 3}, {5, 0}},
 		Lat: [][]float64{{0, 1}, {1, 0}},
 	}
-	if got := p.AvgETC(0); got != 3 {
-		t.Errorf("AvgETC(0) = %g, want 3", got)
-	}
-	if got := p.AvgETC(1); got != 7 {
-		t.Errorf("AvgETC(1) = %g, want 7", got)
-	}
 	if got := p.AvgTau(); got != 4 {
 		t.Errorf("AvgTau = %g, want 4", got)
 	}
@@ -230,12 +224,12 @@ func TestScenarioDists(t *testing.T) {
 
 	// Samples stay within the Beta support.
 	for i := 0; i < 1000; i++ {
-		v := s.SampleTask(0, 1, rng)
+		v := s.TaskDist(0, 1).Sample(rng)
 		if v < b.Lo || v > b.Hi {
 			t.Fatalf("sample %g outside [%g,%g]", v, b.Lo, b.Hi)
 		}
 	}
-	if s.SampleComm(0, 1, 1, 1, rng) != 0 {
+	if s.CommDist(0, 1, 1, 1).Sample(rng) != 0 {
 		t.Error("co-located comm sample must be 0")
 	}
 	if s.MeanComm(0, 1, 0, 1) <= 5 {
@@ -243,6 +237,21 @@ func TestScenarioDists(t *testing.T) {
 	}
 	if s.MeanTask(0, 0) <= p.ETC[0][0] {
 		t.Error("mean task duration should exceed the minimum under UL>1")
+	}
+}
+
+// The default family (no DurFn): Dirac at UL 1 or a zero minimum,
+// Beta(2,5) over [min, min·ul] otherwise.
+func TestScenarioDurDist(t *testing.T) {
+	s := &Scenario{}
+	if _, ok := s.DurDist(10, 1.0).(stochastic.Dirac); !ok {
+		t.Error("UL=1 should give Dirac")
+	}
+	if _, ok := s.DurDist(0, 1.5).(stochastic.Dirac); !ok {
+		t.Error("zero minimum should give Dirac")
+	}
+	if got, want := s.DurDist(10, 1.1), stochastic.NewBetaUL(10, 1.1); got != want {
+		t.Errorf("UL>1 gives %#v, want %#v", got, want)
 	}
 }
 

@@ -144,18 +144,6 @@ func (s *Scenario) MeanComm(from, to dag.Task, pi, pj int) float64 {
 	return s.CommDist(from, to, pi, pj).Mean()
 }
 
-// SampleTask draws a realization of task t's duration on processor
-// proc.
-func (s *Scenario) SampleTask(t dag.Task, proc int, rng *rand.Rand) float64 {
-	return s.TaskDist(t, proc).Sample(rng)
-}
-
-// SampleComm draws a realization of the communication time of edge
-// from→to between pi and pj.
-func (s *Scenario) SampleComm(from, to dag.Task, pi, pj int, rng *rand.Rand) float64 {
-	return s.CommDist(from, to, pi, pj).Sample(rng)
-}
-
 // WithVariableUL returns a copy of the scenario whose tasks draw their
 // uncertainty levels uniformly from [ulLo, ulHi] (the paper's §VIII
 // variable-UL future work). The graph and platform are shared.

@@ -1,13 +1,11 @@
 // Package stats provides the statistical machinery of the comparison:
 // Pearson correlation coefficients and their aggregation across
-// experiments, least-squares regression (the scatter-plot fits), and
-// the two CDF distances the paper uses to validate the makespan
-// evaluation — Kolmogorov–Smirnov and the area variant of
+// experiments, and the two CDF distances the paper uses to validate the
+// makespan evaluation — Kolmogorov–Smirnov and the area variant of
 // Cramér–von-Mises.
 package stats
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/numeric"
@@ -34,28 +32,6 @@ func Pearson(xs, ys []float64) float64 {
 		return math.NaN()
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// LinReg fits y = slope·x + intercept by least squares and returns the
-// fit together with the correlation coefficient.
-func LinReg(xs, ys []float64) (slope, intercept, r float64, err error) {
-	n := len(xs)
-	if n != len(ys) || n < 2 {
-		return 0, 0, 0, fmt.Errorf("stats: need two same-length samples, got %d and %d", len(xs), len(ys))
-	}
-	mx, my := numeric.Mean(xs), numeric.Mean(ys)
-	var sxy, sxx float64
-	for i := 0; i < n; i++ {
-		dx := xs[i] - mx
-		sxy += dx * (ys[i] - my)
-		sxx += dx * dx
-	}
-	if sxx == 0 { //reprovet:allow floateq regression is undefined only at exactly zero variance
-		return 0, 0, 0, fmt.Errorf("stats: x has zero variance")
-	}
-	slope = sxy / sxx
-	intercept = my - slope*mx
-	return slope, intercept, Pearson(xs, ys), nil
 }
 
 // CDF is anything that can evaluate its cumulative distribution —

@@ -62,24 +62,6 @@ func TestPearsonDegenerate(t *testing.T) {
 	}
 }
 
-func TestLinReg(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 2x+1
-	slope, intercept, r, err := LinReg(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(slope, 2, 1e-12) || !almostEqual(intercept, 1, 1e-12) || !almostEqual(r, 1, 1e-12) {
-		t.Errorf("fit = (%g,%g,r=%g), want (2,1,1)", slope, intercept, r)
-	}
-	if _, _, _, err := LinReg([]float64{1}, []float64{1}); err == nil {
-		t.Error("accepted single point")
-	}
-	if _, _, _, err := LinReg([]float64{2, 2}, []float64{1, 3}); err == nil {
-		t.Error("accepted zero-variance x")
-	}
-}
-
 func TestKSIdenticalIsZero(t *testing.T) {
 	rv := stochastic.FromDist(stochastic.Normal{Mu: 0, Sigma: 1}, 128)
 	if d := KS(rv, rv, -8, 8, 0); d != 0 {

@@ -17,19 +17,9 @@ type Beta struct {
 
 // NewBetaUL builds the paper's duration distribution: Beta(2,5) scaled
 // to [min, min·ul]. ul must be >= 1; ul == 1 collapses to a Dirac and
-// callers should special-case that (see DurationDist).
+// callers should special-case that (see platform.Scenario.DurDist).
 func NewBetaUL(min, ul float64) Beta {
 	return Beta{Alpha: 2, Beta: 5, Lo: min, Hi: min * ul}
-}
-
-// DurationDist returns the distribution of an uncertain duration with
-// the given minimum value and uncertainty level: Dirac(min) when ul <= 1
-// or min == 0, otherwise Beta(2,5) over [min, min·ul].
-func DurationDist(min, ul float64) Dist {
-	if ul <= 1 || min <= 0 {
-		return Dirac{Value: min}
-	}
-	return NewBetaUL(min, ul)
 }
 
 func (b Beta) width() float64 { return b.Hi - b.Lo }
@@ -44,18 +34,6 @@ func (b Beta) Variance() float64 {
 	s := b.Alpha + b.Beta
 	w := b.width()
 	return w * w * b.Alpha * b.Beta / (s * s * (s + 1))
-}
-
-// Mode returns the mode of the rescaled distribution (requires α > 1,
-// β > 1; otherwise returns the nearest support endpoint).
-func (b Beta) Mode() float64 {
-	if b.Alpha > 1 && b.Beta > 1 {
-		return b.Lo + b.width()*(b.Alpha-1)/(b.Alpha+b.Beta-2)
-	}
-	if b.Alpha <= 1 {
-		return b.Lo
-	}
-	return b.Hi
 }
 
 // PDF returns the density of the rescaled beta variable.

@@ -153,9 +153,6 @@ func TestBetaMomentsPDFCDF(t *testing.T) {
 	if !almostEqual(b.Variance(), wantVar, 1e-12) {
 		t.Errorf("Beta variance = %g, want %g", b.Variance(), wantVar)
 	}
-	if !almostEqual(b.Mode(), 0.2, 1e-12) {
-		t.Errorf("Beta mode = %g, want 0.2", b.Mode())
-	}
 	// PDF integrates to 1.
 	var sum float64
 	n := 20001
@@ -184,22 +181,6 @@ func TestBetaScaled(t *testing.T) {
 	}
 	if b.PDF(9.99) != 0 || b.PDF(11.01) != 0 {
 		t.Error("scaled PDF outside support must be 0")
-	}
-	// Right-skew: mode below midpoint.
-	if b.Mode() >= 10.5 {
-		t.Errorf("mode %g not right-skewed", b.Mode())
-	}
-}
-
-func TestDurationDist(t *testing.T) {
-	if _, ok := DurationDist(10, 1.0).(Dirac); !ok {
-		t.Error("UL=1 should give Dirac")
-	}
-	if _, ok := DurationDist(0, 1.5).(Dirac); !ok {
-		t.Error("zero minimum should give Dirac")
-	}
-	if _, ok := DurationDist(10, 1.1).(Beta); !ok {
-		t.Error("UL>1 should give Beta")
 	}
 }
 

@@ -443,9 +443,6 @@ func (rv *Numeric) AddAcc(other *Numeric, acc EvalAccuracy) *Numeric {
 	return out
 }
 
-// AddConst returns X + c.
-func (rv *Numeric) AddConst(c float64) *Numeric { return rv.Shift(c) }
-
 // MaxAcc is MaxWith under an explicit accuracy contract. The maximum
 // never builds an intermediate grid, so only acc.GridSize matters;
 // MaxAcc with a reference accuracy is bit-identical to MaxWith.
@@ -543,9 +540,4 @@ func (rv *Numeric) pdfOnGrid(xs []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// MaxConst returns max(X, c).
-func (rv *Numeric) MaxConst(c float64, gridSize int) *Numeric {
-	return rv.MaxWith(NewPoint(c), gridSize)
 }

@@ -171,17 +171,17 @@ func TestMaxAgainstMonteCarlo(t *testing.T) {
 func TestMaxWithPointCases(t *testing.T) {
 	a := FromDist(Uniform{2, 4}, 64)
 	// Constant below support: identity.
-	m := a.MaxConst(1, 64)
+	m := a.MaxWith(NewPoint(1), 64)
 	if !almostEqual(m.Mean(), 3, 0.02) {
 		t.Errorf("max(X, low) mean = %g, want 3", m.Mean())
 	}
 	// Constant above support: the constant.
-	m = a.MaxConst(9, 64)
+	m = a.MaxWith(NewPoint(9), 64)
 	if !m.IsPoint() || m.Lo() != 9 {
 		t.Error("max(X, high) should be the point")
 	}
 	// Constant inside support: truncated with atom; mean between.
-	m = a.MaxConst(3, 64)
+	m = a.MaxWith(NewPoint(3), 64)
 	if m.Mean() < 3 || m.Mean() > 3.6 {
 		t.Errorf("max(X, mid) mean = %g, want in (3, 3.6)", m.Mean())
 	}
@@ -268,14 +268,14 @@ func TestFromPDFValidation(t *testing.T) {
 	}
 }
 
-func TestAddConstAndShift(t *testing.T) {
+func TestShift(t *testing.T) {
 	rv := FromDist(Uniform{0, 2}, 64)
-	sh := rv.AddConst(10)
+	sh := rv.Shift(10)
 	if !almostEqual(sh.Mean(), rv.Mean()+10, 1e-9) {
-		t.Error("AddConst mean wrong")
+		t.Error("Shift mean wrong")
 	}
 	if !almostEqual(sh.Variance(), rv.Variance(), 1e-9) {
-		t.Error("AddConst must not change variance")
+		t.Error("Shift must not change variance")
 	}
 }
 

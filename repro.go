@@ -167,10 +167,6 @@ func BIL(scen *Scenario) (HeuristicResult, error) { return heuristics.BIL(scen) 
 // HBMCT schedules the scenario with the hybrid BMCT heuristic.
 func HBMCT(scen *Scenario) (HeuristicResult, error) { return heuristics.HBMCT(scen) }
 
-// CPOP schedules the scenario with Critical-Path-on-a-Processor
-// (an additional makespan-centric baseline cited by the paper).
-func CPOP(scen *Scenario) (HeuristicResult, error) { return heuristics.CPOP(scen) }
-
 // SDHEFT schedules the scenario with the σ-aware list heuristic the
 // paper proposes as future work: every cost is mean + lambda·σ.
 func SDHEFT(scen *Scenario, lambda float64) (HeuristicResult, error) {
