@@ -32,7 +32,7 @@ func main() {
 	case "gausselim":
 		g = graphgen.GaussElim(*n, 10, 20, rng)
 	case "random":
-		g, _ = graphgen.Random(graphgen.DefaultRandomParams(*n), rng)
+		g, _ = graphgen.Random(*n, rng)
 	case "join":
 		g = graphgen.Join(*n, 1)
 	case "fork":

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/heuristics"
 	"repro/internal/makespan"
@@ -134,11 +133,9 @@ func AccuracyStudyRun(cfg Config) (*AccuracyStudy, error) {
 		return nil, err
 	}
 	families := FamilyNames()
-	sort.Strings(families)
 	schedulesPerFamily := studySchedulesPerFamily(cfg)
 
 	hs := heuristics.All()
-	sort.Slice(hs, func(i, j int) bool { return hs[i].Name < hs[j].Name })
 
 	accs := studyAccuracies()
 	study := &AccuracyStudy{Families: families, Schedules: schedulesPerFamily}

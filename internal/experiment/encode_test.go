@@ -207,8 +207,7 @@ func TestVariableULJSONRoundTripWithNaN(t *testing.T) {
 }
 
 func TestSpecJSONRoundTripsEveryFamily(t *testing.T) {
-	// Every registered family — built-in or added later — must survive
-	// the spec encode/decode by name.
+	// Every family must survive the spec encode/decode by name.
 	for _, name := range FamilyNames() {
 		spec := CaseSpec{Name: "rt-" + name, Family: name, N: 10, M: 3, UL: 1.1, Seed: 9}
 		got, err := specFromJSON(specToJSON(spec))
@@ -217,7 +216,7 @@ func TestSpecJSONRoundTripsEveryFamily(t *testing.T) {
 		}
 	}
 	if _, err := specFromJSON(caseSpecJSON{Family: "kind(7)"}); err == nil {
-		t.Error("unregistered family accepted")
+		t.Error("unknown family accepted")
 	}
 }
 

@@ -1,13 +1,11 @@
 package experiment
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"testing"
 	"time"
 
-	"repro/internal/heuristics"
 	"repro/internal/runner"
 )
 
@@ -47,44 +45,24 @@ func TestFig1SizeOrderInvariance(t *testing.T) {
 }
 
 // RunCaseOn must emit heuristic rows sorted by stable name, so the
-// resulting JSON document is byte-identical no matter how (in what
-// order) the heuristics were registered.
+// resulting JSON document lists them in one fixed order.
 func TestRunCaseHeuristicOrderInvariance(t *testing.T) {
-	runJSON := func() []byte {
-		t.Helper()
-		cfg := testConfig()
-		cfg.Schedules = 8
-		res, err := RunCase(Fig3Case(5), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+	cfg := testConfig()
+	cfg.Schedules = 8
+	res, err := RunCase(Fig3Case(5), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := runJSON()
-
-	// Reverse the registration order and re-run: same bytes.
-	orig := heuristics.SwapRegistry(nil)
-	defer heuristics.SwapRegistry(orig)
-	rev := make([]heuristics.Entry, len(orig))
-	for i, e := range orig {
-		rev[len(orig)-1-i] = e
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
 	}
-	heuristics.SwapRegistry(rev)
-	if got := runJSON(); !bytes.Equal(got, want) {
-		t.Error("case JSON depends on heuristic registration order")
-	}
-
-	// Sanity: the rows really are name-sorted.
 	var doc struct {
 		Heuristics []struct {
 			Name string `json:"name"`
 		} `json:"heuristics"`
 	}
-	if err := json.Unmarshal(want, &doc); err != nil {
+	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
 	if len(doc.Heuristics) == 0 {

@@ -3,7 +3,7 @@ package experiment
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -414,19 +414,17 @@ func TestWithDerivedSeed(t *testing.T) {
 }
 
 func TestBuiltinFamilyNames(t *testing.T) {
-	// The legacy GraphKind spellings must survive as registered family
-	// names: JSON documents and cache semantics reference them.
+	// The legacy GraphKind spellings must survive as family names:
+	// JSON documents and cache semantics reference them.
 	for _, name := range []string{"random", "cholesky", "gausselim", "join"} {
 		if _, err := FamilyByName(name); err != nil {
-			t.Errorf("legacy family %q not registered: %v", name, err)
+			t.Errorf("legacy family %q not found: %v", name, err)
 		}
 	}
-	names := FamilyNames()
-	if len(names) < 9 {
-		t.Errorf("only %d families registered: %v", len(names), names)
-	}
-	if !sort.StringsAreSorted(names) {
-		t.Errorf("FamilyNames not sorted: %v", names)
+	want := []string{"cholesky", "fft", "gausselim", "intree", "join",
+		"outtree", "random", "seriesparallel", "stg", "strassen"}
+	if names := FamilyNames(); !slices.Equal(names, want) {
+		t.Errorf("FamilyNames() = %v, want %v", names, want)
 	}
 }
 

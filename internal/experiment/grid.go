@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // Sweep describes a generalized case grid: every registered workload
 // family crossed with requested sizes, uncertainty levels and repeated
@@ -103,15 +100,4 @@ func (s Sweep) Cases(seed int64) ([]CaseSpec, error) {
 		}
 	}
 	return cases, nil
-}
-
-// Run expands the grid and executes it like Fig. 6: all cases through
-// RunCases on one shared pool, their Pearson matrices aggregated
-// element-wise.
-func (s Sweep) Run(ctx context.Context, cfg Config, opts RunOptions) (*Fig6Result, error) {
-	specs, err := s.Cases(cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return AggregateCases(ctx, specs, cfg, opts)
 }

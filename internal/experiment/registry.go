@@ -3,23 +3,21 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/graphgen"
 )
 
-// GraphFamily is one registered workload: a stable string name (the
+// GraphFamily is one workload family: a stable string name (the
 // identity hashed into disk-cache keys and written into JSON
 // documents), a size-rounding function mapping requested task counts
 // onto the family's achievable size grid, and a generator.
 //
-// Families are registered by name in a process-wide registry; the
-// paper's three application structures plus the elementary join ship
-// built in, and callers can RegisterFamily additional ones. Cache keys
-// and JSON documents reference families only by name, so registration
-// order can never alias results across families.
+// The families form one fixed table, sorted by name: the paper's
+// random, Cholesky and Gaussian-elimination graphs and its elementary
+// join, plus six shapes from the scheduling literature. Cache keys and JSON
+// documents reference families only by name, so the table's order can
+// never alias results across families.
 type GraphFamily struct {
 	// Name is the stable identifier. It must be non-empty and unique;
 	// it appears in case names, JSON documents, CLI flags and cache
@@ -69,57 +67,22 @@ const (
 	STGFamily            = "stg"
 )
 
-var (
-	familiesMu sync.RWMutex
-	families   = make(map[string]GraphFamily)
-)
-
-// RegisterFamily adds a workload family to the registry. The name must
-// be non-empty and not yet taken, and both closures must be set.
-func RegisterFamily(f GraphFamily) error {
-	if f.Name == "" {
-		return fmt.Errorf("experiment: RegisterFamily: empty family name")
-	}
-	if f.RoundSize == nil || f.Generate == nil {
-		return fmt.Errorf("experiment: RegisterFamily %q: RoundSize and Generate are required", f.Name)
-	}
-	familiesMu.Lock()
-	defer familiesMu.Unlock()
-	if _, dup := families[f.Name]; dup {
-		return fmt.Errorf("experiment: RegisterFamily %q: already registered", f.Name)
-	}
-	families[f.Name] = f
-	return nil
-}
-
-// MustRegisterFamily is RegisterFamily panicking on error, for
-// package-init registration.
-func MustRegisterFamily(f GraphFamily) {
-	if err := RegisterFamily(f); err != nil {
-		panic(err)
-	}
-}
-
 // FamilyByName looks a family up by its stable name.
 func FamilyByName(name string) (GraphFamily, error) {
-	familiesMu.RLock()
-	f, ok := families[name]
-	familiesMu.RUnlock()
-	if !ok {
-		return GraphFamily{}, fmt.Errorf("experiment: unknown workload family %q (registered: %v)", name, FamilyNames())
+	for _, f := range families {
+		if f.Name == name {
+			return f, nil
+		}
 	}
-	return f, nil
+	return GraphFamily{}, fmt.Errorf("experiment: unknown workload family %q (registered: %v)", name, FamilyNames())
 }
 
-// FamilyNames returns the registered family names, sorted.
+// FamilyNames returns the family names, sorted.
 func FamilyNames() []string {
-	familiesMu.RLock()
-	defer familiesMu.RUnlock()
-	names := make([]string, 0, len(families))
-	for name := range families {
-		names = append(names, name)
+	names := make([]string, len(families))
+	for i, f := range families {
+		names[i] = f.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -191,7 +154,7 @@ func gaussElimRound(n int) (size, count int, err error) {
 }
 
 func fftRound(n int) (points, count int, err error) {
-	k, c, err := gridRound(FFTFamily, n, 1, func(k int) int { return (1 << k) * (k + 1) })
+	k, c, err := gridRound(FFTFamily, n, 1, func(k int) int { return graphgen.FFTTaskCount(1 << k) })
 	return 1 << k, c, err
 }
 
@@ -203,16 +166,9 @@ func strassenRound(n int) (levels, count int, err error) {
 // families.
 const treeArity = 2
 
-func init() {
-	MustRegisterFamily(GraphFamily{
-		Name:      RandomFamily,
-		RoundSize: exactSize(RandomFamily, 1),
-		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
-			g, weights := graphgen.Random(graphgen.DefaultRandomParams(n), rng)
-			return g, weights, nil
-		},
-	})
-	MustRegisterFamily(GraphFamily{
+// families is the table of workload families, sorted by Name.
+var families = []GraphFamily{
+	{
 		Name:      CholeskyFamily,
 		RoundSize: sizeOnly(choleskyRound),
 		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
@@ -222,47 +178,8 @@ func init() {
 			}
 			return graphgen.Cholesky(tiles, 10, 20, rng), nil, nil
 		},
-	})
-	MustRegisterFamily(GraphFamily{
-		Name:      GaussElimFamily,
-		RoundSize: sizeOnly(gaussElimRound),
-		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
-			size, _, err := gaussElimRound(n)
-			if err != nil {
-				return nil, nil, err
-			}
-			return graphgen.GaussElim(size, 10, 20, rng), nil, nil
-		},
-	})
-	MustRegisterFamily(GraphFamily{
-		Name:      JoinFamily,
-		RoundSize: exactSize(JoinFamily, 2),
-		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
-			return graphgen.Join(n, 0), nil, nil
-		},
-	})
-	MustRegisterFamily(GraphFamily{
-		Name:      InTreeFamily,
-		RoundSize: exactSize(InTreeFamily, 1),
-		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
-			return graphgen.InTree(n, treeArity, 10, 20, rng), nil, nil
-		},
-	})
-	MustRegisterFamily(GraphFamily{
-		Name:      OutTreeFamily,
-		RoundSize: exactSize(OutTreeFamily, 1),
-		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
-			return graphgen.OutTree(n, treeArity, 10, 20, rng), nil, nil
-		},
-	})
-	MustRegisterFamily(GraphFamily{
-		Name:      SeriesParallelFamily,
-		RoundSize: exactSize(SeriesParallelFamily, 2),
-		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
-			return graphgen.SeriesParallel(n, 10, 20, rng), nil, nil
-		},
-	})
-	MustRegisterFamily(GraphFamily{
+	},
+	{
 		Name:      FFTFamily,
 		RoundSize: sizeOnly(fftRound),
 		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
@@ -272,8 +189,62 @@ func init() {
 			}
 			return graphgen.FFT(points, 10, 20, rng), nil, nil
 		},
-	})
-	MustRegisterFamily(GraphFamily{
+	},
+	{
+		Name:      GaussElimFamily,
+		RoundSize: sizeOnly(gaussElimRound),
+		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
+			size, _, err := gaussElimRound(n)
+			if err != nil {
+				return nil, nil, err
+			}
+			return graphgen.GaussElim(size, 10, 20, rng), nil, nil
+		},
+	},
+	{
+		Name:      InTreeFamily,
+		RoundSize: exactSize(InTreeFamily, 1),
+		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
+			return graphgen.InTree(n, treeArity, 10, 20, rng), nil, nil
+		},
+	},
+	{
+		Name:      JoinFamily,
+		RoundSize: exactSize(JoinFamily, 2),
+		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
+			return graphgen.Join(n, 0), nil, nil
+		},
+	},
+	{
+		Name:      OutTreeFamily,
+		RoundSize: exactSize(OutTreeFamily, 1),
+		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
+			return graphgen.OutTree(n, treeArity, 10, 20, rng), nil, nil
+		},
+	},
+	{
+		Name:      RandomFamily,
+		RoundSize: exactSize(RandomFamily, 1),
+		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
+			g, weights := graphgen.Random(n, rng)
+			return g, weights, nil
+		},
+	},
+	{
+		Name:      SeriesParallelFamily,
+		RoundSize: exactSize(SeriesParallelFamily, 2),
+		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
+			return graphgen.SeriesParallel(n, 10, 20, rng), nil, nil
+		},
+	},
+	{
+		Name:      STGFamily,
+		RoundSize: exactSize(STGFamily, 3),
+		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
+			return graphgen.STG(graphgen.DefaultSTGParams(n), 10, 20, rng), nil, nil
+		},
+	},
+	{
 		Name:      StrassenFamily,
 		RoundSize: sizeOnly(strassenRound),
 		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
@@ -283,12 +254,5 @@ func init() {
 			}
 			return graphgen.Strassen(levels, 10, 20, rng), nil, nil
 		},
-	})
-	MustRegisterFamily(GraphFamily{
-		Name:      STGFamily,
-		RoundSize: exactSize(STGFamily, 3),
-		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
-			return graphgen.STG(graphgen.DefaultSTGParams(n), 10, 20, rng), nil, nil
-		},
-	})
+	},
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/graphgen"
@@ -108,7 +107,7 @@ var feasibleSizes = map[string]int{
 	STGFamily:            12,
 }
 
-// Every registered family must run end to end through RunCases and
+// Every family must run end to end through RunCases and
 // produce a correlation matrix with finite, meaningful entries.
 func TestEveryFamilyRunsEndToEnd(t *testing.T) {
 	cfg := testConfig()
@@ -117,14 +116,7 @@ func TestEveryFamilyRunsEndToEnd(t *testing.T) {
 	for _, name := range FamilyNames() {
 		n, ok := feasibleSizes[name]
 		if !ok {
-			// A family registered by another test: pick a round size.
-			fam, err := FamilyByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n, err = fam.RoundSize(12); err != nil {
-				t.Fatalf("no feasible size for extra family %q: %v", name, err)
-			}
+			t.Fatalf("family %q has no entry in feasibleSizes", name)
 		}
 		specs = append(specs, CaseSpec{
 			Name: "e2e-" + name, Family: name, N: n, M: 3, UL: 1.1,
@@ -154,22 +146,6 @@ func TestEveryFamilyRunsEndToEnd(t *testing.T) {
 		if len(res.Metrics) != cfg.Schedules {
 			t.Errorf("%s: %d metric vectors, want %d", specs[i].Name, len(res.Metrics), cfg.Schedules)
 		}
-	}
-}
-
-func TestRegisterFamilyValidation(t *testing.T) {
-	if err := RegisterFamily(GraphFamily{}); err == nil {
-		t.Error("empty family accepted")
-	}
-	if err := RegisterFamily(GraphFamily{Name: "half-baked"}); err == nil {
-		t.Error("family without closures accepted")
-	}
-	if err := RegisterFamily(GraphFamily{
-		Name:      RandomFamily,
-		RoundSize: exactSize(RandomFamily, 1),
-		Generate:  families[RandomFamily].Generate,
-	}); err == nil || !strings.Contains(err.Error(), "already registered") {
-		t.Errorf("duplicate registration = %v", err)
 	}
 }
 
@@ -223,40 +199,21 @@ func TestCacheKeyV3NeverAliasesV2(t *testing.T) {
 	}
 }
 
-// Cache keys depend only on the stable family name, never on
-// registration order: registering more families must not move any
-// existing key, and distinct families must never share one.
+// Cache keys depend only on the stable family name, never on the
+// family's position in the table: distinct families must never share
+// one.
 func TestCacheKeyInvariantUnderRegistrationOrder(t *testing.T) {
 	cfg := DefaultConfig()
-	spec := func(family string) CaseSpec {
-		return CaseSpec{Name: "k", Family: family, N: 10, M: 3, UL: 1.1, Seed: 7}
-	}
-	before := make(map[string]string)
+	seen := make(map[string]string)
 	for _, name := range FamilyNames() {
-		key, err := CaseCacheKey(spec(name), cfg)
+		key, err := CaseCacheKey(CaseSpec{Name: "k", Family: name, N: 10, M: 3, UL: 1.1, Seed: 7}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prevFam, dup := before[key]; dup {
+		if prevFam, dup := seen[key]; dup {
 			t.Fatalf("families %q and %q share a cache key", prevFam, name)
 		}
-		before[key] = name
-	}
-	// Growing the registry — the v2 failure mode was exactly this —
-	// must leave every existing key untouched.
-	MustRegisterFamily(GraphFamily{
-		Name:      "test-registration-order-probe",
-		RoundSize: exactSize("test-registration-order-probe", 1),
-		Generate:  families[JoinFamily].Generate,
-	})
-	for key, name := range before {
-		again, err := CaseCacheKey(spec(name), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again != key {
-			t.Errorf("family %q cache key changed after registering another family", name)
-		}
+		seen[key] = name
 	}
 }
 

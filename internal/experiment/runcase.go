@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 
 	"repro/internal/heuristics"
@@ -156,12 +155,9 @@ func RunCaseOn(ctx context.Context, spec CaseSpec, cfg Config, pool *runner.Pool
 	res := &CaseResult{Spec: spec, Metrics: metrics}
 	// The heuristic evaluations go through the pool too: each costs as
 	// much as a schedule job, and running them on the case goroutine
-	// would let a wide sweep exceed the -workers bound. Rows are
-	// emitted in stable-name order, so the result — and any JSON or
-	// report rendered from it — does not depend on the heuristics'
-	// registration order (the PR 3 iota-key lesson applied to rows).
+	// would let a wide sweep exceed the -workers bound. Rows follow
+	// heuristics.All, which lists the heuristics by name.
 	hs := heuristics.All()
-	sort.Slice(hs, func(i, j int) bool { return hs[i].Name < hs[j].Name })
 	hres := make([]HeuristicResult, len(hs))
 	err = pool.Batch(ctx, len(hs), func(i int) error {
 		h := hs[i]

@@ -227,13 +227,12 @@ func runCaseSupervised(ctx context.Context, spec CaseSpec, cfg Config, pool *run
 	if cfg.MaxRetries > 0 {
 		attempts += cfg.MaxRetries
 	}
-	policy := resilience.DefaultRetryPolicy(cfg.MaxRetries)
 	rep := CaseReport{Case: spec.Name}
 	var lastErr error
 	timeouts := 0
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			if err := resilience.Sleep(ctx, policy.Backoff(attempt, spec.Seed, spec.Name)); err != nil {
+			if err := resilience.Sleep(ctx, resilience.Backoff(attempt, spec.Seed, spec.Name)); err != nil {
 				return nil, err // sweep cancelled while backing off
 			}
 		}

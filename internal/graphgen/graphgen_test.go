@@ -11,7 +11,7 @@ import (
 func TestRandomBasicStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 10, 30, 100} {
-		g, weights := Random(DefaultRandomParams(n), rng)
+		g, weights := Random(n, rng)
 		if g.N() != n {
 			t.Fatalf("n=%d: graph has %d nodes", n, g.N())
 		}
@@ -37,8 +37,7 @@ func TestRandomBasicStructure(t *testing.T) {
 
 func TestRandomWeightStatistics(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	p := DefaultRandomParams(2000)
-	_, weights := Random(p, rng)
+	_, weights := Random(2000, rng)
 	var sum float64
 	for _, w := range weights {
 		sum += w
@@ -51,7 +50,7 @@ func TestRandomWeightStatistics(t *testing.T) {
 
 func TestRandomEdgeVolumesRespectCCR(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	g, _ := Random(DefaultRandomParams(200), rng)
+	g, _ := Random(200, rng)
 	var sum float64
 	edges := g.Edges()
 	for _, e := range edges {
@@ -68,8 +67,8 @@ func TestRandomEdgeVolumesRespectCCR(t *testing.T) {
 }
 
 func TestRandomSeedDeterminism(t *testing.T) {
-	g1, w1 := Random(DefaultRandomParams(50), rand.New(rand.NewSource(9)))
-	g2, w2 := Random(DefaultRandomParams(50), rand.New(rand.NewSource(9)))
+	g1, w1 := Random(50, rand.New(rand.NewSource(9)))
+	g2, w2 := Random(50, rand.New(rand.NewSource(9)))
 	if g1.EdgeCount() != g2.EdgeCount() {
 		t.Fatal("same seed produced different edge counts")
 	}
@@ -197,7 +196,7 @@ func TestGeneratorsAcyclicProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(40)
-		g, _ := Random(DefaultRandomParams(n), rng)
+		g, _ := Random(n, rng)
 		ch := Cholesky(1+rng.Intn(5), 1, 2, rng)
 		ge := GaussElim(2+rng.Intn(6), 1, 2, rng)
 		return g.IsAcyclic() && ch.IsAcyclic() && ge.IsAcyclic()

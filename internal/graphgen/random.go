@@ -12,50 +12,30 @@ import (
 	"repro/internal/stochastic"
 )
 
-// RandomParams are the random-DAG parameters named in §V of the paper.
-type RandomParams struct {
-	N       int     // number of tasks
-	CCR     float64 // communication-to-computation ratio (paper: 0.1)
-	MuTask  float64 // average computation cost (paper: 20)
-	VTask   float64 // task coefficient of variation (paper: 0.5)
-	MuComm  float64 // average communication volume; 0 = MuTask·CCR
-	Connect float64 // optional edge-thinning factor in (0,1]; 1 = paper's rule
-}
+// The random-DAG parameters of §V of the paper.
+const (
+	randomCCR    = 0.1 // communication-to-computation ratio
+	randomMuTask = 20  // average computation cost
+	randomVTask  = 0.5 // task and edge coefficient of variation
+)
 
-// DefaultRandomParams returns the paper's parameter set for n tasks.
-func DefaultRandomParams(n int) RandomParams {
-	return RandomParams{N: n, CCR: 0.1, MuTask: 20, VTask: 0.5, Connect: 1}
-}
-
-// Random generates a layered random DAG following the construction of
-// §V: nodes are created one at a time, each new node chooses its
-// in-degree uniformly between 1 and the number of already-created
+// Random generates the layered random DAG of §V with n tasks: nodes
+// are created one at a time, each new node chooses its in-degree
+// uniformly between 1 and the number of already-created
 // ("higher-level") nodes, and connects to that many distinct higher
 // nodes. Edge communication volumes are Gamma distributed with mean
-// MuComm (defaulting to MuTask·CCR) and coefficient of variation VTask.
+// µtask·CCR = 2 and coefficient of variation V = 0.5.
 //
 // The returned weights are the per-task average computation costs drawn
-// from Gamma(MuTask, VTask); the platform package turns them into an
-// unrelated ETC matrix with the machine CV.
-func Random(p RandomParams, rng *rand.Rand) (*dag.Graph, []float64) {
-	n := p.N
+// from a Gamma of mean µtask = 20 and the same V; the platform package
+// turns them into an unrelated ETC matrix with the machine CV.
+func Random(n int, rng *rand.Rand) (*dag.Graph, []float64) {
 	g := dag.New(n)
-	if p.Connect <= 0 || p.Connect > 1 {
-		p.Connect = 1
-	}
-	muComm := p.MuComm
-	if muComm <= 0 {
-		muComm = p.MuTask * p.CCR
-	}
-	commDist := stochastic.GammaFromMeanCV(muComm, p.VTask)
-	taskDist := stochastic.GammaFromMeanCV(p.MuTask, p.VTask)
+	commDist := stochastic.GammaFromMeanCV(randomMuTask*randomCCR, randomVTask)
+	taskDist := stochastic.GammaFromMeanCV(randomMuTask, randomVTask)
 
 	for i := 1; i < n; i++ {
-		maxDeg := int(float64(i)*p.Connect + 0.5)
-		if maxDeg < 1 {
-			maxDeg = 1
-		}
-		deg := 1 + rng.Intn(maxDeg)
+		deg := 1 + rng.Intn(i)
 		for _, parent := range rng.Perm(i)[:deg] {
 			vol := commDist.Sample(rng)
 			if vol < 0 {

@@ -16,9 +16,7 @@
 package heuristics
 
 import (
-	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/platform"
@@ -192,67 +190,15 @@ func ByName(name string) func(*platform.Scenario) (Result, error) {
 	}
 }
 
-// Entry is one registered scheduling heuristic: a stable display name
-// and its entry point.
+// Entry is one of the paper's scheduling heuristics: a stable display
+// name and its entry point.
 type Entry struct {
 	Name string
 	Fn   func(*platform.Scenario) (Result, error)
 }
 
-var (
-	registryMu sync.Mutex
-	registry   []Entry
-)
-
-func init() {
-	// The paper's three heuristics, in presentation order.
-	MustRegister("BIL", BIL)
-	MustRegister("HEFT", HEFT)
-	MustRegister("HBMCT", HBMCT)
-}
-
-// Register adds a heuristic to the experiment registry under a stable
-// name. Registration order is NOT a stable contract: consumers that
-// persist results (experiment.RunCaseOn) sort entries by name before
-// emitting rows, so two builds registering in different orders produce
-// identical documents.
-func Register(name string, fn func(*platform.Scenario) (Result, error)) error {
-	if name == "" || fn == nil {
-		return fmt.Errorf("heuristics: Register needs a name and a function")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	for _, e := range registry {
-		if e.Name == name {
-			return fmt.Errorf("heuristics: %q already registered", name)
-		}
-	}
-	registry = append(registry, Entry{Name: name, Fn: fn})
-	return nil
-}
-
-// MustRegister is Register, panicking on error (init-time use).
-func MustRegister(name string, fn func(*platform.Scenario) (Result, error)) {
-	if err := Register(name, fn); err != nil {
-		panic(err)
-	}
-}
-
-// All returns the registered heuristics in registration order. Callers
-// needing a stable order must sort by Name.
+// All returns the paper's three heuristics sorted by name, the order
+// in which experiment rows list them. The slice is fresh on every call.
 func All() []Entry {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	return append([]Entry(nil), registry...)
-}
-
-// SwapRegistry replaces the whole registry and returns the previous
-// contents. It exists for tests that prove consumers are independent of
-// registration order; restore the returned slice when done.
-func SwapRegistry(entries []Entry) []Entry {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	old := registry
-	registry = append([]Entry(nil), entries...)
-	return old
+	return []Entry{{"BIL", BIL}, {"HBMCT", HBMCT}, {"HEFT", HEFT}}
 }

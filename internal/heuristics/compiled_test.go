@@ -73,7 +73,7 @@ func TestIndependentGroupsCSRMatchesBitset(t *testing.T) {
 		graphgen.Join(8, 1),
 	}
 	for i := 0; i < 10; i++ {
-		g, _ := graphgen.Random(graphgen.DefaultRandomParams(5+rng.Intn(60)), rng)
+		g, _ := graphgen.Random(5+rng.Intn(60), rng)
 		graphs = append(graphs, g)
 	}
 	for gi, g := range graphs {
@@ -172,7 +172,7 @@ func TestZeroDurationTieBreak(t *testing.T) {
 // Model-based values bit-for-bit on a heterogeneous scenario.
 func TestCostModelMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	g, w := graphgen.Random(graphgen.DefaultRandomParams(40), rng)
+	g, w := graphgen.Random(40, rng)
 	tau, lat := platform.NewUniformNetwork(4, 0.8, 0.2)
 	scen := &platform.Scenario{
 		G:  g,

@@ -2,6 +2,7 @@ package heuristics
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dag"
@@ -13,7 +14,7 @@ import (
 // randomScenario builds a reproducible random scenario.
 func randomScenario(n, m int, ul float64, seed int64) *platform.Scenario {
 	rng := rand.New(rand.NewSource(seed))
-	g, w := graphgen.Random(graphgen.DefaultRandomParams(n), rng)
+	g, w := graphgen.Random(n, rng)
 	tau, lat := platform.NewUniformNetwork(m, 1, 0)
 	p := &platform.Platform{
 		M:   m,
@@ -303,6 +304,18 @@ func TestByName(t *testing.T) {
 	}
 	if ByName("nope") != nil {
 		t.Error("ByName should return nil for unknown names")
+	}
+}
+
+// All lists the paper's three heuristics by name, the order experiment
+// rows follow.
+func TestAllSortedByName(t *testing.T) {
+	var names []string
+	for _, e := range All() {
+		names = append(names, e.Name)
+	}
+	if want := []string{"BIL", "HBMCT", "HEFT"}; !slices.Equal(names, want) {
+		t.Errorf("All() names = %v, want %v", names, want)
 	}
 }
 

@@ -80,7 +80,7 @@ func TestCompiledDodinMatchesLegacyOnRandom(t *testing.T) {
 	bothSucceeded := 0
 	const trials = 10
 	for i := 0; i < trials; i++ {
-		g, w := graphgen.Random(graphgen.DefaultRandomParams(10), rng)
+		g, w := graphgen.Random(10, rng)
 		tau, lat := platform.NewUniformNetwork(3, 1, 0)
 		scen := &platform.Scenario{
 			G:  g,
@@ -115,7 +115,7 @@ func TestCompiledDodinMatchesLegacyOnRandom(t *testing.T) {
 // classical result.
 func TestEvalModelDodinFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	g, w := graphgen.Random(graphgen.DefaultRandomParams(20), rng)
+	g, w := graphgen.Random(20, rng)
 	tau, lat := platform.NewUniformNetwork(3, 1, 0)
 	scen := &platform.Scenario{
 		G:  g,

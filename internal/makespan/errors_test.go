@@ -43,7 +43,7 @@ func TestEvaluatorsRejectBadInput(t *testing.T) {
 // method (extension coverage).
 func TestEvaluatorsWithProcUL(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	g, w := graphgen.Random(graphgen.DefaultRandomParams(12), rng)
+	g, w := graphgen.Random(12, rng)
 	tau, lat := platform.NewUniformNetwork(2, 1, 0)
 	scen := &platform.Scenario{
 		G:  g,
@@ -137,7 +137,7 @@ func TestDodinStrictOnRandomSchedules(t *testing.T) {
 	succeeded := 0
 	const trials = 10
 	for i := 0; i < trials; i++ {
-		g, w := graphgen.Random(graphgen.DefaultRandomParams(10), rng)
+		g, w := graphgen.Random(10, rng)
 		tau, lat := platform.NewUniformNetwork(3, 1, 0)
 		scen := &platform.Scenario{
 			G:  g,

@@ -263,7 +263,7 @@ func TestDodinGeneralGraphCloseToClassic(t *testing.T) {
 	// classic make the same independence approximation and should stay
 	// close.
 	rng := rand.New(rand.NewSource(6))
-	g, w := graphgen.Random(graphgen.DefaultRandomParams(15), rng)
+	g, w := graphgen.Random(15, rng)
 	tau, lat := platform.NewUniformNetwork(3, 1, 0)
 	scen := &platform.Scenario{
 		G:  g,
@@ -312,7 +312,7 @@ func TestClassicOnRandomScheduleAgainstMC(t *testing.T) {
 	// End-to-end accuracy check mirroring Fig. 1's small-graph regime:
 	// for a 10-task random graph the independence assumption is good.
 	rng := rand.New(rand.NewSource(7))
-	g, w := graphgen.Random(graphgen.DefaultRandomParams(10), rng)
+	g, w := graphgen.Random(10, rng)
 	tau, lat := platform.NewUniformNetwork(3, 1, 0)
 	scen := &platform.Scenario{
 		G:  g,

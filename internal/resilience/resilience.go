@@ -81,42 +81,25 @@ func ClassifyKind(err error) string {
 	}
 }
 
-// RetryPolicy bounds the supervised retry loop: up to MaxRetries
-// re-attempts after the first failure, sleeping an exponentially
-// growing, jittered, capped delay between attempts.
-type RetryPolicy struct {
-	MaxRetries int
-	BaseDelay  time.Duration // first backoff (default 50ms)
-	MaxDelay   time.Duration // backoff cap (default 2s)
-}
-
-// DefaultRetryPolicy returns the policy used when the caller only
-// picks a retry count.
-func DefaultRetryPolicy(maxRetries int) RetryPolicy {
-	return RetryPolicy{MaxRetries: maxRetries, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
-}
+// Backoff's first delay and its cap.
+const (
+	baseDelay = 50 * time.Millisecond
+	maxDelay  = 2 * time.Second
+)
 
 // Backoff returns the delay before re-attempt number attempt (1-based:
-// the delay after the first failure is Backoff(1)). The delay doubles
-// per attempt from BaseDelay up to MaxDelay, with a deterministic
+// the delay after the first failure is Backoff(1, …)). The delay
+// doubles per attempt from baseDelay up to maxDelay, with a deterministic
 // jitter in [0.5, 1.0]× derived from (seed, label, attempt) — seeded
 // jitter keeps retry storms decorrelated across cases while leaving
 // runs reproducible.
-func (p RetryPolicy) Backoff(attempt int, seed int64, label string) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	maxd := p.MaxDelay
-	if maxd <= 0 {
-		maxd = 2 * time.Second
-	}
-	d := base
-	for i := 1; i < attempt && d < maxd; i++ {
+func Backoff(attempt int, seed int64, label string) time.Duration {
+	d := baseDelay
+	for i := 1; i < attempt && d < maxDelay; i++ {
 		d *= 2
 	}
-	if d > maxd {
-		d = maxd
+	if d > maxDelay {
+		d = maxDelay
 	}
 	// Deterministic jitter in [0.5, 1.0]: a hash of the identity, not
 	// the wall clock, so two runs of the same sweep back off alike.

@@ -64,18 +64,17 @@ func TestCaseErrorUnwraps(t *testing.T) {
 }
 
 func TestBackoffDeterministicBoundedGrowing(t *testing.T) {
-	p := DefaultRetryPolicy(5)
-	if a, b := p.Backoff(2, 7, "case-a"), p.Backoff(2, 7, "case-a"); a != b {
+	if a, b := Backoff(2, 7, "case-a"), Backoff(2, 7, "case-a"); a != b {
 		t.Fatalf("backoff not deterministic: %v vs %v", a, b)
 	}
-	if a, b := p.Backoff(2, 7, "case-a"), p.Backoff(2, 7, "case-b"); a == b {
+	if a, b := Backoff(2, 7, "case-a"), Backoff(2, 7, "case-b"); a == b {
 		t.Error("different labels share jitter")
 	}
 	prevMax := time.Duration(0)
 	for attempt := 1; attempt <= 10; attempt++ {
-		d := p.Backoff(attempt, 1, "x")
+		d := Backoff(attempt, 1, "x")
 		// Jitter spans [0.5, 1.0]× the exponential step.
-		lo, hi := time.Duration(0), p.MaxDelay
+		lo, hi := time.Duration(0), maxDelay
 		if d < lo || d > hi {
 			t.Errorf("attempt %d backoff %v outside [%v, %v]", attempt, d, lo, hi)
 		}
@@ -83,10 +82,10 @@ func TestBackoffDeterministicBoundedGrowing(t *testing.T) {
 			prevMax = d
 		}
 	}
-	if prevMax > p.MaxDelay {
-		t.Errorf("backoff exceeds cap: %v > %v", prevMax, p.MaxDelay)
+	if prevMax > maxDelay {
+		t.Errorf("backoff exceeds cap: %v > %v", prevMax, maxDelay)
 	}
-	if base := p.Backoff(1, 1, "x"); base < p.BaseDelay/2 || base > p.BaseDelay {
+	if base := Backoff(1, 1, "x"); base < baseDelay/2 || base > baseDelay {
 		t.Errorf("first backoff %v outside [base/2, base]", base)
 	}
 }

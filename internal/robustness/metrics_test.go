@@ -128,7 +128,7 @@ func TestSlackParallelTasks(t *testing.T) {
 
 func TestFromSamplesMatchesFromDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	g, w := graphgen.Random(graphgen.DefaultRandomParams(12), rng)
+	g, w := graphgen.Random(12, rng)
 	tau, lat := platform.NewUniformNetwork(3, 1, 0)
 	scen := &platform.Scenario{
 		G:  g,

@@ -22,7 +22,7 @@ func randomSimulator(t *testing.T, n, m int, ul float64, seed int64) *Simulator 
 func randomSimulatorDur(t *testing.T, n, m int, ul float64, seed int64, durFn func(min, ul float64) stochastic.Dist) *Simulator {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g, w := graphgen.Random(graphgen.DefaultRandomParams(n), rng)
+	g, w := graphgen.Random(n, rng)
 	tau, lat := platform.NewUniformNetwork(m, 1, 0)
 	p := &platform.Platform{
 		M:   m,

@@ -295,7 +295,7 @@ func TestRealizationAboveCriticalPathProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 20; trial++ {
 		n := 5 + rng.Intn(20)
-		g, w := graphgen.Random(graphgen.DefaultRandomParams(n), rng)
+		g, w := graphgen.Random(n, rng)
 		m := 2 + rng.Intn(3)
 		tau, lat := platform.NewUniformNetwork(m, 1, 0)
 		p := &platform.Platform{

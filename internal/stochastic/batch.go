@@ -21,8 +21,7 @@ type BatchSampler interface {
 type SamplerMode int
 
 const (
-	// SamplerExact draws through the distribution's own Sample method
-	// (specialized per concrete type but with identical arithmetic),
+	// SamplerExact draws through the distribution's own Sample method,
 	// so the stream is bit-compatible with per-sample Dist.Sample
 	// calls on the same rng.
 	SamplerExact SamplerMode = iota
@@ -60,21 +59,14 @@ func ParseSamplerMode(s string) (SamplerMode, error) {
 }
 
 // NewBatchSampler returns a batch sampler for d under the given mode.
-// The exact-mode samplers call the concrete type's Sample directly
-// (devirtualized, inlinable), so their streams are bit-identical to
-// looping d.Sample on the same rng.
+// Exact-mode streams are bit-identical to looping d.Sample on the same
+// rng. Beta, the duration law of the paper's model, calls its concrete
+// Sample directly (devirtualized); distributions other than Dirac,
+// Beta and Shifted pay one interface call per variate.
 func NewBatchSampler(d Dist, mode SamplerMode) BatchSampler {
 	switch v := d.(type) {
 	case Dirac:
 		return constSampler{v.Value}
-	case Uniform:
-		return uniformSampler{v}
-	case Normal:
-		return normalSampler{v}
-	case Exponential:
-		return expSampler{v}
-	case LogNormal:
-		return logNormalSampler{v}
 	case Beta:
 		if mode == SamplerTable {
 			return newBetaTableSampler(v)
@@ -92,38 +84,6 @@ type constSampler struct{ v float64 }
 func (s constSampler) SampleN(dst []float64, _ *rand.Rand) {
 	for i := range dst {
 		dst[i] = s.v
-	}
-}
-
-type uniformSampler struct{ d Uniform }
-
-func (s uniformSampler) SampleN(dst []float64, rng *rand.Rand) {
-	for i := range dst {
-		dst[i] = s.d.Sample(rng)
-	}
-}
-
-type normalSampler struct{ d Normal }
-
-func (s normalSampler) SampleN(dst []float64, rng *rand.Rand) {
-	for i := range dst {
-		dst[i] = s.d.Sample(rng)
-	}
-}
-
-type expSampler struct{ d Exponential }
-
-func (s expSampler) SampleN(dst []float64, rng *rand.Rand) {
-	for i := range dst {
-		dst[i] = s.d.Sample(rng)
-	}
-}
-
-type logNormalSampler struct{ d LogNormal }
-
-func (s logNormalSampler) SampleN(dst []float64, rng *rand.Rand) {
-	for i := range dst {
-		dst[i] = s.d.Sample(rng)
 	}
 }
 
@@ -147,9 +107,8 @@ func (s shiftedSampler) SampleN(dst []float64, rng *rand.Rand) {
 	}
 }
 
-// genericSampler covers distributions with no specialized batch path
-// (e.g. the Special oscillating family); it pays the interface call
-// per sample, exactly like the legacy engine.
+// genericSampler covers distributions with no specialized batch path;
+// it pays the interface call per sample.
 type genericSampler struct{ d Dist }
 
 func (s genericSampler) SampleN(dst []float64, rng *rand.Rand) {
