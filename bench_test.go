@@ -149,7 +149,7 @@ func BenchmarkAblationConvolution(b *testing.B) {
 	})
 	b.Run("overlapadd-2048x64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			numeric.ConvolveOverlapAdd(long, a64, 0)
+			numeric.ConvolveOverlapAdd(long, a64)
 		}
 	})
 }

@@ -55,7 +55,7 @@
 //	            [-families A,B,...] [-sweep-sizes N,...] [-sweep-uls U,...]
 //	            [-sweep-reps R]
 //	            [-case-timeout D] [-max-retries N] [-degrade-on-timeout]
-//	            [-keep-going] [-chaos SPEC] [-chaos-seed N]
+//	            [-keep-going] [-chaos SPEC]
 //
 // -sampler selects the Monte-Carlo realization engine: "exact" keeps
 // the bit-stable reference stream, "table" switches the Beta samplers
@@ -105,7 +105,6 @@ func main() {
 	degradeOnTimeout := flag.Bool("degrade-on-timeout", false, "when every timed attempt hits -case-timeout, deliver the case once at the next coarser -eval-accuracy preset (marked in the result and the failure report)")
 	keepGoing := flag.Bool("keep-going", false, "complete a sweep past permanently failed cases; failures are enumerated in the failure report instead of aborting siblings")
 	chaos := flag.String("chaos", "", "comma-separated fault injections kind@site[:dur] with kind panic|delay|error|corrupt (e.g. 'panic@attempt0/eval/0,delay@attempt0/build:3s,corrupt@'); site is a substring of injection-site names, empty matches all")
-	chaosSeed := flag.Int64("chaos-seed", 1, "seed for chaos-injection decisions")
 	// The sweep defaults cover every family whose size grid reaches the
 	// paper's ~{10,30,100} targets; strassen (25, 193, 1369, ... tasks)
 	// is opt-in with matching -sweep-sizes.
@@ -247,12 +246,14 @@ func main() {
 	env.opts.KeepGoing = *keepGoing
 	var injector *resilience.Injector
 	if *chaos != "" {
-		if injector, err = parseChaos(*chaosSeed, *chaos); err != nil {
+		faults, err := parseChaos(*chaos)
+		if err != nil {
 			fatalf("%v", err)
 		}
+		injector = resilience.NewInjector(faults...)
 		env.opts.Injector = injector
 		report.AttachInjector(injector)
-		log.Printf("chaos injection armed: %s (seed %d)", *chaos, *chaosSeed)
+		log.Printf("chaos injection armed: %s", *chaos)
 	}
 
 	if *cacheDir == "" && *resume {
@@ -314,7 +315,7 @@ func main() {
 
 // parseChaos assembles the -chaos fault list: comma-separated
 // kind@site tokens, with an optional :duration suffix on delay faults.
-func parseChaos(seed int64, spec string) (*resilience.Injector, error) {
+func parseChaos(spec string) ([]resilience.Fault, error) {
 	var faults []resilience.Fault
 	for _, tok := range strings.Split(spec, ",") {
 		tok = strings.TrimSpace(tok)
@@ -351,7 +352,7 @@ func parseChaos(seed int64, spec string) (*resilience.Injector, error) {
 	if len(faults) == 0 {
 		return nil, fmt.Errorf("-chaos: no faults in %q", spec)
 	}
-	return resilience.NewInjector(seed, faults...), nil
+	return faults, nil
 }
 
 // runEnv carries the per-invocation state shared by every figure.

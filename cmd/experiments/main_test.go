@@ -1,0 +1,78 @@
+package main
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/resilience"
+)
+
+func TestParseChaos(t *testing.T) {
+	for spec, want := range map[string][]resilience.Fault{
+		"panic@attempt0/eval/0": {{Site: "attempt0/eval/0", Kind: resilience.KindPanic}},
+		" error@heur/HEFT , corrupt@ ": {
+			{Site: "heur/HEFT", Kind: resilience.KindError},
+			{Site: "", Kind: resilience.KindCorrupt},
+		},
+		"delay@attempt0/build:70s": {{Site: "attempt0/build", Kind: resilience.KindDelay, Delay: 70 * time.Second}},
+		"delay@attempt0/build":     {{Site: "attempt0/build", Kind: resilience.KindDelay}},
+		// Only the last colon starts the duration.
+		"delay@a:b:5ms": {{Site: "a:b", Kind: resilience.KindDelay, Delay: 5 * time.Millisecond}},
+		// Other kinds take no duration: the colon belongs to the site.
+		"panic@x:3s": {{Site: "x:3s", Kind: resilience.KindPanic}},
+		"delay@attempt0/build:70s,panic@attempt1/eval/0,corrupt@": {
+			{Site: "attempt0/build", Kind: resilience.KindDelay, Delay: 70 * time.Second},
+			{Site: "attempt1/eval/0", Kind: resilience.KindPanic},
+			{Site: "", Kind: resilience.KindCorrupt},
+		},
+	} {
+		got, err := parseChaos(spec)
+		if err != nil {
+			t.Errorf("parseChaos(%q): %v", spec, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("parseChaos(%q) = %+v, want %+v", spec, got, want)
+		}
+	}
+	for _, bad := range []string{
+		"", " , ,", "panic", "boom@x", "Panic@x", "delay@x:soon", "delay@x:",
+	} {
+		if got, err := parseChaos(bad); err == nil {
+			t.Errorf("parseChaos(%q) = %+v, want an error", bad, got)
+		}
+	}
+}
+
+// parseChaos reads a flag value: whatever it is given, it must not
+// panic, every fault it accepts has a known kind, and only a delay
+// takes a :dur suffix.
+func FuzzParseChaos(f *testing.F) {
+	for _, s := range []string{
+		"panic@attempt0/eval/0", "delay@attempt0/build:3s,corrupt@", "error@x, delay@y:70s",
+		"delay@a:b:1ms", "panic@x:3s", "boom@x", "noat", ",,", "delay@x:zz", "delay@x:-1s",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		faults, err := parseChaos(spec)
+		if err != nil {
+			return
+		}
+		if len(faults) == 0 {
+			t.Fatalf("parseChaos(%q) accepted no faults", spec)
+		}
+		for _, fault := range faults {
+			switch fault.Kind {
+			case resilience.KindDelay:
+			case resilience.KindPanic, resilience.KindError, resilience.KindCorrupt:
+				if fault.Delay != 0 {
+					t.Fatalf("parseChaos(%q): %s fault carries a duration %v", spec, fault.Kind, fault.Delay)
+				}
+			default:
+				t.Fatalf("parseChaos(%q): unknown kind %v", spec, fault.Kind)
+			}
+		}
+	})
+}

@@ -241,7 +241,7 @@ var families = []GraphFamily{
 		Name:      STGFamily,
 		RoundSize: exactSize(STGFamily, 3),
 		Generate: func(n int, rng *rand.Rand) (*dag.Graph, []float64, error) {
-			return graphgen.STG(graphgen.DefaultSTGParams(n), 10, 20, rng), nil, nil
+			return graphgen.STG(n, 10, 20, rng), nil, nil
 		},
 	},
 	{

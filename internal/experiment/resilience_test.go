@@ -91,7 +91,7 @@ func TestChaosSweepCompletesAndMatchesFaultFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seedInj := resilience.NewInjector(1, resilience.Fault{
+		seedInj := resilience.NewInjector(resilience.Fault{
 			Site: corruptKey, Kind: resilience.KindCorrupt, Times: 1})
 		cache.SetCorruptor(seedInj.Corrupt)
 		if _, err := RunCases(context.Background(), specs[2:3], cfg, RunOptions{Cache: cache}); err != nil {
@@ -109,7 +109,7 @@ func TestChaosSweepCompletesAndMatchesFaultFree(t *testing.T) {
 		// race-instrumented machine — trips it.
 		ccfg.CaseTimeout = 5 * time.Second
 		ccfg.MaxRetries = 2
-		inj := resilience.NewInjector(5,
+		inj := resilience.NewInjector(
 			// Panic in the middle of chaos-a's first evaluation fan-out.
 			resilience.Fault{Site: "case/chaos-a/attempt0/eval/3", Kind: resilience.KindPanic},
 			// Stall chaos-b's first attempt past the case deadline.
@@ -201,7 +201,7 @@ func TestDegradeOnTimeoutDeliversCoarserResult(t *testing.T) {
 	// Delay fires at every timed attempt's build site (unlimited
 	// budget) — only the degraded attempt, whose sites carry the
 	// "degraded" prefix, escapes it.
-	inj := resilience.NewInjector(9, resilience.Fault{
+	inj := resilience.NewInjector(resilience.Fault{
 		Site: "case/deg/attempt", Kind: resilience.KindDelay, Delay: 500 * time.Millisecond})
 	report := NewRunReport()
 	results, err := RunCases(context.Background(), []CaseSpec{spec}, cfg, RunOptions{
@@ -249,7 +249,7 @@ func TestPermanentFailureTypedAndKeepGoing(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.MaxRetries = 1
 	doom := func() *resilience.Injector {
-		return resilience.NewInjector(3, resilience.Fault{
+		return resilience.NewInjector(resilience.Fault{
 			Site: "case/chaos-b/", Kind: resilience.KindError})
 	}
 
@@ -297,7 +297,7 @@ func TestPermanentFailureTypedAndKeepGoing(t *testing.T) {
 // error carrying the stack — never crash the process.
 func TestPanicWithoutRetriesIsTypedError(t *testing.T) {
 	specs := chaosSpecs()[:1]
-	inj := resilience.NewInjector(1, resilience.Fault{
+	inj := resilience.NewInjector(resilience.Fault{
 		Site: "case/chaos-a/attempt0/eval/0", Kind: resilience.KindPanic})
 	_, err := RunCases(context.Background(), specs, chaosConfig(), RunOptions{Injector: inj})
 	var ce *resilience.CaseError
@@ -326,7 +326,7 @@ func TestDegradedResultNeverPoisonsOriginalCacheKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := resilience.NewInjector(9, resilience.Fault{
+	inj := resilience.NewInjector(resilience.Fault{
 		Site: "case/degc/attempt", Kind: resilience.KindDelay, Delay: 500 * time.Millisecond})
 	results, err := RunCases(context.Background(), []CaseSpec{spec}, cfg, RunOptions{
 		Cache: cache, Injector: inj,

@@ -1,6 +1,7 @@
 package graphgen
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -101,7 +102,7 @@ var newFamilies = []struct {
 		sizes: []int{3, 4, 12, 50, 120},
 		count: func(n int) int { return n },
 		gen: func(n int, rng *rand.Rand) *dag.Graph {
-			return STG(DefaultSTGParams(n), 10, 20, rng)
+			return STG(n, 10, 20, rng)
 		},
 	},
 }
@@ -213,28 +214,38 @@ func TestStrassenStructure(t *testing.T) {
 }
 
 func TestSTGRespectsJumpAndLayers(t *testing.T) {
-	p := DefaultSTGParams(60)
-	p.Jump = 1
-	g := STG(p, 1, 1, rand.New(rand.NewSource(5)))
+	g := STG(60, 1, 1, rand.New(rand.NewSource(5)))
 	if g.N() != 60 {
 		t.Fatalf("STG has %d tasks, want 60", g.N())
 	}
-	levels, err := g.Levels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With jump 1 every non-entry edge joins adjacent generator layers;
-	// the level assignment can compress but never invert order, and the
-	// single entry/exit must bracket everything.
+	// The single entry and exit must bracket everything.
 	if len(g.Sources()) != 1 || g.Sources()[0] != 0 {
 		t.Errorf("STG sources = %v, want the single entry", g.Sources())
 	}
 	if len(g.Sinks()) != 1 || g.Sinks()[0] != 59 {
 		t.Errorf("STG sinks = %v, want the single exit", g.Sinks())
 	}
-	for _, lv := range levels {
-		if lv < 0 {
-			t.Fatal("negative level")
+	// Interior tasks are named "L<layer>/<task>" after their generator
+	// layer: every interior edge runs forward by 1 to stgJump layers.
+	layer := func(v dag.Task) int {
+		var l, id int
+		if _, err := fmt.Sscanf(g.Name(v), "L%d/%d", &l, &id); err != nil || id != int(v) {
+			t.Fatalf("task %d named %q, want L<layer>/%d", v, g.Name(v), v)
 		}
+		return l
+	}
+	spans := map[int]int{}
+	for _, e := range g.Edges() {
+		if e.From == 0 || e.To == 59 {
+			continue
+		}
+		d := layer(e.To) - layer(e.From)
+		if d < 1 || d > stgJump {
+			t.Errorf("edge %d->%d spans %d layers, want 1..%d", e.From, e.To, d, stgJump)
+		}
+		spans[d]++
+	}
+	if spans[stgJump] == 0 {
+		t.Errorf("no edge spans the full jump of %d layers: %v", stgJump, spans)
 	}
 }

@@ -8,61 +8,36 @@ import (
 	"repro/internal/dag"
 )
 
-// STGParams parameterize the layered random generator in the style of
-// the STG benchmark suite of Tobita & Kasahara ("A standard task graph
+// The customary STG shape (Tobita & Kasahara, "A standard task graph
 // set for fair evaluation of multiprocessor scheduling algorithms",
-// J. Scheduling 2002): interior tasks are partitioned into layers and
-// edges run forward across a bounded number of layers.
-type STGParams struct {
-	// N is the exact total task count, including the single entry and
-	// exit tasks the STG format carries (N ≥ 3).
-	N int
-	// Width is the mean interior-layer width in tasks; <= 0 selects
-	// sqrt(N), the customary STG shape.
-	Width float64
-	// Regularity in [0, 1] controls how uniform the layer widths are:
-	// 1 gives every layer exactly Width tasks, 0 draws each width
-	// uniformly from [1, 2·Width−1]. Out-of-range values are clamped.
-	Regularity float64
-	// Density in [0, 1] is the probability of an edge between a task
-	// and each candidate predecessor in the previous Jump layers. Every
-	// interior task is guaranteed at least one predecessor and one
-	// successor regardless, so the graph is always weakly connected.
-	Density float64
-	// Jump is the maximum number of layers an edge may span (≥ 1);
-	// 1 restricts edges to consecutive layers.
-	Jump int
-}
-
-// DefaultSTGParams returns the customary shape for n total tasks:
-// sqrt(n) mean width, regularity 0.5, density 0.3, jump 3.
-func DefaultSTGParams(n int) STGParams {
-	return STGParams{N: n, Regularity: 0.5, Density: 0.3, Jump: 3}
-}
+// J. Scheduling 2002). The mean interior-layer width is √n.
+const (
+	// stgRegularity in [0, 1] controls how uniform the layer widths
+	// are: 1 gives every layer exactly the mean width, 0 draws each
+	// width uniformly from [1, 2·width−1].
+	stgRegularity = 0.5
+	// stgDensity is the probability of an edge between a task and each
+	// candidate predecessor in the previous stgJump layers.
+	stgDensity = 0.3
+	// stgJump is the maximum number of layers an edge may span.
+	stgJump = 3
+)
 
 // STG generates a Tobita–Kasahara-style layered task graph with
-// exactly p.N tasks: task 0 is the entry, task p.N−1 the exit, and the
-// interior tasks form randomly sized layers with forward edges spanning
-// at most p.Jump layers. Entry and exit edges make the graph a single
-// weakly connected component with one source and one sink.
+// exactly n tasks (at least 3): task 0 is the entry, task n−1 the exit,
+// and the interior tasks form randomly sized layers with forward edges
+// spanning at most stgJump layers. Every interior task gets at least
+// one predecessor and one successor, and entry and exit edges make the
+// graph a single weakly connected component with one source and one
+// sink.
 //
 // Edge communication volumes are drawn uniformly from [volLo, volHi].
-func STG(p STGParams, volLo, volHi float64, rng *rand.Rand) *dag.Graph {
-	n := p.N
+func STG(n int, volLo, volHi float64, rng *rand.Rand) *dag.Graph {
 	if n < 3 {
 		n = 3
 	}
 	interior := n - 2
-	width := p.Width
-	if width <= 0 {
-		width = math.Max(1, math.Sqrt(float64(n)))
-	}
-	reg := clamp01(p.Regularity)
-	density := clamp01(p.Density)
-	jump := p.Jump
-	if jump < 1 {
-		jump = 1
-	}
+	width := math.Max(1, math.Sqrt(float64(n)))
 
 	// Partition the interior tasks into layers: each layer width is
 	// drawn from [wLo, wHi], the regularity-scaled window around the
@@ -71,7 +46,7 @@ func STG(p STGParams, volLo, volHi float64, rng *rand.Rand) *dag.Graph {
 	next := dag.Task(1)
 	remaining := interior
 	for remaining > 0 {
-		wLo := 1 + int(reg*(width-1)+0.5)
+		wLo := 1 + int(stgRegularity*(width-1)+0.5)
 		wHi := int(2*width+0.5) - wLo
 		if wHi < wLo {
 			wHi = wLo
@@ -104,14 +79,14 @@ func STG(p STGParams, volLo, volHi float64, rng *rand.Rand) *dag.Graph {
 	}
 
 	// Forward edges: each interior task samples predecessors from the
-	// previous jump layers; a task that draws none is wired to a random
+	// previous stgJump layers; a task that draws none is wired to a random
 	// task of the nearest previous layer (or the entry for layer 0).
 	for l, layer := range layers {
 		for _, t := range layer {
 			connected := false
-			for back := 1; back <= jump && back <= l; back++ {
+			for back := 1; back <= stgJump && back <= l; back++ {
 				for _, cand := range layers[l-back] {
-					if rng.Float64() < density {
+					if rng.Float64() < stgDensity {
 						_ = g.AddEdge(cand, t, vol())
 						connected = true
 					}
@@ -138,14 +113,4 @@ func STG(p STGParams, volLo, volHi float64, rng *rand.Rand) *dag.Graph {
 		}
 	}
 	return g
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
 }

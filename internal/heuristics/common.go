@@ -60,14 +60,14 @@ func NewModel(scen *platform.Scenario) *Model {
 }
 
 // AvgComm returns the placement-agnostic mean communication cost of
-// edge from→to: the mean (under UL) of lat + volume·τ with τ and lat
-// averaged over distinct processor pairs.
+// edge from→to: the scenario's mean duration (under UL and its
+// duration family) of lat + volume·τ, with τ and lat averaged over
+// distinct processor pairs.
 func (m *Model) AvgComm(from, to dag.Task) float64 {
 	if m.Scen.P.M <= 1 {
 		return 0
 	}
-	min := m.avgLat + m.Scen.G.Volume(from, to)*m.avgTau
-	return platform.MeanFromMin(min, m.Scen.UL)
+	return m.Scen.MeanAt(m.avgLat + m.Scen.G.Volume(from, to)*m.avgTau)
 }
 
 // MeanComm returns the mean communication cost of edge from→to for a

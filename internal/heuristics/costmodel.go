@@ -92,7 +92,7 @@ func NewCostModel(scen *platform.Scenario) (*CostModel, error) {
 	if m > 1 {
 		avgTau, avgLat := scen.P.AvgTau(), scen.P.AvgLat()
 		for e, vol := range topo.csr.Vol {
-			cm.EdgeAvgComm[e] = platform.MeanFromMin(avgLat+vol*avgTau, scen.UL)
+			cm.EdgeAvgComm[e] = scen.MeanAt(avgLat + vol*avgTau)
 		}
 	}
 	cm.classComm = scen.BatchCommMeans(topo.cc, topo.csr.Vol)

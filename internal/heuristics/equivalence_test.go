@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/dag"
 	"repro/internal/experiment"
 	"repro/internal/heuristics"
 	"repro/internal/platform"
@@ -177,13 +178,12 @@ func TestEquivalenceUnderULExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The custom-DurFn branch: a uniform duration family whose mean
-	// diverges from the Beta(2,5) fast path, so any compiled shortcut
-	// that bypassed DurFn (comm tables, ETC tables, SDHEFT's σ) would
-	// produce a different schedule than the reference.
+	// diverges from the Beta(2,5) closed form. Both legs read the same
+	// scenario, so a DurFn bypass shared by both would go unnoticed
+	// here; TestAvgCommFollowsDurFn checks the costs against the
+	// family itself.
 	durfn := *base
-	durfn.DurFn = func(min, ul float64) stochastic.Dist {
-		return stochastic.Uniform{Lo: min, Hi: min * ul}
-	}
+	durfn.DurFn = uniformDur
 	scens := map[string]*platform.Scenario{
 		"variable-ul":  base.WithVariableUL(1.0, 2.0, rand.New(rand.NewSource(5))),
 		"noisy-procs":  base.WithNoisyProcessors(1.02, 2.0),
@@ -201,6 +201,53 @@ func TestEquivalenceUnderULExtensions(t *testing.T) {
 			func(s *platform.Scenario) (heuristics.Result, error) { return heuristics.SDHEFT(s, l) },
 			func(s *platform.Scenario) (heuristics.Result, error) { return heuristics.ReferenceSDHEFT(s, l) })
 	}
+}
+
+func uniformDur(min, ul float64) stochastic.Dist {
+	return stochastic.Uniform{Lo: min, Hi: min * ul}
+}
+
+// TestAvgCommFollowsDurFn checks that the placement-agnostic
+// communication means behind HEFT's, BIL's and HBMCT's ranks come from
+// the scenario's own duration family, as task means, concrete
+// communication means and SDHEFT's costs do, and not from the
+// Beta(2,5) closed form.
+func TestAvgCommFollowsDurFn(t *testing.T) {
+	base := caseScenario(t, experiment.CaseSpec{Name: "avgcomm-durfn",
+		Family: experiment.RandomFamily, N: 30, M: 4, UL: 1.2, Seed: 11})
+	scen := *base
+	scen.DurFn = uniformDur
+	cm, err := heuristics.NewCostModel(&scen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := heuristics.NewModel(&scen)
+	avgLat, avgTau := scen.P.AvgLat(), scen.P.AvgTau()
+	// CSR edge ids are a pure function of the graph, so this flattening
+	// numbers the edges as the cost model's does.
+	csr := scen.G.CSR()
+	for from := 0; from < csr.NumTasks; from++ {
+		for k := csr.SuccStart[from]; k < csr.SuccStart[from+1]; k++ {
+			to, e := csr.SuccAdj[k], csr.SuccEdge[k]
+			want := scen.DurationAt(avgLat + csr.Vol[e]*avgTau).Mean()
+			if got := cm.EdgeAvgComm[e]; got != want {
+				t.Fatalf("EdgeAvgComm[%d->%d] = %v, want the family mean %v", from, to, got, want)
+			}
+			if got := model.AvgComm(dag.Task(from), dag.Task(to)); got != want {
+				t.Fatalf("AvgComm(%d, %d) = %v, want the family mean %v", from, to, got, want)
+			}
+		}
+	}
+	// λ = 0 leaves SDHEFT with HEFT's mean costs.
+	heft, err := heuristics.HEFT(&scen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := heuristics.SDHEFT(&scen, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, "HEFT vs SDHEFT(λ=0)", heft, sd)
 }
 
 func itoa(n int) string {

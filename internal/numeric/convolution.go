@@ -99,31 +99,24 @@ func convolveFFTInto(out, a, b []float64, ws *ConvScratch) []float64 {
 // kernel using the overlap-add method: the signal is cut into blocks,
 // each block is convolved with the kernel by FFT, and the partial results
 // are summed with the proper offsets. This is the optimization the paper
-// names for convolving long densities with short kernels.
-//
-// blockSize controls the signal block length; values <= 0 select a block
-// size automatically (4x the kernel length, rounded to a power of two).
-func ConvolveOverlapAdd(signal, kernel []float64, blockSize int) []float64 {
+// names for convolving long densities with short kernels. A block is 4x
+// the kernel length, rounded up to a power of two.
+func ConvolveOverlapAdd(signal, kernel []float64) []float64 {
 	if len(signal) == 0 || len(kernel) == 0 {
 		return nil
 	}
 	out := make([]float64, len(signal)+len(kernel)-1)
-	return convolveOverlapAddInto(out, signal, kernel, blockSize, &ConvScratch{})
+	return convolveOverlapAddInto(out, signal, kernel, &ConvScratch{})
 }
 
 // convolveOverlapAddInto is ConvolveOverlapAdd writing into out (length
 // len(signal)+len(kernel)-1) using ws for the transforms. Bit-identical
 // to ConvolveOverlapAdd.
-func convolveOverlapAddInto(out, signal, kernel []float64, blockSize int, ws *ConvScratch) []float64 {
+func convolveOverlapAddInto(out, signal, kernel []float64, ws *ConvScratch) []float64 {
 	if len(kernel) > len(signal) {
 		signal, kernel = kernel, signal
 	}
-	if blockSize <= 0 {
-		blockSize = NextPow2(4 * len(kernel))
-	}
-	if blockSize < len(kernel) {
-		blockSize = NextPow2(len(kernel))
-	}
+	blockSize := NextPow2(4 * len(kernel))
 	outLen := len(signal) + len(kernel) - 1
 	for i := range out {
 		out[i] = 0
@@ -195,7 +188,7 @@ func ConvolveInto(out, a, b []float64, ws *ConvScratch) []float64 {
 	case la <= directKernelMax || lb <= directKernelMax || la*lb <= 4096:
 		return convolveDirectInto(out, a, b)
 	case la >= 8*lb || lb >= 8*la:
-		return convolveOverlapAddInto(out, a, b, 0, ws)
+		return convolveOverlapAddInto(out, a, b, ws)
 	default:
 		return convolveFFTInto(out, a, b, ws)
 	}

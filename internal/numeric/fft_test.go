@@ -139,7 +139,7 @@ func TestConvolveEmpty(t *testing.T) {
 	if ConvolveFFT(nil, []float64{1}) != nil {
 		t.Error("fft: expected nil for empty input")
 	}
-	if ConvolveOverlapAdd(nil, []float64{1}, 0) != nil {
+	if ConvolveOverlapAdd(nil, []float64{1}) != nil {
 		t.Error("overlap-add: expected nil for empty input")
 	}
 	if Convolve([]float64{1}, nil) != nil {
@@ -164,7 +164,7 @@ func TestConvolveImplementationsAgree(t *testing.T) {
 		ref := ConvolveDirect(a, b)
 		for name, got := range map[string][]float64{
 			"fft":         ConvolveFFT(a, b),
-			"overlap-add": ConvolveOverlapAdd(a, b, 0),
+			"overlap-add": ConvolveOverlapAdd(a, b),
 			"auto":        Convolve(a, b),
 		} {
 			if len(got) != len(ref) {
@@ -203,22 +203,26 @@ func TestConvolveMassProperty(t *testing.T) {
 	}
 }
 
+// The block is NextPow2(4·len(kernel)): against a 300-point signal the
+// kernel lengths below give blocks of 4, 16, 128, 256 and 512 points,
+// covering many blocks, a partial last block, and one block longer
+// than the signal.
 func TestConvolveOverlapAddBlockSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := make([]float64, 300)
-	b := make([]float64, 17)
 	for i := range a {
 		a[i] = rng.NormFloat64()
 	}
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	ref := ConvolveDirect(a, b)
-	for _, bs := range []int{1, 8, 16, 32, 100, 1024} {
-		got := ConvolveOverlapAdd(a, b, bs)
+	for _, kl := range []int{1, 3, 17, 64, 100} {
+		b := make([]float64, kl)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		ref := ConvolveDirect(a, b)
+		got := ConvolveOverlapAdd(a, b)
 		for i := range ref {
 			if !almostEqual(got[i], ref[i], 1e-8) {
-				t.Fatalf("blockSize=%d: conv[%d] = %g, want %g", bs, i, got[i], ref[i])
+				t.Fatalf("kernel length %d: conv[%d] = %g, want %g", kl, i, got[i], ref[i])
 			}
 		}
 	}
@@ -228,7 +232,7 @@ func TestConvolveKernelLongerThanSignal(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 4, 5, 6, 7}
 	ref := ConvolveDirect(a, b)
-	got := ConvolveOverlapAdd(a, b, 0)
+	got := ConvolveOverlapAdd(a, b)
 	for i := range ref {
 		if !almostEqual(got[i], ref[i], 1e-9) {
 			t.Fatalf("conv[%d] = %g, want %g", i, got[i], ref[i])

@@ -57,7 +57,7 @@ func TestStrategyIntoVariantsBitIdentical(t *testing.T) {
 	for i := range out {
 		out[i] = -1 // prior contents must be overwritten
 	}
-	if want, got := ConvolveOverlapAdd(a, b, 0), convolveOverlapAddInto(out, a, b, 0, ws); true {
+	if want, got := ConvolveOverlapAdd(a, b), convolveOverlapAddInto(out, a, b, ws); true {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("overlap-add Into diverges at %d", i)
@@ -115,7 +115,7 @@ func TestSplineFitMatchesNewSpline(t *testing.T) {
 
 // ResampleInto's forward segment walk must agree with per-point At
 // (which is what Resample used to do), including at and beyond the knot
-// boundaries and under zero extrapolation.
+// boundaries.
 func TestResampleWalkMatchesAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := make([]float64, 64)
@@ -126,29 +126,25 @@ func TestResampleWalkMatchesAt(t *testing.T) {
 		x[i] = acc
 		y[i] = rng.Float64()
 	}
-	for _, zero := range []bool{false, true} {
-		sp, err := NewSpline(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp.SetExtrapolateZero(zero)
-		for _, span := range [][2]float64{
-			{x[0], x[63]},
-			{x[0] - 1, x[63] + 1},
-			{x[10], x[20]},
-			{x[5] - 0.3, x[5] + 0.3},
-		} {
-			for _, n := range []int{1, 2, 7, 333} {
-				got := sp.Resample(span[0], span[1], n)
-				step := 0.0
-				if n > 1 {
-					step = (span[1] - span[0]) / float64(n-1)
-				}
-				for i, g := range got {
-					if w := sp.At(span[0] + float64(i)*step); g != w {
-						t.Fatalf("zero=%v span=%v n=%d: walk diverges at %d: %g != %g",
-							zero, span, n, i, g, w)
-					}
+	sp, err := NewSpline(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, span := range [][2]float64{
+		{x[0], x[63]},
+		{x[0] - 1, x[63] + 1},
+		{x[10], x[20]},
+		{x[5] - 0.3, x[5] + 0.3},
+	} {
+		for _, n := range []int{1, 2, 7, 333} {
+			got := sp.Resample(span[0], span[1], n)
+			step := 0.0
+			if n > 1 {
+				step = (span[1] - span[0]) / float64(n-1)
+			}
+			for i, g := range got {
+				if w := sp.At(span[0] + float64(i)*step); g != w {
+					t.Fatalf("span=%v n=%d: walk diverges at %d: %g != %g", span, n, i, g, w)
 				}
 			}
 		}

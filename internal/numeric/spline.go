@@ -4,11 +4,12 @@ import "fmt"
 
 // Spline is a natural cubic spline through a set of strictly increasing
 // knots. It reproduces the cubic-spline interpolation the paper uses to
-// resample 64-point densities.
+// resample 64-point densities. It evaluates to 0 outside the knot
+// range, because every spline it fits is a probability density whose
+// support is exactly that range.
 type Spline struct {
-	x, y       []float64
-	m          []float64 // second derivatives at the knots
-	extrapZero bool
+	x, y []float64
+	m    []float64 // second derivatives at the knots
 }
 
 // SplineScratch holds the Thomas-algorithm work arrays of a spline fit,
@@ -48,7 +49,6 @@ func NewSpline(x, y []float64) (*Spline, error) {
 // reused across calls, so steady-state refits are allocation-free. The
 // fitted spline is bit-for-bit identical to NewSpline(x, y).
 func (s *Spline) Fit(x, y []float64, ws *SplineScratch) error {
-	s.extrapZero = false
 	return s.fit(x, y, ws, false)
 }
 
@@ -70,7 +70,6 @@ func FitPair(s *Spline, x, y []float64, t *Spline, u, v []float64, ws *SplineScr
 		}
 		return errS, errT
 	}
-	s.extrapZero, t.extrapZero = false, false
 	s.setKnots(x, y, false)
 	t.setKnots(u, v, false)
 	n1, n2 := len(x), len(u)
@@ -257,33 +256,20 @@ func backSubstitutePair(m1 []float64, l1 *thomasLane, m2 []float64, l2 *thomasLa
 	}
 }
 
-// SetExtrapolateZero makes out-of-range evaluations return 0 instead of
-// clamping to the boundary value. Useful for probability densities whose
-// support is exactly the knot range.
-func (s *Spline) SetExtrapolateZero(zero bool) { s.extrapZero = zero }
-
-// At evaluates the spline at t. Outside the knot range the value is
-// either the nearest boundary value or 0, depending on
-// SetExtrapolateZero.
+// At evaluates the spline at t; it is 0 outside the knot range.
 func (s *Spline) At(t float64) float64 {
 	n := len(s.x)
 	if t <= s.x[0] {
 		if t == s.x[0] { //reprovet:allow floateq exact knot hit returns the knot value; below-range behavior differs
 			return s.y[0]
 		}
-		if s.extrapZero {
-			return 0
-		}
-		return s.y[0]
+		return 0
 	}
 	if t >= s.x[n-1] {
 		if t == s.x[n-1] { //reprovet:allow floateq exact knot hit returns the knot value; above-range behavior differs
 			return s.y[n-1]
 		}
-		if s.extrapZero {
-			return 0
-		}
-		return s.y[n-1]
+		return 0
 	}
 	// Binary search for the segment containing t.
 	lo, hi := 0, n-1
@@ -341,13 +327,13 @@ func (s *Spline) ResampleInto(out []float64, lo, hi float64) []float64 {
 		t := lo + float64(i)*step
 		switch {
 		case t <= s.x[0]:
-			if t == s.x[0] || !s.extrapZero { //reprovet:allow floateq exact knot hit returns the knot value; below-range behavior differs
+			if t == s.x[0] { //reprovet:allow floateq exact knot hit returns the knot value; below-range behavior differs
 				out[i] = s.y[0]
 			} else {
 				out[i] = 0
 			}
 		case t >= s.x[nx-1]:
-			if t == s.x[nx-1] || !s.extrapZero { //reprovet:allow floateq exact knot hit returns the knot value; above-range behavior differs
+			if t == s.x[nx-1] { //reprovet:allow floateq exact knot hit returns the knot value; above-range behavior differs
 				out[i] = s.y[nx-1]
 			} else {
 				out[i] = 0

@@ -104,6 +104,16 @@ func (s *Scenario) DurationAt(min float64) stochastic.Dist {
 	return s.durDist(min, s.UL)
 }
 
+// MeanAt returns the mean of DurationAt(min): the closed form
+// MeanFromMin under the default Beta(2,5) family, otherwise the
+// configured family's own mean.
+func (s *Scenario) MeanAt(min float64) float64 {
+	if s.DurFn == nil {
+		return MeanFromMin(min, s.UL)
+	}
+	return s.DurationAt(min).Mean()
+}
+
 // DurDist builds the scenario's duration distribution for an arbitrary
 // minimum value and uncertainty level — the family every TaskDist and
 // CommDist draws from. A distribution is a pure function of

@@ -41,22 +41,19 @@ func (k Kind) String() string {
 }
 
 // Fault is one injection rule. A fault applies at a site when Site is
-// a substring of the site name ("" matches every site), the
-// deterministic per-site coin (Rate) comes up, and the firing budget
-// (Times) is not exhausted.
+// a substring of the site name ("" matches every site) and the firing
+// budget (Times) is not exhausted.
 //
-// Determinism: Rate-based selection hashes (injector seed, rule, site)
-// — a given site either always or never fires, independent of workers
-// and scheduling. A Times budget on a pattern matching several
-// concurrently visited sites is consumed in scheduling order and is
-// therefore NOT deterministic across runs; deterministic chaos tests
-// use site patterns precise enough to match a single site, or Rate
-// selection with an unlimited budget.
+// Determinism: without a budget a given site either always or never
+// fires, independent of workers and scheduling. A Times budget on a
+// pattern matching several concurrently visited sites is consumed in
+// scheduling order and is therefore NOT deterministic across runs;
+// deterministic chaos tests use site patterns precise enough to match
+// a single site, or an unlimited budget.
 type Fault struct {
 	Site  string        // substring matched against site names; "" = all
 	Kind  Kind          //
 	Delay time.Duration // sleep duration for KindDelay (default 50ms)
-	Rate  float64       // (0,1): deterministic per-site probability; else: every matched site
 	Times int           // max firings; <= 0 = unlimited
 }
 
@@ -70,17 +67,15 @@ type Event struct {
 // inert: every method is safe on a nil receiver and does nothing, so
 // production paths carry at most a nil check.
 type Injector struct {
-	seed int64
-
 	mu     sync.Mutex
 	faults []Fault
 	fired  []int // per-fault firing count, guarded by mu
 	events []Event
 }
 
-// NewInjector builds an injector whose Rate coins derive from seed.
-func NewInjector(seed int64, faults ...Fault) *Injector {
-	return &Injector{seed: seed, faults: faults, fired: make([]int, len(faults))}
+// NewInjector builds an injector for the given faults.
+func NewInjector(faults ...Fault) *Injector {
+	return &Injector{faults: faults, fired: make([]int, len(faults))}
 }
 
 // match decides — and records — whether fault f (index i) fires at
@@ -89,12 +84,6 @@ func (in *Injector) match(i int, site string) bool {
 	f := in.faults[i]
 	if f.Site != "" && !strings.Contains(site, f.Site) {
 		return false
-	}
-	if f.Rate > 0 && f.Rate < 1 {
-		h := uint64(seeds.Derive(in.seed, fmt.Sprintf("fault/%d/%s/%s", i, f.Kind, site)))
-		if float64(h>>11)/float64(1<<53) >= f.Rate {
-			return false
-		}
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -138,10 +127,10 @@ func (in *Injector) Hit(site string) error {
 }
 
 // Corrupt is the data-corruption injection point: when a corrupt fault
-// matches the site, one byte of data (a deterministic position in the
-// first len-80 bytes, keeping injected corruption inside the payload
-// rather than its trailer) is flipped in a copy; otherwise data is
-// returned unchanged. A nil injector returns data unchanged.
+// matches the site, one byte of data (a position derived from the site
+// name in the first len-80 bytes, keeping injected corruption inside
+// the payload rather than its trailer) is flipped in a copy; otherwise
+// data is returned unchanged. A nil injector returns data unchanged.
 func (in *Injector) Corrupt(site string, data []byte) []byte {
 	if in == nil || len(data) == 0 {
 		return data
@@ -154,7 +143,7 @@ func (in *Injector) Corrupt(site string, data []byte) []byte {
 		if span <= 0 {
 			span = len(data)
 		}
-		pos := int(uint64(seeds.Derive(in.seed, "corrupt/"+site)) % uint64(span))
+		pos := int(uint64(seeds.Derive(0, "corrupt/"+site)) % uint64(span))
 		mangled := append([]byte(nil), data...)
 		mangled[pos] ^= 0xFF
 		return mangled

@@ -1,6 +1,6 @@
 // Package resilience is the fault-tolerance substrate of the
 // experiment pipeline: panic supervision that converts crashes into
-// typed errors, deterministic retry backoff, and a seed-derived fault
+// typed errors, deterministic retry backoff, and a deterministic fault
 // injector for chaos testing. The paper's subject is robustness of
 // schedules under uncertainty; this package gives the pipeline itself
 // the same operational contract — complete as much work as possible

@@ -120,7 +120,7 @@ func TestInjectorNilIsInert(t *testing.T) {
 }
 
 func TestInjectorExplicitRuleFiresOnce(t *testing.T) {
-	in := NewInjector(1, Fault{Site: "case/a/attempt0/eval/3", Kind: KindPanic, Times: 1})
+	in := NewInjector(Fault{Site: "case/a/attempt0/eval/3", Kind: KindPanic, Times: 1})
 	if err := in.Hit("case/a/attempt0/eval/2"); err != nil {
 		t.Fatal("non-matching site fired")
 	}
@@ -139,7 +139,7 @@ func TestInjectorExplicitRuleFiresOnce(t *testing.T) {
 }
 
 func TestInjectorErrorAndDelay(t *testing.T) {
-	in := NewInjector(1,
+	in := NewInjector(
 		Fault{Site: "slow", Kind: KindDelay, Delay: 10 * time.Millisecond},
 		Fault{Site: "bad", Kind: KindError},
 	)
@@ -155,48 +155,14 @@ func TestInjectorErrorAndDelay(t *testing.T) {
 	}
 }
 
-func TestInjectorRateDeterministicPerSite(t *testing.T) {
-	in := NewInjector(42, Fault{Kind: KindError, Rate: 0.3})
-	fired := map[string]bool{}
-	n := 0
-	for i := 0; i < 200; i++ {
-		site := fmt.Sprintf("case/%d/eval", i)
-		fired[site] = in.Hit(site) != nil
-		if fired[site] {
-			n++
-		}
-	}
-	if n == 0 || n == 200 {
-		t.Fatalf("rate 0.3 fired %d/200 sites", n)
-	}
-	// Re-visiting the same sites reproduces the exact decision set.
-	again := NewInjector(42, Fault{Kind: KindError, Rate: 0.3})
-	for site, want := range fired {
-		if got := again.Hit(site) != nil; got != want {
-			t.Fatalf("site %s decision changed across injectors", site)
-		}
-	}
-	// A different seed draws a different decision set.
-	other := NewInjector(43, Fault{Kind: KindError, Rate: 0.3})
-	diff := 0
-	for site, want := range fired {
-		if (other.Hit(site) != nil) != want {
-			diff++
-		}
-	}
-	if diff == 0 {
-		t.Error("seed does not influence rate decisions")
-	}
-}
-
 func TestInjectorCorruptFlipsOneByteDeterministically(t *testing.T) {
-	in := NewInjector(7, Fault{Site: "cache/put/k1", Kind: KindCorrupt, Times: 1})
+	in := NewInjector(Fault{Site: "cache/put/k1", Kind: KindCorrupt, Times: 1})
 	data := bytes.Repeat([]byte("0123456789"), 20)
 	clean := in.Corrupt("cache/put/other", data)
 	if !bytes.Equal(clean, data) {
 		t.Fatal("non-matching site corrupted")
 	}
-	mangled := NewInjector(7, Fault{Site: "cache/put/k1", Kind: KindCorrupt}).Corrupt("cache/put/k1", data)
+	mangled := NewInjector(Fault{Site: "cache/put/k1", Kind: KindCorrupt}).Corrupt("cache/put/k1", data)
 	if bytes.Equal(mangled, data) {
 		t.Fatal("matching site not corrupted")
 	}
@@ -213,14 +179,14 @@ func TestInjectorCorruptFlipsOneByteDeterministically(t *testing.T) {
 	if diffAt >= len(data)-80 {
 		t.Errorf("flip at %d lands in the %d-byte trailer zone", diffAt, 80)
 	}
-	again := NewInjector(7, Fault{Site: "cache/put/k1", Kind: KindCorrupt}).Corrupt("cache/put/k1", data)
+	again := NewInjector(Fault{Site: "cache/put/k1", Kind: KindCorrupt}).Corrupt("cache/put/k1", data)
 	if !bytes.Equal(mangled, again) {
 		t.Error("corruption not deterministic")
 	}
 }
 
 func TestInjectorConcurrentBudget(t *testing.T) {
-	in := NewInjector(1, Fault{Site: "hot", Kind: KindError, Times: 3})
+	in := NewInjector(Fault{Site: "hot", Kind: KindError, Times: 3})
 	var hits int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -247,7 +213,7 @@ func TestInjectorConcurrentBudget(t *testing.T) {
 }
 
 func TestScopeComposesPrefix(t *testing.T) {
-	in := NewInjector(1, Fault{Site: "case/x/attempt1/eval/2", Kind: KindError})
+	in := NewInjector(Fault{Site: "case/x/attempt1/eval/2", Kind: KindError})
 	ctx := WithScope(context.Background(), in, "case/x/attempt1/")
 	s := ScopeFrom(ctx)
 	if s == nil {

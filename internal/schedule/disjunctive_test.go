@@ -170,3 +170,54 @@ func TestCompileDisjunctiveRejectsInvalid(t *testing.T) {
 		t.Errorf("rejected valid schedule: %v", err)
 	}
 }
+
+// CompileDisjunctive checks schedules that users build: over arbitrary
+// processor assignments and orders on a small random DAG it must not
+// panic, it must reject exactly the schedules Validate rejects, and an
+// accepted schedule's topological order must hold every task.
+func FuzzCompileDisjunctive(f *testing.F) {
+	f.Add(int64(6), uint8(2), []byte{1, 2, 1, 2}, []byte{0, 1, 0, 3, 1, 2, 1, 4})
+	f.Add(int64(2), uint8(3), []byte{1, 1}, []byte{0, 2, 0, 1})
+	f.Add(int64(3), uint8(1), []byte{0, 9}, []byte{0, 1, 0, 1})
+	f.Add(int64(4), uint8(0x80|2), []byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, procs, order []byte) {
+		// A DAG of 0-7 tasks with forward edges only.
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(8)
+		g := dag.New(n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Intn(3) == 0 {
+					if err := g.AddEdge(dag.Task(i), dag.Task(j), float64(rng.Intn(4))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		// The low bits pick 0-4 processors; the top bit adds one task
+		// to the schedule so its size no longer matches the graph's.
+		m := int(shape&0x7f) % 5
+		s := &schedule.Schedule{M: m, Proc: make([]int, n+int(shape>>7)), Order: make([][]dag.Task, m)}
+		// Processors and tasks range one past each end of the valid
+		// values.
+		for task := range s.Proc {
+			s.Proc[task] = -1
+			if task < len(procs) {
+				s.Proc[task] = int(procs[task])%(m+2) - 1
+			}
+		}
+		for i := 0; m > 0 && i+1 < len(order); i += 2 {
+			p := int(order[i]) % m
+			s.Order[p] = append(s.Order[p], dag.Task(int(order[i+1])%(n+2)-1))
+		}
+
+		d, errC := s.CompileDisjunctive(g.SortedCSR())
+		errV := s.Validate(g)
+		if (errC == nil) != (errV == nil) {
+			t.Fatalf("CompileDisjunctive error %v, Validate error %v", errC, errV)
+		}
+		if errC == nil && len(d.Order) != n {
+			t.Fatalf("accepted schedule orders %d of %d tasks", len(d.Order), n)
+		}
+	})
+}

@@ -109,6 +109,32 @@ func TestAccuracyStringParseRoundTrip(t *testing.T) {
 	}
 }
 
+// ParseEvalAccuracy reads flag values: whatever it is given, it must
+// not panic, and whatever it accepts must be canonical and survive the
+// trip through String unchanged.
+func FuzzParseEvalAccuracy(f *testing.F) {
+	for _, s := range []string{
+		"", "reference", "  fast ", "coarse", "grid=48", "work=512",
+		"work=256, grid=32", "grid=64,grid=96", "grid=+7", "speedy",
+		"grid=1", "work=-8", "grid=64;work=256", "grid=64,work", "=",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		acc, err := ParseEvalAccuracy(s)
+		if err != nil {
+			return
+		}
+		if acc != acc.Canon() {
+			t.Fatalf("ParseEvalAccuracy(%q) = %+v, not canonical (%+v)", s, acc, acc.Canon())
+		}
+		back, err := ParseEvalAccuracy(acc.String())
+		if err != nil || back != acc {
+			t.Fatalf("ParseEvalAccuracy(%q) = %+v; its String %q parses to %+v, %v", s, acc, acc.String(), back, err)
+		}
+	})
+}
+
 // The accuracy-parameterized operators at the reference preset must be
 // bit-identical to the fixed-grid originals — this is the contract that
 // keeps every pre-EvalAccuracy golden and cache entry valid.

@@ -123,19 +123,13 @@ func (s genericSampler) SampleN(dst []float64, rng *rand.Rand) {
 // noise floor of the paper's 100 000-realization runs (KS ≈ 4e-3).
 const BetaTableSize = 4096
 
-// betaTableCache shares unit-Beta quantile tables across tasks: the
-// paper's model uses one shape (2, 5) for every duration and arc, so
-// the table is built once per process and every sampler holds only its
-// own [Lo, Hi] rescaling.
-var betaTableCache sync.Map // [2]float64{alpha, beta} -> []float64
-
 type betaTableSampler struct {
 	lo, width float64
 	q         []float64 // unit quantiles at i/BetaTableSize, len BetaTableSize+1
 }
 
 func newBetaTableSampler(b Beta) betaTableSampler {
-	return betaTableSampler{lo: b.Lo, width: b.Hi - b.Lo, q: unitBetaQuantiles(b.Alpha, b.Beta)}
+	return betaTableSampler{lo: b.Lo, width: b.Hi - b.Lo, q: unitBetaQuantiles()}
 }
 
 func (s betaTableSampler) SampleN(dst []float64, rng *rand.Rand) {
@@ -151,23 +145,20 @@ func (s betaTableSampler) SampleN(dst []float64, rng *rand.Rand) {
 	}
 }
 
-// unitBetaQuantiles returns (building and caching on first use) the
-// quantiles of the unit Beta(alpha, beta) at i/BetaTableSize.
-func unitBetaQuantiles(alpha, beta float64) []float64 {
-	key := [2]float64{alpha, beta}
-	if v, ok := betaTableCache.Load(key); ok {
-		return v.([]float64)
-	}
+// unitBetaQuantiles returns the quantiles of the unit Beta(2, 5) at
+// i/BetaTableSize. Every duration and arc of the paper's model has that
+// shape, so the table is built once per process and every sampler holds
+// only its own [Lo, Hi] rescaling.
+var unitBetaQuantiles = sync.OnceValue(func() []float64 {
 	q := make([]float64, BetaTableSize+1)
 	q[BetaTableSize] = 1
 	for i := 1; i < BetaTableSize; i++ {
 		// The CDF is monotone, so the previous knot brackets from
 		// below and bisection cannot escape [q[i-1], 1].
-		q[i] = invRegIncBeta(alpha, beta, float64(i)/BetaTableSize, q[i-1])
+		q[i] = invRegIncBeta(betaAlpha, betaBeta, float64(i)/BetaTableSize, q[i-1])
 	}
-	actual, _ := betaTableCache.LoadOrStore(key, q)
-	return actual.([]float64)
-}
+	return q
+})
 
 // invRegIncBeta inverts the regularized incomplete beta by bisection:
 // the smallest x in [lo, 1] with I_x(a, b) >= u, to ~1e-14 in x.

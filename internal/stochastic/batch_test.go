@@ -86,7 +86,7 @@ func TestBetaTableSamplerKS(t *testing.T) {
 }
 
 func TestUnitBetaQuantilesMonotone(t *testing.T) {
-	q := unitBetaQuantiles(2, 5)
+	q := unitBetaQuantiles()
 	if len(q) != BetaTableSize+1 {
 		t.Fatalf("table length %d", len(q))
 	}

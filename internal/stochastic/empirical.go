@@ -62,16 +62,6 @@ func (e *Empirical) CDFAt(x float64) float64 {
 	return float64(sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))) / float64(n)
 }
 
-// CDFOnGrid evaluates the empirical CDF at each point of xs (which need
-// not be sorted).
-func (e *Empirical) CDFOnGrid(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = e.CDFAt(x)
-	}
-	return out
-}
-
 // Quantile returns the p-quantile by the nearest-rank method.
 func (e *Empirical) Quantile(p float64) float64 {
 	n := len(e.sorted)

@@ -159,7 +159,6 @@ func (rv *Numeric) PDFAt(x float64) float64 {
 	if err != nil {
 		return 0
 	}
-	sp.SetExtrapolateZero(true)
 	v := sp.At(x)
 	if v < 0 {
 		return 0
@@ -365,7 +364,6 @@ func (rv *Numeric) Resample(n int) *Numeric {
 	if err != nil {
 		return rv.Clone()
 	}
-	sp.SetExtrapolateZero(true)
 	out := &Numeric{lo: rv.lo, hi: rv.hi, pdf: sp.Resample(rv.lo, rv.hi, n)}
 	out.clampNormalize()
 	return out
@@ -382,7 +380,6 @@ func (rv *Numeric) resampleStep(h float64) []float64 {
 	if err != nil {
 		return []float64{0, 0}
 	}
-	sp.SetExtrapolateZero(true)
 	out := sp.Resample(rv.lo, rv.hi, n)
 	for i, v := range out {
 		if v < 0 {
@@ -437,7 +434,6 @@ func (rv *Numeric) AddAcc(other *Numeric, acc EvalAccuracy) *Numeric {
 	if err != nil {
 		return NewPoint((lo + hi) / 2)
 	}
-	sp.SetExtrapolateZero(true)
 	out := &Numeric{lo: lo, hi: hi, pdf: sp.Resample(lo, hi, gridSize)}
 	out.clampNormalize()
 	return out
@@ -529,7 +525,6 @@ func (rv *Numeric) pdfOnGrid(xs []float64) []float64 {
 	if err != nil {
 		return out
 	}
-	sp.SetExtrapolateZero(true)
 	for i, x := range xs {
 		if x < rv.lo || x > rv.hi {
 			continue

@@ -111,11 +111,7 @@ func (o *Ops) shiftCopy(rv *Numeric, c float64) *Numeric {
 // the spline every Numeric method constructs from XGrid()/pdf.
 func (o *Ops) fitOperand(rv *Numeric) error {
 	xs := linspaceInto(grow(&o.knotXs, len(rv.pdf)), rv.lo, rv.hi)
-	if err := o.sp.Fit(xs, rv.pdf, &o.spline); err != nil {
-		return err
-	}
-	o.sp.SetExtrapolateZero(true)
-	return nil
+	return o.sp.Fit(xs, rv.pdf, &o.spline)
 }
 
 // resampleStepPair mirrors Numeric.resampleStep of a and of b at the
@@ -140,7 +136,6 @@ func resampleFitted(dst *[]float64, sp *numeric.Spline, err error, rv *Numeric, 
 		out[0], out[1] = 0, 0
 		return out
 	}
-	sp.SetExtrapolateZero(true)
 	out := sp.ResampleInto(grow(dst, n), rv.lo, rv.hi)
 	for i, v := range out {
 		if v < 0 {
@@ -187,7 +182,6 @@ func (o *Ops) addResult(sp *numeric.Spline, err error, p addPlan, gridSize int) 
 	if err != nil {
 		return NewPoint((p.lo + p.hi) / 2)
 	}
-	sp.SetExtrapolateZero(true)
 	out := &Numeric{lo: p.lo, hi: p.hi, pdf: sp.ResampleInto(o.getBuf(gridSize), p.lo, p.hi)}
 	out.clampNormalize()
 	return out

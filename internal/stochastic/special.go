@@ -44,7 +44,7 @@ func NewSpecialWith(width float64, weights []float64) *Special {
 	lobeW := width / float64(k)
 	lobes := make([]Beta, k)
 	for i := range lobes {
-		lobes[i] = Beta{Alpha: 2, Beta: 5, Lo: float64(i) * lobeW, Hi: float64(i+1) * lobeW}
+		lobes[i] = Beta{Lo: float64(i) * lobeW, Hi: float64(i+1) * lobeW}
 	}
 	return &Special{Width: width, Weights: norm, lobes: lobes}
 }
