@@ -473,7 +473,7 @@ func benchDodinSizes(b *testing.B, compiled bool, ul float64) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := m.DodinStrict(); err != nil {
+					if _, err := m.Dodin(); err != nil {
 						b.Fatal(err)
 					}
 				} else {

@@ -35,16 +35,14 @@
 //
 // Case execution is supervised: a panicking case fails with a typed
 // error instead of crashing the run, -case-timeout bounds each
-// attempt, -max-retries re-runs failed cases from their case seed
-// (delivered results stay byte-identical to a fault-free run), and
-// -degrade-on-timeout trades accuracy for completion when every timed
-// attempt hits the deadline. -keep-going completes a sweep past
-// permanently failed cases. Whenever anything non-clean happens — a
-// retry, degradation, failure, or a cache entry that failed its
-// checksum and was quarantined — a failure summary lands on stderr
-// and, with -out, in failure_report.json. -chaos arms deterministic
-// fault injection (panics, delays, errors, cache corruption at named
-// sites) to drill exactly those paths.
+// attempt, and -max-retries re-runs failed cases from their case seed
+// (delivered results stay byte-identical to a fault-free run).
+// -keep-going completes a sweep past permanently failed cases.
+// Whenever anything non-clean happens — a retry, failure, or a cache
+// entry that failed its checksum and was quarantined — a failure
+// summary lands on stderr and, with -out, in failure_report.json.
+// -chaos arms deterministic fault injection (panics, delays, errors,
+// cache corruption at named sites) to drill exactly those paths.
 //
 // Usage:
 //
@@ -54,8 +52,8 @@
 //	            [-eval-accuracy reference|fast|coarse|grid=G[,work=W]]
 //	            [-families A,B,...] [-sweep-sizes N,...] [-sweep-uls U,...]
 //	            [-sweep-reps R]
-//	            [-case-timeout D] [-max-retries N] [-degrade-on-timeout]
-//	            [-keep-going] [-chaos SPEC]
+//	            [-case-timeout D] [-max-retries N] [-keep-going]
+//	            [-chaos SPEC]
 //
 // -sampler selects the Monte-Carlo realization engine: "exact" keeps
 // the bit-stable reference stream, "table" switches the Beta samplers
@@ -102,7 +100,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "case-result cache directory (implies -resume)")
 	caseTimeout := flag.Duration("case-timeout", 0, "deadline per case attempt (0 = none)")
 	maxRetries := flag.Int("max-retries", 0, "retries per failed case (attempts = 1+N, deterministic jittered backoff)")
-	degradeOnTimeout := flag.Bool("degrade-on-timeout", false, "when every timed attempt hits -case-timeout, deliver the case once at the next coarser -eval-accuracy preset (marked in the result and the failure report)")
 	keepGoing := flag.Bool("keep-going", false, "complete a sweep past permanently failed cases; failures are enumerated in the failure report instead of aborting siblings")
 	chaos := flag.String("chaos", "", "comma-separated fault injections kind@site[:dur] with kind panic|delay|error|corrupt (e.g. 'panic@attempt0/eval/0,delay@attempt0/build:3s,corrupt@'); site is a substring of injection-site names, empty matches all")
 	// The sweep defaults cover every family whose size grid reaches the
@@ -230,7 +227,6 @@ func main() {
 
 	cfg.CaseTimeout = *caseTimeout
 	cfg.MaxRetries = *maxRetries
-	cfg.DegradeOnTimeout = *degradeOnTimeout
 
 	env := &runEnv{ctx: ctx, cfg: cfg, outDir: *out, json: *jsonOut}
 	var err error
@@ -239,8 +235,8 @@ func main() {
 	}
 
 	// Every run carries a failure report; it is only written out when
-	// something non-clean happened (a retry, degradation, failure,
-	// quarantined cache entry, or injected fault).
+	// something non-clean happened (a retry, failure, quarantined cache
+	// entry, or injected fault).
 	report := experiment.NewRunReport()
 	env.opts.Report = report
 	env.opts.KeepGoing = *keepGoing
@@ -293,9 +289,9 @@ func main() {
 
 	// Surface everything non-clean: the text summary on stderr always,
 	// plus failure_report.json next to the figures when -out is set. A
-	// sweep that survived its faults (retries, degradations, -keep-going
-	// failures, quarantined cache entries) still exits 0 — the report is
-	// the contract for noticing what happened.
+	// sweep that survived its faults (retries, -keep-going failures,
+	// quarantined cache entries) still exits 0 — the report is the
+	// contract for noticing what happened.
 	if report.Eventful() {
 		d := report.Snapshot()
 		var sb strings.Builder

@@ -37,6 +37,12 @@ func main() {
 		repro.MethodClassic, repro.MethodDodin, repro.MethodSpelde,
 	} {
 		rv, err := repro.MakespanDistribution(scen, s, method)
+		if makespan.IsReductionError(err) {
+			// Dodin's reduction can exhaust its duplication budget on
+			// graphs that are far from series-parallel.
+			fmt.Printf("%-12s %v\n", method.String()+":", err)
+			continue
+		}
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -33,9 +33,8 @@ func TestConfigEvalAccuracyValue(t *testing.T) {
 	}
 }
 
-// Accuracy spellings that resolve to the reference resampling policy
-// must keep emitting the pre-accuracy (v3) cache keys — introducing the
-// knob must not invalidate caches written before it existed.
+// Accuracy spellings that resolve to the reference contract share one
+// cache key with the empty default; every other accuracy has its own.
 func TestEvalAccuracyCacheKeyStability(t *testing.T) {
 	spec := CaseSpec{Name: "k", Family: RandomFamily, N: 10, M: 3, UL: 1.1, Seed: 7}
 	base := DefaultConfig()
@@ -52,7 +51,7 @@ func TestEvalAccuracyCacheKeyStability(t *testing.T) {
 			t.Fatal(err)
 		}
 		if key != ref {
-			t.Errorf("EvalAccuracy=%q must emit the canonical v3 key", spelled)
+			t.Errorf("EvalAccuracy=%q must emit the default's key", spelled)
 		}
 	}
 
@@ -67,7 +66,7 @@ func TestEvalAccuracyCacheKeyStability(t *testing.T) {
 		t.Error("grid=48 must change the key")
 	}
 
-	// Non-reference resampling policies namespace into v4 keys.
+	// Tightened work grids change the key too.
 	seen := map[string]string{"": ref}
 	for _, preset := range []string{"fast", "coarse"} {
 		cfg := base

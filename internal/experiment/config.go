@@ -53,13 +53,6 @@ type Config struct {
 	// re-attempt is a clean re-run from the case seed, so a retried
 	// case is byte-identical to one that succeeded first try.
 	MaxRetries int
-	// DegradeOnTimeout arms the degradation ladder: when every timed
-	// attempt of a case hit CaseTimeout, one final attempt re-runs at
-	// the next coarser stochastic.EvalAccuracy preset — without the
-	// deadline, delivering a coarser result instead of none. The
-	// degradation is recorded on the result row (CaseResult.Degraded)
-	// and in the RunReport, so outputs stay honest.
-	DegradeOnTimeout bool
 }
 
 // DefaultConfig returns laptop-scale settings: every driver finishes in
@@ -138,22 +131,6 @@ func (c Config) workers() int {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// degraded steps the config one notch down the accuracy ladder
-// (stochastic.EvalAccuracy.Degrade); ok is false when the spelling is
-// invalid or no coarser preset exists.
-func (c Config) degraded() (Config, stochastic.EvalAccuracy, bool) {
-	acc, err := c.EvalAccuracyValue()
-	if err != nil {
-		return c, acc, false
-	}
-	dacc, ok := acc.Degrade()
-	if !ok {
-		return c, acc, false
-	}
-	c.EvalAccuracy = dacc.String()
-	return c, dacc, true
 }
 
 // schedulesFor scales the per-case schedule count the way the paper

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -235,5 +237,48 @@ func TestWriteMatrixCSVValidation(t *testing.T) {
 	want := "metric,a,b\na,1,NaN\nb,0.5,-Inf\n"
 	if b.String() != want {
 		t.Errorf("CSV = %q, want %q", b.String(), want)
+	}
+}
+
+// Case and Fig. 6 documents are read back from caches and from other
+// tools: decoding arbitrary bytes into either type must not panic, and
+// an accepted document must re-encode to bytes that decode and encode
+// to themselves.
+func FuzzCaseResultJSON(f *testing.F) {
+	for _, name := range []string{"case.json", "fig6.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		encodingStable[CaseResult](t, data)
+		encodingStable[Fig6Result](t, data)
+	})
+}
+
+// encodingStable decodes data into a T and, if that succeeds, checks
+// that encode → decode → encode gives identical bytes.
+func encodingStable[T any](t *testing.T, data []byte) {
+	t.Helper()
+	var v T
+	if json.Unmarshal(data, &v) != nil {
+		return
+	}
+	first, err := json.Marshal(&v)
+	if err != nil {
+		t.Fatalf("%T: encoding an accepted document: %v", v, err)
+	}
+	var back T
+	if err := json.Unmarshal(first, &back); err != nil {
+		t.Fatalf("%T: decoding its own encoding %s: %v", v, first, err)
+	}
+	second, err := json.Marshal(&back)
+	if err != nil {
+		t.Fatalf("%T: re-encoding: %v", v, err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatalf("%T: encoding not stable:\n%s\n%s", v, first, second)
 	}
 }

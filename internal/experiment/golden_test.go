@@ -129,8 +129,8 @@ func fixtureFig6() *Fig6Result {
 }
 
 // fixtureReport covers every failure-report value class: a recovered
-// panic, a degraded delivery, a permanent failure, a quarantined cache
-// entry, and the chaos-injection log.
+// panic, a recovery after timeouts, a permanent failure, a quarantined
+// cache entry, and the chaos-injection log.
 func fixtureReport() RunReportData {
 	return RunReportData{
 		CasesTotal: 5, CasesClean: 2,
@@ -142,8 +142,8 @@ func fixtureReport() RunReportData {
 			{Case: "chaos-b", Attempts: []AttemptReport{
 				{Outcome: "timeout", Error: "context deadline exceeded"},
 				{Outcome: "timeout", Error: "context deadline exceeded"},
-				{Outcome: "degraded-ok"},
-			}, Degraded: "coarse"},
+				{Outcome: "ok"},
+			}},
 			{Case: "chaos-c", Attempts: []AttemptReport{
 				{Outcome: "error", Error: "experiment: case \"chaos-c\": boom"},
 			}, Err: "experiment: case \"chaos-c\" failed after 1 attempt(s) (error): experiment: case \"chaos-c\": boom"},

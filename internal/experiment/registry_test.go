@@ -161,8 +161,7 @@ type legacySpecV2 struct {
 	Seed int64
 }
 
-// cacheCfgPart mirrors the config fields hashed into the case key (the
-// same struct shape both versions use).
+// cacheCfgPart mirrors the config fields v2 hashed into the case key.
 type cacheCfgPart struct {
 	Schedules   int
 	GridSize    int
@@ -173,8 +172,8 @@ type cacheCfgPart struct {
 }
 
 // v2 keys hashed the iota int, so inserting or reordering a family
-// silently aliased disk-cache entries across families. v3 keys hash
-// the stable name and must never collide with any v2 key.
+// silently aliased disk-cache entries across families. Keys since v3
+// hash the stable name and must never collide with any v2 key.
 func TestCacheKeyV3NeverAliasesV2(t *testing.T) {
 	cfg := DefaultConfig()
 	part := cacheCfgPart{cfg.Schedules, stochastic.DefaultGridSize, cfg.Delta, cfg.Gamma, "exact", schedule.DefaultBlockSize}
@@ -194,7 +193,7 @@ func TestCacheKeyV3NeverAliasesV2(t *testing.T) {
 			t.Fatal(err)
 		}
 		if old, clash := v2[key]; clash {
-			t.Errorf("v3 key for family %q aliases the v2 key of %q", name, old)
+			t.Errorf("key for family %q aliases the v2 key of %q", name, old)
 		}
 	}
 }

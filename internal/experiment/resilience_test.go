@@ -10,7 +10,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -187,57 +186,50 @@ func TestChaosSweepCompletesAndMatchesFaultFree(t *testing.T) {
 	}
 }
 
-// Every timed attempt exhausting the deadline must walk the
-// degradation ladder: deliver the next coarser preset, mark the
-// result, and report honestly.
-func TestDegradeOnTimeoutDeliversCoarserResult(t *testing.T) {
-	spec := CaseSpec{Name: "deg", Family: RandomFamily, N: 12, M: 3, UL: 1.1, Seed: 31}
+// A case whose every attempt times out fails with a typed timeout
+// CaseError after its last retry, stores nothing under its cache key,
+// and leaves every attempt in the report.
+func TestTimeoutOnEveryAttemptFailsTyped(t *testing.T) {
+	spec := CaseSpec{Name: "slow", Family: RandomFamily, N: 12, M: 3, UL: 1.1, Seed: 31}
 	cfg := chaosConfig()
 	cfg.EvalAccuracy = "fast"
 	cfg.CaseTimeout = 300 * time.Millisecond
 	cfg.MaxRetries = 1
-	cfg.DegradeOnTimeout = true
-
-	// Delay fires at every timed attempt's build site (unlimited
-	// budget) — only the degraded attempt, whose sites carry the
-	// "degraded" prefix, escapes it.
-	inj := resilience.NewInjector(resilience.Fault{
-		Site: "case/deg/attempt", Kind: resilience.KindDelay, Delay: 500 * time.Millisecond})
-	report := NewRunReport()
-	results, err := RunCases(context.Background(), []CaseSpec{spec}, cfg, RunOptions{
-		Injector: inj, Report: report,
-	})
-	if err != nil {
-		t.Fatalf("degraded sweep failed: %v", err)
-	}
-	res := results[0]
-	if res.Degraded != "coarse" {
-		t.Fatalf("result Degraded = %q, want coarse", res.Degraded)
-	}
-
-	// The delivered numbers are exactly a clean coarse run's.
-	coarseCfg := chaosConfig()
-	coarseCfg.EvalAccuracy = "coarse"
-	coarse, err := RunCase(spec, coarseCfg)
+	cache, err := runner.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Metrics, coarse.Metrics) || !reflect.DeepEqual(res.Corr, coarse.Corr) {
-		t.Error("degraded result does not match a clean coarse evaluation")
+	// The delay matches every site of every attempt; the first, the
+	// build, already outlasts the deadline.
+	inj := resilience.NewInjector(resilience.Fault{
+		Site: "case/slow/attempt", Kind: resilience.KindDelay, Delay: 500 * time.Millisecond})
+	report := NewRunReport()
+	_, err = RunCases(context.Background(), []CaseSpec{spec}, cfg, RunOptions{
+		Cache: cache, Injector: inj, Report: report,
+	})
+	var ce *resilience.CaseError
+	if !errors.As(err, &ce) {
+		t.Fatalf("sweep error %T %v, want *resilience.CaseError", err, err)
+	}
+	if ce.Case != "slow" || ce.Kind != "timeout" || ce.Attempts != 2 {
+		t.Errorf("CaseError %+v, want slow/timeout/2 attempts", ce)
+	}
+
+	key, err := CaseCacheKey(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := cache.Get(key); ok {
+		t.Error("timed-out case's key holds an entry")
 	}
 
 	d := report.Snapshot()
-	cr, ok := findCaseReport(d, "deg")
-	if !ok {
-		t.Fatal("report lacks the degraded case")
+	fails := d.Failures()
+	if len(fails) != 1 || fails[0].Case != "slow" {
+		t.Fatalf("failures %+v, want exactly slow", fails)
 	}
-	if cr.Degraded != "coarse" {
-		t.Errorf("report Degraded = %q", cr.Degraded)
-	}
-	if len(cr.Attempts) != 3 ||
-		cr.Attempts[0].Outcome != "timeout" || cr.Attempts[1].Outcome != "timeout" ||
-		cr.Attempts[2].Outcome != "degraded-ok" {
-		t.Errorf("attempts %+v, want [timeout timeout degraded-ok]", cr.Attempts)
+	if a := fails[0].Attempts; len(a) != 2 || a[0].Outcome != "timeout" || a[1].Outcome != "timeout" {
+		t.Errorf("attempts %+v, want [timeout timeout]", a)
 	}
 }
 
@@ -310,58 +302,5 @@ func TestPanicWithoutRetriesIsTypedError(t *testing.T) {
 	var pe *resilience.PanicError
 	if !errors.As(err, &pe) || len(pe.Stack) == 0 {
 		t.Error("CaseError does not carry the panic stack")
-	}
-}
-
-// Degraded results are cached under the degraded accuracy's own key —
-// the timed-out accuracy's key must stay empty so a later healthy run
-// never resumes onto silently coarser numbers.
-func TestDegradedResultNeverPoisonsOriginalCacheKey(t *testing.T) {
-	spec := CaseSpec{Name: "degc", Family: RandomFamily, N: 12, M: 3, UL: 1.1, Seed: 33}
-	cfg := chaosConfig()
-	cfg.EvalAccuracy = "fast"
-	cfg.CaseTimeout = 300 * time.Millisecond
-	cfg.DegradeOnTimeout = true
-	cache, err := runner.OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := resilience.NewInjector(resilience.Fault{
-		Site: "case/degc/attempt", Kind: resilience.KindDelay, Delay: 500 * time.Millisecond})
-	results, err := RunCases(context.Background(), []CaseSpec{spec}, cfg, RunOptions{
-		Cache: cache, Injector: inj,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Degraded == "" {
-		t.Fatal("expected a degraded result")
-	}
-	fastKey, err := CaseCacheKey(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := cache.Get(fastKey); ok {
-		t.Error("timed-out accuracy's key holds a (degraded) entry")
-	}
-	dcfg, _, ok := cfg.degraded()
-	if !ok {
-		t.Fatal("config did not degrade")
-	}
-	coarseKey, err := CaseCacheKey(spec, dcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, ok, err := cache.Get(coarseKey)
-	if err != nil || !ok {
-		t.Fatalf("degraded key not cached: ok=%v err=%v", ok, err)
-	}
-	// The cached entry is a clean coarse result: no Degraded marker.
-	var cached CaseResult
-	if err := json.Unmarshal(data, &cached); err != nil {
-		t.Fatal(err)
-	}
-	if cached.Degraded != "" {
-		t.Error("cache entry carries the Degraded marker; explicit coarse runs would inherit it")
 	}
 }

@@ -36,12 +36,6 @@ type CaseResult struct {
 	// (inverted) relative probabilistic metric divided by the makespan
 	// against the makespan standard deviation.
 	RelByMakespanVsStd float64
-	// Degraded, when non-empty, names the coarser evaluation accuracy
-	// this result was delivered at after every timed attempt at the
-	// configured accuracy hit the case deadline (the supervised
-	// runner's degradation ladder). Empty on every normal result, so
-	// fault-free documents are byte-identical to pre-resilience ones.
-	Degraded string `json:",omitempty"`
 }
 
 // InvertedColumns converts metric vectors into the column orientation

@@ -12,20 +12,17 @@ import (
 
 // AttemptReport records one supervised attempt of a case.
 type AttemptReport struct {
-	// Outcome is "ok", "panic", "timeout", "error", or "degraded-ok"
-	// (the final ladder attempt that delivered a coarser result).
+	// Outcome is "ok", "panic", "timeout" or "error".
 	Outcome string `json:"outcome"`
 	Error   string `json:"error,omitempty"`
 }
 
 // CaseReport is the fault history of one case: every attempt in
-// order, the accuracy it was degraded to (when the ladder fired), and
-// the final error when the case was abandoned.
+// order, and the final error when the case was abandoned.
 type CaseReport struct {
 	Case     string          `json:"case"`
 	Attempts []AttemptReport `json:"attempts"`
-	Degraded string          `json:"degraded,omitempty"` // accuracy actually delivered
-	Err      string          `json:"err,omitempty"`      // set only when the case permanently failed
+	Err      string          `json:"err,omitempty"` // set only when the case permanently failed
 }
 
 // Failed reports whether the case was abandoned after all attempts.
@@ -96,7 +93,7 @@ func (r *RunReport) recordCase(cr CaseReport) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.total++
-	if !cr.Failed() && len(cr.Attempts) == 1 && cr.Degraded == "" {
+	if !cr.Failed() && len(cr.Attempts) == 1 {
 		r.clean++
 		return
 	}
@@ -123,7 +120,7 @@ func (r *RunReport) AttachInjector(in *resilience.Injector) {
 }
 
 // Eventful reports whether anything non-clean happened: a retry,
-// degradation, failure, quarantine, or injected fault.
+// failure, quarantine, or injected fault.
 func (r *RunReport) Eventful() bool {
 	d := r.Snapshot()
 	return len(d.Cases) > 0 || len(d.Quarantines) > 0 || len(d.Injected) > 0
@@ -160,9 +157,6 @@ func WriteRunReport(w io.Writer, d RunReportData) {
 			} else {
 				fmt.Fprintf(w, "  attempt %d: %s\n", i+1, a.Outcome)
 			}
-		}
-		if c.Degraded != "" {
-			fmt.Fprintf(w, "  degraded to accuracy %q\n", c.Degraded)
 		}
 		if c.Failed() {
 			fmt.Fprintf(w, "  FAILED: %s\n", c.Err)

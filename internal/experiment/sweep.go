@@ -27,8 +27,8 @@ type RunOptions struct {
 	// permanently failed ones under KeepGoing).
 	Progress func(done, total int, name string)
 	// Report, when non-nil, accumulates the structured failure summary
-	// of the sweep: per-case attempts, degradations, quarantined cache
-	// entries, injected faults.
+	// of the sweep: per-case attempts, quarantined cache entries,
+	// injected faults.
 	Report *RunReport
 	// Injector, when non-nil, arms chaos injection: RunCaseOn consults
 	// it at named sites (case/<name>/attempt<k>/{build,eval/<i>,
@@ -43,18 +43,9 @@ type RunOptions struct {
 }
 
 // caseCacheVersion tags cache entries; bump it whenever the result
-// semantics or encoding of a case change. v3: CaseSpec identifies its
-// workload by the registered family name (a stable string) instead of
-// the old iota-valued GraphKind, whose integer hash silently aliased
-// cache entries across families whenever the enum was reordered or
-// grew in the middle.
-const caseCacheVersion = "repro/case/v3"
-
-// caseCacheVersionAcc tags entries computed under a non-reference
-// resampling policy (EvalAccuracy with a tightened work-grid cap). The
-// reference policy keeps emitting v3 keys, so the accuracy knob's
-// default never invalidates caches written before it existed.
-const caseCacheVersionAcc = "repro/case/v4"
+// semantics or encoding of a case change. v5: one key layout, which
+// hashes both axes of the evaluation accuracy.
+const caseCacheVersion = "repro/case/v5"
 
 // CaseCacheKey derives the disk-cache key of a case: a hash of the
 // full spec (workload family by stable name) and every configuration
@@ -63,16 +54,14 @@ const caseCacheVersionAcc = "repro/case/v4"
 // of the key — but the sampler mode and block size are included, so
 // any future Monte-Carlo-backed case can never serve a stale entry
 // computed under a different realization stream. The Monte-Carlo
-// fields are hashed in canonical form ("" and "exact" name the same
-// sampler; block size <= 0 means schedule.DefaultBlockSize), so
-// spelling a default out explicitly never invalidates a cache. The
-// evaluation accuracy follows the same rule: any spelling that resolves
-// to the reference resampling policy hashes exactly like the
-// pre-accuracy configs (v3, grid size only), while a tightened
-// work-grid cap moves to v4 keys that include the cap.
+// fields and the evaluation accuracy are hashed in canonical form (""
+// and "exact" name the same sampler; block size <= 0 means
+// schedule.DefaultBlockSize; "", "reference" and "grid=64" name the
+// same accuracy), so spelling a default out explicitly never
+// invalidates a cache.
 //
 //reprovet:cachekey CaseSpec
-//reprovet:cachekey Config -exempt MCRealizations,Workers,Seed,CaseTimeout,MaxRetries,DegradeOnTimeout
+//reprovet:cachekey Config -exempt MCRealizations,Workers,Seed,CaseTimeout,MaxRetries
 func CaseCacheKey(spec CaseSpec, cfg Config) (string, error) {
 	mode, err := stochastic.ParseSamplerMode(cfg.MCSampler)
 	if err != nil {
@@ -86,17 +75,7 @@ func CaseCacheKey(spec CaseSpec, cfg Config) (string, error) {
 	if blockSize <= 0 {
 		blockSize = schedule.DefaultBlockSize
 	}
-	if acc.WorkGrid == stochastic.DefaultMaxWorkGrid {
-		return runner.Key(caseCacheVersion, spec, struct {
-			Schedules   int
-			GridSize    int
-			Delta       float64
-			Gamma       float64
-			MCSampler   string
-			MCBlockSize int
-		}{cfg.Schedules, acc.GridSize, cfg.Delta, cfg.Gamma, mode.String(), blockSize})
-	}
-	return runner.Key(caseCacheVersionAcc, spec, struct {
+	return runner.Key(caseCacheVersion, spec, struct {
 		Schedules   int
 		GridSize    int
 		WorkGrid    int
@@ -115,13 +94,12 @@ func CaseCacheKey(spec CaseSpec, cfg Config) (string, error) {
 //
 // Execution is supervised: a panicking case fails with a typed error
 // instead of crashing the process, cfg.CaseTimeout bounds each
-// attempt, failed attempts retry up to cfg.MaxRetries times with
-// deterministic jittered backoff, and cfg.DegradeOnTimeout arms the
-// accuracy-degradation ladder. Retried cases re-run from their case
-// seed, so every delivered non-degraded result is byte-identical to a
-// fault-free run. With opts.KeepGoing a permanently failed case
-// yields a nil result slot (recorded in opts.Report) instead of
-// aborting its siblings.
+// attempt, and failed attempts retry up to cfg.MaxRetries times with
+// deterministic jittered backoff. Retried cases re-run from their case
+// seed, so every delivered result is byte-identical to a fault-free
+// run. With opts.KeepGoing a permanently failed case yields a nil
+// result slot (recorded in opts.Report) instead of aborting its
+// siblings.
 //
 // Specs are run with exactly the seeds they carry (RunCases and
 // RunCase always agree); ad-hoc sweeps that don't want to
@@ -218,10 +196,10 @@ func RunCases(ctx context.Context, specs []CaseSpec, cfg Config, opts RunOptions
 }
 
 // runCaseSupervised is the fault boundary around one case: panic
-// recovery, per-attempt deadlines, retry with deterministic backoff,
-// and the timeout-degradation ladder. Every attempt is a clean re-run
-// from the case seed through runCaseCached, so whichever attempt
-// succeeds delivers exactly the bytes a fault-free run would.
+// recovery, per-attempt deadlines and retry with deterministic
+// backoff. Every attempt is a clean re-run from the case seed through
+// runCaseCached, so whichever attempt succeeds delivers exactly the
+// bytes a fault-free run would.
 func runCaseSupervised(ctx context.Context, spec CaseSpec, cfg Config, pool *runner.Pool, opts RunOptions) (*CaseResult, error) {
 	attempts := 1
 	if cfg.MaxRetries > 0 {
@@ -229,7 +207,6 @@ func runCaseSupervised(ctx context.Context, spec CaseSpec, cfg Config, pool *run
 	}
 	rep := CaseReport{Case: spec.Name}
 	var lastErr error
-	timeouts := 0
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			if err := resilience.Sleep(ctx, resilience.Backoff(attempt, spec.Seed, spec.Name)); err != nil {
@@ -259,42 +236,8 @@ func runCaseSupervised(ctx context.Context, spec CaseSpec, cfg Config, pool *run
 			// a case fault, nothing to retry or record.
 			return nil, err
 		}
-		kind := resilience.ClassifyKind(err)
-		if kind == "timeout" {
-			timeouts++
-		}
-		rep.Attempts = append(rep.Attempts, AttemptReport{Outcome: kind, Error: err.Error()})
+		rep.Attempts = append(rep.Attempts, AttemptReport{Outcome: resilience.ClassifyKind(err), Error: err.Error()})
 		lastErr = err
-	}
-
-	// Degradation ladder: every timed attempt hit the deadline, so a
-	// finer evaluation will not fit the budget either — deliver the
-	// next coarser preset (deadline off: this is the last resort, and
-	// the coarser run is the one sized to succeed) instead of nothing.
-	if timeouts == attempts && cfg.DegradeOnTimeout {
-		if dcfg, dacc, ok := cfg.degraded(); ok {
-			dctx := resilience.WithScope(ctx, opts.Injector,
-				fmt.Sprintf("case/%s/degraded/", spec.Name))
-			var res *CaseResult
-			err := resilience.Protect(func() error {
-				var err error
-				res, err = runCaseCached(dctx, spec, dcfg, pool, opts.Cache)
-				return err
-			})
-			if err == nil {
-				// Marked after caching: the cache entry under the
-				// degraded config's own key stays a clean result any
-				// explicitly-coarse run may reuse.
-				res.Degraded = dacc.String()
-				rep.Attempts = append(rep.Attempts, AttemptReport{Outcome: "degraded-ok"})
-				rep.Degraded = dacc.String()
-				opts.Report.recordCase(rep)
-				return res, nil
-			}
-			rep.Attempts = append(rep.Attempts, AttemptReport{
-				Outcome: resilience.ClassifyKind(err), Error: err.Error()})
-			lastErr = err
-		}
 	}
 
 	ce := &resilience.CaseError{
@@ -309,9 +252,8 @@ func runCaseSupervised(ctx context.Context, spec CaseSpec, cfg Config, pool *run
 // runCaseCached wraps RunCaseOn with the optional disk cache: hits
 // skip the computation entirely, misses are stored after computing.
 // Integrity-corrupt entries are quarantined inside Cache.Get; an
-// entry that verifies but no longer decodes (a legacy pre-checksum
-// entry gone bad, a format drift) is quarantined here — either way
-// the case is recomputed, never aborted.
+// entry that verifies but no longer decodes (a format drift) is
+// quarantined here — either way the case is recomputed, never aborted.
 func runCaseCached(ctx context.Context, spec CaseSpec, cfg Config, pool *runner.Pool, cache *runner.Cache) (*CaseResult, error) {
 	var key string
 	if cache != nil {

@@ -67,7 +67,7 @@ func TestEvalModelDegenerateAtEveryPreset(t *testing.T) {
 			}
 			d := single.TaskDist(0, 1)
 			lo, hi := d.Support()
-			for _, rv := range []*stochastic.Numeric{m.Classic(), m.Dodin()} {
+			for _, rv := range classicAndDodin(t, m) {
 				if rv.Lo() != lo || rv.Hi() != hi {
 					t.Errorf("single-task support [%g,%g], want [%g,%g]", rv.Lo(), rv.Hi(), lo, hi)
 				}
@@ -78,7 +78,7 @@ func TestEvalModelDegenerateAtEveryPreset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, rv := range []*stochastic.Numeric{m2.Classic(), m2.Dodin()} {
+			for _, rv := range classicAndDodin(t, m2) {
 				if !rv.IsPoint() || rv.Lo() != refDet.Lo() {
 					t.Errorf("all-Dirac makespan %v, want point at %g", rv, refDet.Lo())
 				}
@@ -89,7 +89,7 @@ func TestEvalModelDegenerateAtEveryPreset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, rv := range []*stochastic.Numeric{m3.Classic(), m3.Dodin()} {
+			for _, rv := range classicAndDodin(t, m3) {
 				if !rv.IsPoint() || rv.Lo() != 0 {
 					t.Errorf("zero-duration chain makespan %v, want point at 0", rv)
 				}
@@ -151,4 +151,14 @@ func TestEvalModelGridConvergence(t *testing.T) {
 			t.Errorf("%s preset max relative error %.3e, want < %g", name, e, tol)
 		}
 	}
+}
+
+// classicAndDodin evaluates m by both density methods.
+func classicAndDodin(t *testing.T, m *makespan.EvalModel) []*stochastic.Numeric {
+	t.Helper()
+	dodin, err := m.Dodin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*stochastic.Numeric{m.Classic(), dodin}
 }

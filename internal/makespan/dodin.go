@@ -13,10 +13,7 @@ import (
 // ReductionError is the typed failure of a series-parallel reduction:
 // the graph could not be contracted to a single node, either because
 // cone duplication exhausted the node budget or because no reduction or
-// duplication applies (stuck). It is the only error class the Dodin
-// evaluators treat as "fall back to the classical method" — every other
-// failure (an invalid schedule, for example) propagates, matching the
-// no-silent-fallback convention of the workload registry.
+// duplication applies (stuck).
 type ReductionError struct {
 	Live   int  // live nodes remaining
 	Total  int  // total nodes ever created
@@ -33,8 +30,8 @@ func (e *ReductionError) Error() string {
 }
 
 // IsReductionError reports whether err is a series-parallel
-// ReductionError — the class of Dodin failures for which the classical
-// evaluation is the documented fallback.
+// ReductionError, as opposed to a structural error such as an invalid
+// schedule.
 func IsReductionError(err error) bool {
 	var re *ReductionError
 	return errors.As(err, &re)
@@ -342,27 +339,22 @@ func (g *rvGraph) reduce(maxNodes int) (*stochastic.Numeric, error) {
 // through the compiled evaluation model (EvalModel.Dodin): the
 // disjunctive graph is reduced by series convolutions and parallel
 // maxima, and non-series-parallel remainders are unlocked by
-// duplicating shared predecessors. When — and only when — the reduction
-// itself fails (a *ReductionError: budget exhausted or stuck) the
-// classical evaluation is used as a fallback (documented in the README
-// section "Evaluation accuracy"); any other error, such as an invalid
-// schedule, propagates. One-shot convenience: callers evaluating many
-// schedules of one scenario should hold an EvalCache and call
-// Model(s).Dodin() directly.
+// duplicating shared predecessors. A reduction that cannot finish
+// returns its *ReductionError; an invalid schedule returns a structural
+// error. One-shot convenience: callers evaluating many schedules of one
+// scenario should hold an EvalCache and call Model(s).Dodin() directly.
 func EvaluateDodin(scen *platform.Scenario, s *schedule.Schedule, gridSize int) (*stochastic.Numeric, error) {
 	m, err := NewEvalCache(scen, gridSize).Model(s)
 	if err != nil {
 		return nil, err
 	}
-	return m.Dodin(), nil
+	return m.Dodin()
 }
 
 // ReferenceEvaluateDodin is the retained map-based reduction (rvGraph),
-// the differential reference for EvalModel.DodinStrict. Like
-// DodinStrict it has no classical fallback: it returns the
-// *ReductionError when the series-parallel reduction cannot finish
-// within its duplication budget, so tests can tell the reduction path
-// was actually exercised.
+// the differential reference for EvalModel.Dodin. Like EvalModel.Dodin
+// it returns the *ReductionError when the series-parallel reduction
+// cannot finish within its duplication budget.
 func ReferenceEvaluateDodin(scen *platform.Scenario, s *schedule.Schedule, gridSize int) (*stochastic.Numeric, error) {
 	m, err := NewEvalCache(scen, gridSize).Model(s)
 	if err != nil {
@@ -399,7 +391,8 @@ func ReferenceEvaluateDodin(scen *platform.Scenario, s *schedule.Schedule, gridS
 		}
 	}
 	// Node budget: generous enough to unshare small graphs completely,
-	// bounded so pathological cases fall back to the classical method.
+	// bounded so pathological cases fail with a *ReductionError instead
+	// of growing without limit.
 	budget := 200 * (n + 2)
 	if budget > 20000 {
 		budget = 20000

@@ -526,23 +526,11 @@ func (g *spGraph) reduce(budget int) (*stochastic.Numeric, error) {
 // Dodin evaluates the makespan distribution by Dodin's series-parallel
 // reduction on the compiled graph: flat edge-id adjacency, a worklist
 // instead of full-graph rescans, and all densities drawn from the
-// cache's recycling workspace. Accuracy follows the cache. When — and
-// only when — the reduction fails (*ReductionError) the classical
-// evaluation is the documented fallback; structural errors cannot occur
-// here (the model is already compiled).
-func (m *EvalModel) Dodin() *stochastic.Numeric {
-	rv, err := m.DodinStrict()
-	if err != nil {
-		return m.Classic()
-	}
-	return rv
-}
-
-// DodinStrict is Dodin without the classical fallback: it returns the
-// *ReductionError when the series-parallel reduction cannot finish
-// within its duplication budget. Tests and the differential harness use
-// it to guarantee the reduction path is actually exercised.
-func (m *EvalModel) DodinStrict() (*stochastic.Numeric, error) {
+// cache's recycling workspace. Accuracy follows the cache. It returns
+// the *ReductionError when the reduction cannot finish within its
+// duplication budget; structural errors cannot occur here (the model
+// is already compiled).
+func (m *EvalModel) Dodin() (*stochastic.Numeric, error) {
 	acc := m.cache.acc
 	grid := acc.GridSize
 	ops := getOps()
@@ -576,8 +564,8 @@ func (m *EvalModel) DodinStrict() (*stochastic.Numeric, error) {
 		}
 	}
 	// Same budget as the legacy reducer: generous enough to unshare
-	// small graphs completely, bounded so pathological cases fall back
-	// to the classical method.
+	// small graphs completely, bounded so pathological cases fail with
+	// a *ReductionError instead of growing without limit.
 	budget := 200 * (n + 2)
 	if budget > 20000 {
 		budget = 20000

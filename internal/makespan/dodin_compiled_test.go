@@ -22,20 +22,20 @@ func modelFor(t *testing.T, scen *platform.Scenario, s *schedule.Schedule) *Eval
 }
 
 // The compiled reduction must agree with the legacy map-based reference
-// on fully series-parallel structures, where both complete strictly
-// (no duplication, no fallback).
+// on fully series-parallel structures, where both complete without
+// duplication.
 func TestCompiledDodinMatchesLegacyOnSP(t *testing.T) {
 	// Chain on one processor.
 	g := graphgen.Chain(4, 0)
 	scen := uniformScenario(g, 1, 10, 1.3)
 	s := allOnProc(t, g, 1, 0)
-	got, err := modelFor(t, scen, s).DodinStrict()
+	got, err := modelFor(t, scen, s).Dodin()
 	if err != nil {
-		t.Fatalf("compiled strict Dodin failed on a chain: %v", err)
+		t.Fatalf("compiled Dodin failed on a chain: %v", err)
 	}
 	want, err := ReferenceEvaluateDodin(scen, s, 64)
 	if err != nil {
-		t.Fatalf("legacy strict Dodin failed on a chain: %v", err)
+		t.Fatalf("legacy Dodin failed on a chain: %v", err)
 	}
 	if !almostEqual(got.Mean(), want.Mean(), 1e-6*want.Mean()) {
 		t.Errorf("chain: compiled mean %g vs legacy %g", got.Mean(), want.Mean())
@@ -53,13 +53,13 @@ func TestCompiledDodinMatchesLegacyOnSP(t *testing.T) {
 	s2.Assign(2, 1)
 	s2.Assign(3, 2)
 	s2.Assign(4, 0)
-	got2, err := modelFor(t, scen2, s2).DodinStrict()
+	got2, err := modelFor(t, scen2, s2).Dodin()
 	if err != nil {
-		t.Fatalf("compiled strict Dodin failed on fork-join: %v", err)
+		t.Fatalf("compiled Dodin failed on fork-join: %v", err)
 	}
 	want2, err := ReferenceEvaluateDodin(scen2, s2, 64)
 	if err != nil {
-		t.Fatalf("legacy strict Dodin failed on fork-join: %v", err)
+		t.Fatalf("legacy Dodin failed on fork-join: %v", err)
 	}
 	// Reduction order differs (worklist vs index rescans), so agreement
 	// is to numeric tolerance, not bit-exact.
@@ -89,14 +89,14 @@ func TestCompiledDodinMatchesLegacyOnRandom(t *testing.T) {
 		}
 		s := heuristics.RandomSchedule(scen, rng)
 		m := modelFor(t, scen, s)
-		got, gotErr := m.DodinStrict()
+		got, gotErr := m.Dodin()
 		want, wantErr := ReferenceEvaluateDodin(scen, s, 64)
 		cls := m.Classic()
 		if gotErr == nil && !almostEqual(got.Mean(), cls.Mean(), 0.05*cls.Mean()) {
 			t.Errorf("trial %d: compiled Dodin mean %g vs classic %g", i, got.Mean(), cls.Mean())
 		}
 		if gotErr != nil && !IsReductionError(gotErr) {
-			t.Errorf("trial %d: compiled strict failure is not a ReductionError: %v", i, gotErr)
+			t.Errorf("trial %d: compiled failure is not a ReductionError: %v", i, gotErr)
 		}
 		if gotErr == nil && wantErr == nil {
 			bothSucceeded++
@@ -105,15 +105,15 @@ func TestCompiledDodinMatchesLegacyOnRandom(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("compiled and legacy strict Dodin both completed %d/%d random schedules", bothSucceeded, trials)
+	t.Logf("compiled and legacy Dodin both completed %d/%d random schedules", bothSucceeded, trials)
 	if bothSucceeded == 0 {
-		t.Error("compiled strict Dodin never succeeded alongside legacy — reduction is dead code")
+		t.Error("compiled Dodin never succeeded alongside legacy — reduction is dead code")
 	}
 }
 
-// EvalModel.Dodin must never fail: reduction failures fall back to the
-// classical result.
-func TestEvalModelDodinFallback(t *testing.T) {
+// On a 20-task random schedule EvalModel.Dodin's reduction finishes
+// and stays close to the classical result.
+func TestEvalModelDodinFinishesNearClassic(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	g, w := graphgen.Random(20, rng)
 	tau, lat := platform.NewUniformNetwork(3, 1, 0)
@@ -124,7 +124,10 @@ func TestEvalModelDodinFallback(t *testing.T) {
 	}
 	s := heuristics.RandomSchedule(scen, rng)
 	m := modelFor(t, scen, s)
-	rv := m.Dodin()
+	rv, err := m.Dodin()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cls := m.Classic()
 	if !almostEqual(rv.Mean(), cls.Mean(), 0.05*cls.Mean()) {
 		t.Errorf("Dodin mean %g vs classic %g", rv.Mean(), cls.Mean())
@@ -146,7 +149,7 @@ func TestCompiledDodinAccuracyPresets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.DodinStrict()
+	want, err := ref.Dodin()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +158,7 @@ func TestCompiledDodinAccuracyPresets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.DodinStrict()
+		got, err := m.Dodin()
 		if err != nil {
 			t.Fatalf("%v: %v", acc, err)
 		}

@@ -100,8 +100,8 @@ func TestClassicWithCustomDurFn(t *testing.T) {
 	}
 }
 
-// The strict Dodin reduction must succeed (no fallback) on
-// series-parallel structures, proving the reduction path is exercised.
+// The reference Dodin reduction must finish on series-parallel
+// structures, proving the reduction path is exercised.
 func TestDodinStrictOnSPStructures(t *testing.T) {
 	// Chain on one processor.
 	g := graphgen.Chain(4, 0)
@@ -131,7 +131,7 @@ func TestDodinStrictOnSPStructures(t *testing.T) {
 // On general random schedules the duplication mechanism should usually
 // complete too; count how often it succeeds to keep the mechanism
 // honest (it must work at least some of the time, or Dodin is dead
-// code behind the fallback).
+// code).
 func TestDodinStrictOnRandomSchedules(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	succeeded := 0

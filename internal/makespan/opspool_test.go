@@ -49,7 +49,10 @@ func TestSharedOpsPoolAcrossAccuracies(t *testing.T) {
 	dodin := make([]*stochastic.Numeric, len(jobs))
 	for i, j := range jobs {
 		classic[i] = j.model.Classic()
-		dodin[i] = j.model.Dodin()
+		var err error
+		if dodin[i], err = j.model.Dodin(); err != nil {
+			t.Fatalf("%s: %v", j.label, err)
+		}
 	}
 
 	const workers = 4
@@ -67,7 +70,10 @@ func TestSharedOpsPoolAcrossAccuracies(t *testing.T) {
 			for k := range jobs {
 				i := (k + w*len(jobs)/workers) % len(jobs)
 				gotClassic[w][i] = jobs[i].model.Classic()
-				gotDodin[w][i] = jobs[i].model.Dodin()
+				var err error
+				if gotDodin[w][i], err = jobs[i].model.Dodin(); err != nil {
+					t.Errorf("%s/worker%d: %v", jobs[i].label, w, err)
+				}
 			}
 		}(w)
 	}

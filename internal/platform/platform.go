@@ -7,6 +7,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/stochastic"
@@ -24,7 +25,7 @@ type Platform struct {
 func (p *Platform) N() int { return len(p.ETC) }
 
 // Validate checks structural invariants: matrix shapes, zero diagonals,
-// non-negative entries.
+// finite non-negative entries.
 func (p *Platform) Validate() error {
 	if p.M <= 0 {
 		return fmt.Errorf("platform: M = %d", p.M)
@@ -34,8 +35,8 @@ func (p *Platform) Validate() error {
 			return fmt.Errorf("platform: ETC row %d has %d entries, want %d", i, len(row), p.M)
 		}
 		for j, v := range row {
-			if v < 0 {
-				return fmt.Errorf("platform: ETC[%d][%d] = %g < 0", i, j, v)
+			if !finiteNonNegative(v) {
+				return fmt.Errorf("platform: ETC[%d][%d] = %g, want finite and >= 0", i, j, v)
 			}
 		}
 	}
@@ -59,14 +60,18 @@ func (p *Platform) Validate() error {
 				return fmt.Errorf("platform: %s[%d][%d] = %g, diagonal must be 0", name, i, i, row[i])
 			}
 			for j, v := range row {
-				if v < 0 {
-					return fmt.Errorf("platform: %s[%d][%d] = %g < 0", name, i, j, v)
+				if !finiteNonNegative(v) {
+					return fmt.Errorf("platform: %s[%d][%d] = %g, want finite and >= 0", name, i, j, v)
 				}
 			}
 		}
 	}
 	return nil
 }
+
+// finiteNonNegative reports whether v is finite and non-negative; the
+// comparison alone is false for NaN and -Inf.
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // MinCommTime returns the minimum time to ship `volume` data elements
 // from processor pi to pj: lij + volume·τij, and 0 when pi == pj.

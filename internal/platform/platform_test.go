@@ -307,3 +307,79 @@ func TestZeroMinCommUnderCustomDurFn(t *testing.T) {
 		t.Error("UL=1 zero-min comm should stay Dirac(0)")
 	}
 }
+
+// fuzzValues is the alphabet FuzzPlatformValidate draws matrix entries
+// from, one byte per entry: ordinary values, the signed zeros and
+// extremes, and the non-finite values.
+var fuzzValues = []float64{0, 1, 2.5, -1, math.Copysign(0, -1), math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)}
+
+// Validate guards platforms that users build: over arbitrary shapes
+// and entries it must not panic, and a platform it accepts has M-wide
+// ETC rows, M×M τ and latency matrices with zero diagonals, and only
+// finite, non-negative entries. shape[k], when present, overrides the
+// row count of the k-th matrix (ETC, τ, latency) and the following
+// bytes override row widths in order; vals indexes fuzzValues for each
+// entry, row by row, and missing entries are 0.
+func FuzzPlatformValidate(f *testing.F) {
+	// M = 2, one task; each matrix well formed, with a NaN ETC entry, a
+	// +Inf τ entry and a NaN latency entry in turn.
+	f.Add(int8(2), []byte{1}, []byte{1, 6, 0, 1, 1, 0, 0, 2, 2, 0})
+	f.Add(int8(2), []byte{1}, []byte{1, 2, 0, 7, 1, 0, 0, 2, 2, 0})
+	f.Add(int8(2), []byte{1}, []byte{1, 2, 0, 1, 1, 0, 0, 6, 2, 0})
+	// M = 3, two tasks, with the first τ row one entry short.
+	f.Add(int8(3), []byte{2, 3, 3, 3, 3, 2}, []byte{})
+	f.Fuzz(func(t *testing.T, m int8, shape, vals []byte) {
+		p := &Platform{M: int(m) % 5}
+		next := func(b []byte, k int) (int, bool) {
+			if k < len(b) {
+				return int(b[k]), true
+			}
+			return 0, false
+		}
+		widthAt, entryAt := 3, 0
+		matrix := func(k int) [][]float64 {
+			rows := max(p.M, 0)
+			if v, ok := next(shape, k); ok {
+				rows = v % 5
+			}
+			mat := make([][]float64, rows)
+			for i := range mat {
+				width := max(p.M, 0)
+				if v, ok := next(shape, widthAt); ok {
+					width = v % 5
+				}
+				widthAt++
+				mat[i] = make([]float64, width)
+				for j := range mat[i] {
+					if v, ok := next(vals, entryAt); ok {
+						mat[i][j] = fuzzValues[v%len(fuzzValues)]
+					}
+					entryAt++
+				}
+			}
+			return mat
+		}
+		p.ETC, p.Tau, p.Lat = matrix(0), matrix(1), matrix(2)
+		if p.Validate() != nil {
+			return
+		}
+		for k, mat := range [][][]float64{p.ETC, p.Tau, p.Lat} {
+			if k > 0 && len(mat) != p.M {
+				t.Fatalf("accepted matrix %d with %d rows, M = %d", k, len(mat), p.M)
+			}
+			for i, row := range mat {
+				if len(row) != p.M {
+					t.Fatalf("accepted matrix %d row %d of width %d, M = %d", k, i, len(row), p.M)
+				}
+				if k > 0 && row[i] != 0 {
+					t.Fatalf("accepted matrix %d diagonal entry %g", k, row[i])
+				}
+				for _, v := range row {
+					if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("accepted matrix %d entry %g", k, v)
+					}
+				}
+			}
+		}
+	})
+}

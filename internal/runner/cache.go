@@ -23,8 +23,7 @@ import (
 // longer matches (bit rot, a torn write from a crashed kernel, a
 // truncating copy) is moved to <dir>/quarantine/ and reported as a
 // miss, so a resume recomputes the case instead of decoding garbage.
-// Entries written before the trailer existed carry no digest and are
-// served as-is.
+// An entry with no trailer at all is treated the same way.
 type Cache struct {
 	dir string
 
@@ -55,12 +54,12 @@ func sealEntry(data []byte) []byte {
 }
 
 // openEntry splits a stored entry into payload and verdict: ok=false
-// means the trailer is present but does not verify — the file is
-// corrupt. Files without a trailer are legacy entries, returned as-is.
+// means the trailer is missing or does not verify — the file is
+// corrupt.
 func openEntry(raw []byte) (data []byte, ok bool) {
 	idx := bytes.LastIndex(raw, []byte(sumMarker))
 	if idx < 0 {
-		return raw, true
+		return nil, false
 	}
 	tail := bytes.TrimSuffix(raw[idx+len(sumMarker):], []byte("\n"))
 	if len(tail) != sha256.Size*2 {

@@ -40,21 +40,29 @@ func TestCachePutGetRoundTripsSealedEntries(t *testing.T) {
 	}
 }
 
-func TestCacheLegacyEntryWithoutTrailerStillServed(t *testing.T) {
+// An entry without the integrity trailer cannot be verified, so it is a
+// miss and its bytes move unchanged into quarantine/.
+func TestCacheUnsealedEntryQuarantinedAsMiss(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := []byte(`{"pre":"integrity"}`)
-	if err := os.WriteFile(filepath.Join(c.Dir(), "bbbb.json"), legacy, 0o644); err != nil {
+	unsealed := []byte(`{"pre":"integrity"}`)
+	if err := os.WriteFile(filepath.Join(c.Dir(), "bbbb.json"), unsealed, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := c.Get("bbbb")
-	if err != nil || !ok {
-		t.Fatalf("legacy Get: ok=%v err=%v", ok, err)
+	if _, ok, err := c.Get("bbbb"); ok || err != nil {
+		t.Fatalf("unsealed Get: ok=%v err=%v, want miss", ok, err)
 	}
-	if !bytes.Equal(got, legacy) {
-		t.Errorf("legacy payload mangled: %q", got)
+	if _, err := os.Stat(filepath.Join(c.Dir(), "bbbb.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Error("unsealed entry still in the lookup path")
+	}
+	got, err := os.ReadFile(filepath.Join(c.QuarantineDir(), "bbbb.json"))
+	if err != nil {
+		t.Fatalf("unsealed entry not quarantined: %v", err)
+	}
+	if !bytes.Equal(got, unsealed) {
+		t.Errorf("quarantined bytes %q, want %q", got, unsealed)
 	}
 }
 

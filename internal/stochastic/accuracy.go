@@ -77,22 +77,6 @@ func (a EvalAccuracy) Canon() EvalAccuracy {
 // to the pre-EvalAccuracy evaluators.
 func (a EvalAccuracy) IsReference() bool { return a.Canon() == AccuracyReference }
 
-// Degrade returns the next coarser named preset — the degradation
-// ladder of the fault-tolerant experiment runner: reference → fast →
-// coarse. ok is false when no strictly coarser preset exists (already
-// coarse, or a custom accuracy below every preset), in which case the
-// receiver is returned unchanged. "Coarser" means no larger on both
-// axes and different: degrading never silently raises either grid.
-func (a EvalAccuracy) Degrade() (EvalAccuracy, bool) {
-	c := a.Canon()
-	for _, p := range []EvalAccuracy{AccuracyFast, AccuracyCoarse} {
-		if p != c && p.GridSize <= c.GridSize && p.WorkGrid <= c.WorkGrid {
-			return p, true
-		}
-	}
-	return c, false
-}
-
 // String renders the canonical spelling: a preset name when the value
 // matches one, otherwise the explicit "grid=G,work=W" form. The output
 // round-trips through ParseEvalAccuracy.

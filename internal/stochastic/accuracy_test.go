@@ -30,44 +30,6 @@ func TestAccuracyCanonAndPresets(t *testing.T) {
 	}
 }
 
-func TestAccuracyDegradeLadder(t *testing.T) {
-	steps := []struct {
-		from EvalAccuracy
-		want EvalAccuracy
-		ok   bool
-	}{
-		{EvalAccuracy{}, AccuracyFast, true}, // zero value = reference
-		{AccuracyReference, AccuracyFast, true},
-		{AccuracyFast, AccuracyCoarse, true},
-		{AccuracyCoarse, AccuracyCoarse, false},
-		// A custom accuracy coarser than every preset cannot degrade:
-		// Degrade must never raise a grid.
-		{EvalAccuracy{GridSize: 16, WorkGrid: 64}, EvalAccuracy{GridSize: 16, WorkGrid: 64}, false},
-		// A custom accuracy finer than fast degrades onto the ladder.
-		{EvalAccuracy{GridSize: 96, WorkGrid: 4096}, AccuracyFast, true},
-	}
-	for _, s := range steps {
-		got, ok := s.from.Degrade()
-		if got != s.want || ok != s.ok {
-			t.Errorf("Degrade(%v) = (%v, %v), want (%v, %v)", s.from, got, ok, s.want, s.ok)
-		}
-	}
-	// The ladder terminates from every start.
-	for _, start := range []EvalAccuracy{AccuracyReference, AccuracyFast, AccuracyCoarse, {GridSize: 128, WorkGrid: 16384}} {
-		a, hops := start, 0
-		for {
-			next, ok := a.Degrade()
-			if !ok {
-				break
-			}
-			a = next
-			if hops++; hops > 4 {
-				t.Fatalf("Degrade from %v does not terminate", start)
-			}
-		}
-	}
-}
-
 func TestAccuracyStringParseRoundTrip(t *testing.T) {
 	cases := []EvalAccuracy{
 		{}, AccuracyReference, AccuracyFast, AccuracyCoarse,

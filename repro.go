@@ -174,7 +174,9 @@ func SDHEFT(scen *Scenario, lambda float64) (HeuristicResult, error) {
 }
 
 // MakespanDistribution evaluates the makespan distribution of s with
-// the given method on the paper's 64-point grid.
+// the given method on the paper's 64-point grid. MethodDodin returns
+// the reduction's error (makespan.IsReductionError) when Dodin's
+// reduction cannot finish.
 func MakespanDistribution(scen *Scenario, s *Schedule, method makespan.Method) (*MakespanRV, error) {
 	return makespan.Evaluate(scen, s, method, 0)
 }

@@ -3,6 +3,8 @@ package repro
 import (
 	"math"
 	"testing"
+
+	"repro/internal/makespan"
 )
 
 func TestFacadeScenarios(t *testing.T) {
@@ -151,12 +153,29 @@ func TestFacadeDodinMatchesModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := m.Dodin()
+			want, err := m.Dodin()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !sameBits(got, want) {
 				t.Errorf("%s seed %d: facade Dodin mean %.12g differs from EvalModel.Dodin mean %.12g",
 					family, seed, got.Mean(), want.Mean())
 			}
 		}
+	}
+}
+
+// A Dodin reduction that cannot finish is an error, never Classic's
+// density under Dodin's name. Random schedules of the 1 000-task FFT
+// exhaust the duplication budget.
+func TestFacadeDodinReturnsReductionError(t *testing.T) {
+	scen, err := NewScenario("fft", 1000, 8, 1.1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = MakespanDistribution(scen, RandomSchedule(scen, 101), MethodDodin)
+	if !makespan.IsReductionError(err) {
+		t.Fatalf("MakespanDistribution(MethodDodin) error = %v, want a reduction error", err)
 	}
 }
 
