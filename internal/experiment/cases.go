@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/platform"
@@ -35,8 +36,12 @@ func (c CaseSpec) WithDerivedSeed(base int64) CaseSpec {
 // graph, weights and platform all derive from the case seed. The
 // workload family is resolved through the registry; a size the family
 // grid cannot approximate within a factor of two is a *SizeError, not
-// a silently clamped graph.
+// a silently clamped graph, and an uncertainty level outside
+// [1, +Inf) is an error.
 func (c CaseSpec) BuildScenario() (*platform.Scenario, error) {
+	if err := checkUL(c.UL); err != nil {
+		return nil, err
+	}
 	fam, err := FamilyByName(c.Family)
 	if err != nil {
 		return nil, err
@@ -69,6 +74,17 @@ func (c CaseSpec) BuildScenario() (*platform.Scenario, error) {
 		return nil, err
 	}
 	return &platform.Scenario{G: g, P: p, UL: c.UL}, nil
+}
+
+// checkUL rejects an uncertainty level outside [1, +Inf), NaN
+// included. Durations range over [min, min·UL], so a level below 1
+// would silently run deterministic durations, and a NaN or infinite
+// one breaks the evaluators' density grids.
+func checkUL(ul float64) error {
+	if !(ul >= 1) || math.IsInf(ul, 1) {
+		return fmt.Errorf("experiment: uncertainty level %v: want 1 <= UL < +Inf", ul)
+	}
+	return nil
 }
 
 // Fig3Case is the paper's Fig. 3: Cholesky, 10 tasks, 3 processors,

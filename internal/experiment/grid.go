@@ -40,14 +40,14 @@ func DefaultSweepProcs(n int) int {
 
 // Cases expands the grid into concrete case specs in deterministic
 // order (sizes, then ULs, then families as listed, then reps). Every
-// family is resolved through the registry and every (family, size)
-// pair is validated up front, so an unachievable size fails the whole
-// sweep with a *SizeError before any compute is spent. Case identity
-// (name and seed) derives from the position in the expansion order,
-// so appending Sizes — the outermost dimension — leaves every
-// existing case's name and seed (and therefore its cache entry)
-// intact; changing Families, ULs or reps renumbers the cells after
-// the first affected one.
+// family is resolved through the registry, and every uncertainty level
+// and (family, size) pair is validated up front, so an invalid UL or an
+// unachievable size (a *SizeError) fails the whole sweep before any
+// compute is spent. Case identity (name and seed) derives from the
+// position in the expansion order, so appending Sizes — the outermost
+// dimension — leaves every existing case's name and seed (and
+// therefore its cache entry) intact; changing Families, ULs or reps
+// renumbers the cells after the first affected one.
 func (s Sweep) Cases(seed int64) ([]CaseSpec, error) {
 	if len(s.Families) == 0 {
 		return nil, fmt.Errorf("experiment: sweep has no families (registered: %v)", FamilyNames())
@@ -57,6 +57,11 @@ func (s Sweep) Cases(seed int64) ([]CaseSpec, error) {
 	}
 	if len(s.ULs) == 0 {
 		return nil, fmt.Errorf("experiment: sweep has no uncertainty levels")
+	}
+	for _, ul := range s.ULs {
+		if err := checkUL(ul); err != nil {
+			return nil, err
+		}
 	}
 	for _, name := range s.Families {
 		fam, err := FamilyByName(name)

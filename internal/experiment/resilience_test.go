@@ -90,8 +90,7 @@ func TestChaosSweepCompletesAndMatchesFaultFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seedInj := resilience.NewInjector(resilience.Fault{
-			Site: corruptKey, Kind: resilience.KindCorrupt, Times: 1})
+		seedInj := resilience.NewInjector(resilience.Fault{Site: corruptKey, Kind: resilience.KindCorrupt})
 		cache.SetCorruptor(seedInj.Corrupt)
 		if _, err := RunCases(context.Background(), specs[2:3], cfg, RunOptions{Cache: cache}); err != nil {
 			t.Fatal(err)

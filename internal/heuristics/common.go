@@ -2,9 +2,10 @@
 // the random 3-phase generator of §V and the three makespan-centric
 // list heuristics compared in the evaluation — HEFT (Topcuoglu et al.),
 // BIL (Oh & Ha) and Hyb.BMCT (Sakellariou & Zhao) — plus the SDHEFT
-// extension. All heuristics work on mean durations under the
-// Beta(2,5)/UL uncertainty model; with a constant UL this is
-// equivalent to using the minimum durations.
+// extension. The paper's three work on mean durations under the
+// Beta(2,5)/UL uncertainty model (with a constant UL this is
+// equivalent to using the minimum durations); SDHEFT works on
+// mean + λσ.
 //
 // Each heuristic exists twice: the exported entry points (HEFT, BIL,
 // HBMCT, SDHEFT) run on the compiled CostModel — flat CSR
@@ -122,7 +123,7 @@ func (m *Model) RankOrder() ([]dag.Task, error) {
 // makespan.
 type Result struct {
 	Schedule *schedule.Schedule
-	Makespan float64 // heuristic's own mean-duration makespan estimate
+	Makespan float64 // heuristic's own makespan estimate under its cost model
 }
 
 // topoPositions returns each task's index in the deterministic

@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,13 +13,24 @@ import (
 
 func TestSDHEFTProducesValidSchedule(t *testing.T) {
 	scen := randomScenario(30, 4, 1.1, 24)
-	for _, lambda := range []float64{0, 1, 2, -3} {
+	for _, lambda := range []float64{0, 1, 2} {
 		res, err := SDHEFT(scen, lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := res.Schedule.Validate(scen.G); err != nil {
 			t.Fatalf("SDHEFT(λ=%g) schedule invalid: %v", lambda, err)
+		}
+	}
+}
+
+// An invalid λ used to schedule anyway: NaN and +Inf put every task on
+// processor 0 (estimate 0 and +Inf), and a negative λ ran as λ = 0.
+func TestSDHEFTRejectsInvalidLambda(t *testing.T) {
+	scen := randomScenario(30, 4, 1.2, 11)
+	for _, lambda := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3} {
+		if res, err := SDHEFT(scen, lambda); err == nil {
+			t.Errorf("SDHEFT(λ=%v) accepted, estimate %v", lambda, res.Makespan)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 package heuristics
 
 import (
+	"fmt"
 	"math"
 
-	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/internal/stochastic"
 )
@@ -11,87 +11,30 @@ import (
 // SDHEFT is the robustness-aware list heuristic the paper proposes as
 // future work (§VIII): "an efficient heuristic similar to classic list
 // heuristics based on the standard deviation of every task duration
-// rather than their mean or minimal value". Every cost in the HEFT
-// machinery — the upward ranks and the finish-time objective — is
-// replaced by the pessimistic estimate mean + lambda·σ of the
-// duration's distribution, so high-variance tasks are prioritized and
-// placed where their dispersion hurts least.
+// rather than their mean or minimal value". It is HEFT on a cost model
+// whose statistic is the pessimistic estimate mean + lambda·σ of each
+// duration's distribution, so the upward ranks and the finish-time
+// objective both favour placing high-variance tasks where their
+// dispersion hurts least.
 //
 // With a constant uncertainty level σ is proportional to the mean and
 // SDHEFT reduces to HEFT (the equivalence the paper's §VII explains);
 // under variable per-task UL the two diverge and SDHEFT trades a
 // little expected makespan for lower makespan variance.
 //
+// lambda must be finite and non-negative; any other value is an error.
+//
 // Compiled implementation, bit-identical to ReferenceSDHEFT.
 func SDHEFT(scen *platform.Scenario, lambda float64) (Result, error) {
-	if lambda < 0 {
-		lambda = 0
+	if !(lambda >= 0) || math.IsInf(lambda, 1) {
+		return Result{}, fmt.Errorf("heuristics: SDHEFT lambda %v: want a finite value >= 0", lambda)
 	}
-	topo, err := newTopology(scen)
-	if err != nil {
-		return Result{}, err
-	}
-	g := scen.G
-	n := g.N()
-	m := scen.P.M
-	csr := topo.csr
-
-	// The pessimistic statistic that replaces the mean everywhere.
 	pess := func(d stochastic.Dist) float64 {
 		return d.Mean() + lambda*math.Sqrt(d.Variance())
 	}
-
-	// Pessimistic cost tables: mean + λσ, flat n×m row-major.
-	cost := make([]float64, n*m)
-	avgCost := make([]float64, n)
-	for t := 0; t < n; t++ {
-		row := cost[t*m : (t+1)*m]
-		var sum float64
-		for p := 0; p < m; p++ {
-			row[p] = pess(scen.TaskDist(dag.Task(t), p))
-			sum += row[p]
-		}
-		avgCost[t] = sum / float64(m)
+	cm, err := newCostModel(scen, pess, func(min float64) float64 { return pess(scen.DurationAt(min)) })
+	if err != nil {
+		return Result{}, err
 	}
-	// Pessimistic communication costs, precomputed per (class, edge) —
-	// BatchCommCosts with mean+λσ instead of the classic mean.
-	sdComm := scen.BatchCommCosts(topo.cc, csr.Vol, pess)
-	commCost := func(e int32, pi, pj int) float64 {
-		if c := topo.cc.Class[pi*m+pj]; c >= 0 {
-			return sdComm[c][e]
-		}
-		return 0
-	}
-	// Placement-agnostic pessimistic comm per edge.
-	edgeAvgComm := make([]float64, csr.NumEdges)
-	if m > 1 {
-		avgTau, avgLat := scen.P.AvgTau(), scen.P.AvgLat()
-		for e, vol := range csr.Vol {
-			edgeAvgComm[e] = pess(scen.DurationAt(avgLat + vol*avgTau))
-		}
-	}
-
-	// Upward ranks on pessimistic costs.
-	rank := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		t := topo.order[i]
-		best := 0.0
-		for k := csr.SuccStart[t]; k < csr.SuccStart[t+1]; k++ {
-			if cand := edgeAvgComm[csr.SuccEdge[k]] + rank[csr.SuccAdj[k]]; cand > best {
-				best = cand
-			}
-		}
-		rank[t] = avgCost[t] + best
-	}
-	tasks := sortByRankDesc(rank, topo.pos)
-
-	// Insertion-based placement minimizing the pessimistic finish time.
-	proc, start, finish := placeByInsertion(csr, m, tasks, cost, commCost)
-	var ms float64
-	for _, f := range finish {
-		if f > ms {
-			ms = f
-		}
-	}
-	return Result{Schedule: buildFromPlacement(topo.pos, m, proc, start), Makespan: ms}, nil
+	return listSchedule(cm), nil
 }

@@ -1,10 +1,9 @@
 package makespan_test
 
-// Equivalence tests for the model-holding metric entry points added
-// with the EvalAccuracy refactor: MetricsFromSamples and SlackIdentity
-// must reproduce the retained robustness reference paths exactly (same
-// slack vector, same distribution metrics), without the per-call
-// disjunctive rebuild.
+// Equivalence tests for the model-holding metric entry points: Metrics,
+// MetricsFromSamples and SlackIdentity must reproduce the retained
+// robustness reference paths exactly (same slack vector, same
+// distribution metrics), without the per-call disjunctive rebuild.
 
 import (
 	"math"
@@ -28,6 +27,27 @@ func metricsScenario(t *testing.T) (*makespan.EvalCache, *schedule.Schedule) {
 	}
 	rng := rand.New(rand.NewSource(31))
 	return makespan.NewEvalCache(scen, 64), heuristics.RandomSchedule(scen, rng)
+}
+
+func TestMetricsMatchesReference(t *testing.T) {
+	cache, s := metricsScenario(t)
+	scen := cache.Scenario()
+	m, err := cache.Model(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv, err := makespan.ReferenceEvaluateClassic(scen, s, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := robustness.Params{Delta: 0.1, Gamma: 1.0003, GridSize: 64}
+	want, err := robustness.FromDistribution(scen, s, rv, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Metrics(p); got != want {
+		t.Errorf("Metrics differs from reference:\n  got  %+v\n  want %+v", got, want)
+	}
 }
 
 func TestMetricsFromSamplesMatchesReference(t *testing.T) {

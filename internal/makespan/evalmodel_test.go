@@ -84,7 +84,8 @@ func checkModelAgainstReferences(t *testing.T, label string, cache *makespan.Eva
 	if err != nil {
 		t.Fatalf("%s: reference classic: %v", label, err)
 	}
-	assertSameRV(t, label+"/classic", m.Classic(), wantRV)
+	got := m.Classic()
+	assertSameRV(t, label+"/classic", got, wantRV)
 
 	wantSp, err := makespan.ReferenceEvaluateSpelde(scen, s)
 	if err != nil {
@@ -109,9 +110,13 @@ func checkModelAgainstReferences(t *testing.T, label string, cache *makespan.Eva
 	}
 
 	// End-to-end metric vector: compiled model vs the reference
-	// FromDistribution on the (bit-identical) reference density.
+	// FromDistribution on the (bit-identical) reference density. The
+	// compiled side is EvalModel.Metrics' body on the density and
+	// slacks computed above, since running Classic a second time
+	// dominates the large cells; TestMetricsMatchesReference calls
+	// Metrics itself.
 	p := robustness.Params{Delta: 0.1, Gamma: 1.0003, GridSize: grid}
-	gotM := m.Metrics(p)
+	gotM := robustness.FromDistributionSlacks(got, gotSlacks, p)
 	wantM, err := robustness.FromDistribution(scen, s, wantRV, p)
 	if err != nil {
 		t.Fatalf("%s: reference metrics: %v", label, err)

@@ -137,17 +137,36 @@ func TestClassicRejectsInvalidSchedule(t *testing.T) {
 }
 
 func TestSpeldeChainMoments(t *testing.T) {
-	// On a chain the Spelde moments are exact: sums of Beta moments.
-	g := graphgen.Chain(5, 0)
-	scen := uniformScenario(g, 1, 10, 1.4)
-	s := allOnProc(t, g, 1, 0)
+	// On a chain every task has one disjunctive predecessor, so the
+	// Spelde moments are exact: sums of the task and arc moments.
+	t.Run("one processor", func(t *testing.T) {
+		g := graphgen.Chain(5, 0)
+		scen := uniformScenario(g, 1, 10, 1.4)
+		d := scen.TaskDist(0, 0)
+		checkSpeldeMoments(t, scen, allOnProc(t, g, 1, 0),
+			5*d.Mean(), math.Sqrt(5*d.Variance()))
+	})
+	t.Run("one processor per task", func(t *testing.T) {
+		// Task i on processor i: every arc carries a communication.
+		const n = 6
+		g := graphgen.Chain(n, 3)
+		scen := uniformScenario(g, n, 10, 1.4)
+		s := schedule.New(n, n)
+		for i := 0; i < n; i++ {
+			s.Assign(dag.Task(i), i)
+		}
+		d, c := scen.TaskDist(0, 0), scen.CommDist(0, 1, 0, 1)
+		checkSpeldeMoments(t, scen, s, n*d.Mean()+(n-1)*c.Mean(),
+			math.Sqrt(n*d.Variance()+(n-1)*c.Variance()))
+	})
+}
+
+func checkSpeldeMoments(t *testing.T, scen *platform.Scenario, s *schedule.Schedule, wantMean, wantStd float64) {
+	t.Helper()
 	res, err := EvaluateSpelde(scen, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := scen.TaskDist(0, 0)
-	wantMean := 5 * d.Mean()
-	wantStd := math.Sqrt(5 * d.Variance())
 	if !almostEqual(res.Mean, wantMean, 1e-9) {
 		t.Errorf("Spelde mean = %g, want %g", res.Mean, wantMean)
 	}

@@ -62,10 +62,3 @@ func (s *Scenario) BatchCommCosts(cc CommClasses, vols []float64, eval func(stoc
 	}
 	return out
 }
-
-// BatchCommMeans returns the mean communication time of every
-// (class, volume) combination — exactly the value MeanComm computes
-// for any processor pair of class c.
-func (s *Scenario) BatchCommMeans(cc CommClasses, vols []float64) [][]float64 {
-	return s.BatchCommCosts(cc, vols, stochastic.Dist.Mean)
-}

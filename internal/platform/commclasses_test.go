@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/stochastic"
 )
 
 func TestCommClassesUniformNetwork(t *testing.T) {
@@ -64,8 +65,9 @@ func TestCommClassesHeterogeneous(t *testing.T) {
 	}
 }
 
-// BatchCommMeans must reproduce MeanComm exactly (bitwise) for every
-// pair and edge — the compiled heuristics rely on it.
+// BatchCommCosts with the mean statistic must reproduce MeanComm
+// exactly (bitwise) for every pair and edge — the compiled heuristics
+// rely on it.
 func TestBatchCommMeansMatchesMeanComm(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n, m := 12, 3
@@ -88,7 +90,7 @@ func TestBatchCommMeansMatchesMeanComm(t *testing.T) {
 		UL: 1.4,
 	}
 	cc := scen.P.CommClasses()
-	means := scen.BatchCommMeans(cc, vols)
+	means := scen.BatchCommCosts(cc, vols, stochastic.Dist.Mean)
 	for ei, e := range edges {
 		for pi := 0; pi < m; pi++ {
 			for pj := 0; pj < m; pj++ {

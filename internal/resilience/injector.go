@@ -40,21 +40,13 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Fault is one injection rule. A fault applies at a site when Site is
-// a substring of the site name ("" matches every site) and the firing
-// budget (Times) is not exhausted.
-//
-// Determinism: without a budget a given site either always or never
-// fires, independent of workers and scheduling. A Times budget on a
-// pattern matching several concurrently visited sites is consumed in
-// scheduling order and is therefore NOT deterministic across runs;
-// deterministic chaos tests use site patterns precise enough to match
-// a single site, or an unlimited budget.
+// Fault is one injection rule. A fault fires at every site of which
+// Site is a substring ("" matches every site), so a given site either
+// always or never fires, independent of workers and scheduling.
 type Fault struct {
 	Site  string        // substring matched against site names; "" = all
 	Kind  Kind          //
 	Delay time.Duration // sleep duration for KindDelay (default 50ms)
-	Times int           // max firings; <= 0 = unlimited
 }
 
 // Event records one fired fault.
@@ -69,13 +61,12 @@ type Event struct {
 type Injector struct {
 	mu     sync.Mutex
 	faults []Fault
-	fired  []int // per-fault firing count, guarded by mu
-	events []Event
+	events []Event // guarded by mu
 }
 
 // NewInjector builds an injector for the given faults.
 func NewInjector(faults ...Fault) *Injector {
-	return &Injector{faults: faults, fired: make([]int, len(faults))}
+	return &Injector{faults: faults}
 }
 
 // match decides — and records — whether fault f (index i) fires at
@@ -87,10 +78,6 @@ func (in *Injector) match(i int, site string) bool {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if f.Times > 0 && in.fired[i] >= f.Times {
-		return false
-	}
-	in.fired[i]++
 	in.events = append(in.events, Event{Site: site, Kind: f.Kind.String()})
 	return true
 }

@@ -119,22 +119,26 @@ func TestInjectorNilIsInert(t *testing.T) {
 	}
 }
 
-func TestInjectorExplicitRuleFiresOnce(t *testing.T) {
-	in := NewInjector(Fault{Site: "case/a/attempt0/eval/3", Kind: KindPanic, Times: 1})
+func TestInjectorExplicitRuleFiresOnEveryHit(t *testing.T) {
+	in := NewInjector(Fault{Site: "case/a/attempt0/eval/3", Kind: KindPanic})
 	if err := in.Hit("case/a/attempt0/eval/2"); err != nil {
 		t.Fatal("non-matching site fired")
 	}
-	err := Protect(func() error { return in.Hit("case/a/attempt0/eval/3") })
-	if !IsPanic(err) {
-		t.Fatalf("matched panic site returned %v, want panic", err)
-	}
-	// Budget of 1 is spent: the same site no longer fires.
-	if err := Protect(func() error { return in.Hit("case/a/attempt0/eval/3") }); err != nil {
-		t.Fatalf("exhausted fault fired again: %v", err)
+	// A matched site fires on every hit.
+	for hit := 0; hit < 2; hit++ {
+		err := Protect(func() error { return in.Hit("case/a/attempt0/eval/3") })
+		if !IsPanic(err) {
+			t.Fatalf("hit %d: matched panic site returned %v, want panic", hit, err)
+		}
 	}
 	ev := in.Events()
-	if len(ev) != 1 || ev[0].Kind != "panic" || ev[0].Site != "case/a/attempt0/eval/3" {
-		t.Errorf("event log %+v, want one panic event", ev)
+	if len(ev) != 2 {
+		t.Fatalf("event log %+v, want two panic events", ev)
+	}
+	for _, e := range ev {
+		if e.Kind != "panic" || e.Site != "case/a/attempt0/eval/3" {
+			t.Errorf("event %+v, want a panic at case/a/attempt0/eval/3", e)
+		}
 	}
 }
 
@@ -156,7 +160,7 @@ func TestInjectorErrorAndDelay(t *testing.T) {
 }
 
 func TestInjectorCorruptFlipsOneByteDeterministically(t *testing.T) {
-	in := NewInjector(Fault{Site: "cache/put/k1", Kind: KindCorrupt, Times: 1})
+	in := NewInjector(Fault{Site: "cache/put/k1", Kind: KindCorrupt})
 	data := bytes.Repeat([]byte("0123456789"), 20)
 	clean := in.Corrupt("cache/put/other", data)
 	if !bytes.Equal(clean, data) {
@@ -185,8 +189,8 @@ func TestInjectorCorruptFlipsOneByteDeterministically(t *testing.T) {
 	}
 }
 
-func TestInjectorConcurrentBudget(t *testing.T) {
-	in := NewInjector(Fault{Site: "hot", Kind: KindError, Times: 3})
+func TestInjectorConcurrentHitsAllFire(t *testing.T) {
+	in := NewInjector(Fault{Site: "hot", Kind: KindError})
 	var hits int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -204,11 +208,11 @@ func TestInjectorConcurrentBudget(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if hits != 3 {
-		t.Errorf("budget 3 fired %d times under concurrency", hits)
+	if hits != 800 {
+		t.Errorf("%d of 800 concurrent hits fired", hits)
 	}
-	if got := len(in.Events()); got != 3 {
-		t.Errorf("event log has %d entries, want 3", got)
+	if got := len(in.Events()); got != 800 {
+		t.Errorf("event log has %d entries, want 800", got)
 	}
 }
 

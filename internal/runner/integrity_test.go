@@ -178,7 +178,7 @@ func TestCacheCorruptorInjectsBeforeDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := resilience.NewInjector(resilience.Fault{Site: "ffff", Kind: resilience.KindCorrupt, Times: 1})
+	inj := resilience.NewInjector(resilience.Fault{Site: "ffff", Kind: resilience.KindCorrupt})
 	c.SetCorruptor(inj.Corrupt)
 	if err := c.Put("ffff", bytes.Repeat([]byte(`{"v":3}`), 40)); err != nil {
 		t.Fatal(err)

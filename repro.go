@@ -125,7 +125,7 @@ func Families() []string { return experiment.FamilyNames() }
 // a graph of ~n tasks (families round the request onto their size
 // grid and return an error — never a silently clamped graph — when no
 // achievable size is within a factor of two) on m processors with
-// uncertainty level ul.
+// uncertainty level ul, which must satisfy 1 <= ul < +Inf.
 func NewScenario(family string, n, m int, ul float64, seed int64) (*Scenario, error) {
 	return experiment.CaseSpec{
 		Name: family, Family: family, N: n, M: m, UL: ul, Seed: seed,
@@ -168,7 +168,8 @@ func BIL(scen *Scenario) (HeuristicResult, error) { return heuristics.BIL(scen) 
 func HBMCT(scen *Scenario) (HeuristicResult, error) { return heuristics.HBMCT(scen) }
 
 // SDHEFT schedules the scenario with the σ-aware list heuristic the
-// paper proposes as future work: every cost is mean + lambda·σ.
+// paper proposes as future work: every cost is mean + lambda·σ. lambda
+// must be finite and non-negative; any other value is an error.
 func SDHEFT(scen *Scenario, lambda float64) (HeuristicResult, error) {
 	return heuristics.SDHEFT(scen, lambda)
 }
