@@ -24,7 +24,10 @@ func main() {
 	// Processors 0 and 2 are stable (UL = 1.02); processors 1 and 3 are
 	// noisy (UL = 2.0) with minima rescaled so the MEAN duration of any
 	// task is the same on both kinds of machine.
-	scen := base.WithNoisyProcessors(1.02, 2.0)
+	scen, err := base.WithNoisyProcessors(1.02, 2.0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("random graph, %d tasks, %d processors (even = stable, odd = noisy)\n\n",
 		scen.G.N(), scen.P.M)
 

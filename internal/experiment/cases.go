@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/platform"
@@ -39,7 +38,7 @@ func (c CaseSpec) WithDerivedSeed(base int64) CaseSpec {
 // a silently clamped graph, and an uncertainty level outside
 // [1, +Inf) is an error.
 func (c CaseSpec) BuildScenario() (*platform.Scenario, error) {
-	if err := checkUL(c.UL); err != nil {
+	if err := platform.CheckUL(c.UL); err != nil {
 		return nil, err
 	}
 	fam, err := FamilyByName(c.Family)
@@ -74,17 +73,6 @@ func (c CaseSpec) BuildScenario() (*platform.Scenario, error) {
 		return nil, err
 	}
 	return &platform.Scenario{G: g, P: p, UL: c.UL}, nil
-}
-
-// checkUL rejects an uncertainty level outside [1, +Inf), NaN
-// included. Durations range over [min, min·UL], so a level below 1
-// would silently run deterministic durations, and a NaN or infinite
-// one breaks the evaluators' density grids.
-func checkUL(ul float64) error {
-	if !(ul >= 1) || math.IsInf(ul, 1) {
-		return fmt.Errorf("experiment: uncertainty level %v: want 1 <= UL < +Inf", ul)
-	}
-	return nil
 }
 
 // Fig3Case is the paper's Fig. 3: Cholesky, 10 tasks, 3 processors,

@@ -1,6 +1,10 @@
 package experiment
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/platform"
+)
 
 // Sweep describes a generalized case grid: every registered workload
 // family crossed with requested sizes, uncertainty levels and repeated
@@ -59,7 +63,7 @@ func (s Sweep) Cases(seed int64) ([]CaseSpec, error) {
 		return nil, fmt.Errorf("experiment: sweep has no uncertainty levels")
 	}
 	for _, ul := range s.ULs {
-		if err := checkUL(ul); err != nil {
+		if err := platform.CheckUL(ul); err != nil {
 			return nil, err
 		}
 	}

@@ -80,13 +80,14 @@ func runCorr(scen *platform.Scenario, nSched int, seed int64, cfg Config) (float
 // proportional to its mean; with a variable per-task UL that
 // equivalence breaks, the makespan↔σ correlation drops, and a
 // σ-aware heuristic (SDHEFT) can buy robustness that HEFT cannot see.
+// lambda is SDHEFT's weight and must pass heuristics.CheckLambda.
 func VariableUL(cfg Config, lambda float64) (*VariableULResult, error) {
+	if err := heuristics.CheckLambda(lambda); err != nil {
+		return nil, err
+	}
 	acc, err := cfg.EvalAccuracyValue()
 	if err != nil {
 		return nil, err
-	}
-	if lambda <= 0 {
-		lambda = 1
 	}
 	spec := Fig4Case(cfg.Seed + 17)
 	base, err := spec.BuildScenario()
@@ -102,7 +103,10 @@ func VariableUL(cfg Config, lambda float64) (*VariableULResult, error) {
 		return nil, err
 	}
 
-	varScen := base.WithVariableUL(res.ULLo, res.ULHi, rand.New(rand.NewSource(cfg.Seed+2)))
+	varScen, err := base.WithVariableUL(res.ULLo, res.ULHi, rand.New(rand.NewSource(cfg.Seed+2)))
+	if err != nil {
+		return nil, err
+	}
 	res.VarCorr, err = runCorr(varScen, nSched, cfg.Seed+3, cfg)
 	if err != nil {
 		return nil, err
@@ -150,7 +154,10 @@ func VariableUL(cfg Config, lambda float64) (*VariableULResult, error) {
 	}
 
 	// Noisy-processor study (mean-equalized stable vs noisy machines).
-	noisy := base.WithNoisyProcessors(1.02, 2.0)
+	noisy, err := base.WithNoisyProcessors(1.02, 2.0)
+	if err != nil {
+		return nil, err
+	}
 	noisyCache := makespan.NewEvalCacheAccuracy(noisy, acc)
 	nh, err := heuristics.HEFT(noisy)
 	if err != nil {

@@ -184,9 +184,17 @@ func TestEquivalenceUnderULExtensions(t *testing.T) {
 	// family itself.
 	durfn := *base
 	durfn.DurFn = uniformDur
+	varUL, err := base.WithVariableUL(1.0, 2.0, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy, err := base.WithNoisyProcessors(1.02, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	scens := map[string]*platform.Scenario{
-		"variable-ul":  base.WithVariableUL(1.0, 2.0, rand.New(rand.NewSource(5))),
-		"noisy-procs":  base.WithNoisyProcessors(1.02, 2.0),
+		"variable-ul":  varUL,
+		"noisy-procs":  noisy,
 		"custom-durfn": &durfn,
 	}
 	for name, scen := range scens {

@@ -57,7 +57,10 @@ func TestSDHEFTReducesToHEFTUnderConstantUL(t *testing.T) {
 
 func TestSDHEFTDivergesUnderVariableUL(t *testing.T) {
 	scen := randomScenario(40, 4, 1.1, 26)
-	varScen := scen.WithVariableUL(1.0, 2.0, rand.New(rand.NewSource(27)))
+	varScen, err := scen.WithVariableUL(1.0, 2.0, rand.New(rand.NewSource(27)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	h, err := HEFT(varScen)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +83,10 @@ func TestSDHEFTDivergesUnderVariableUL(t *testing.T) {
 
 func TestVariableULScenario(t *testing.T) {
 	scen := randomScenario(10, 2, 1.1, 28)
-	v := scen.WithVariableUL(1.2, 1.4, rand.New(rand.NewSource(29)))
+	v, err := scen.WithVariableUL(1.2, 1.4, rand.New(rand.NewSource(29)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(v.TaskUL) != 10 {
 		t.Fatalf("TaskUL length %d", len(v.TaskUL))
 	}
@@ -108,7 +114,10 @@ func TestVariableULScenario(t *testing.T) {
 
 func TestNoisyProcessorsEqualizeMeans(t *testing.T) {
 	scen := randomScenario(10, 4, 1.1, 32)
-	noisy := scen.WithNoisyProcessors(1.02, 2.0)
+	noisy, err := scen.WithNoisyProcessors(1.02, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(noisy.ProcUL) != 4 {
 		t.Fatalf("ProcUL length %d", len(noisy.ProcUL))
 	}
@@ -141,7 +150,10 @@ func TestNoisyProcessorsEqualizeMeans(t *testing.T) {
 
 func TestSDHEFTBeatsHEFTSigmaOnNoisyProcessors(t *testing.T) {
 	scen := randomScenario(30, 4, 1.1, 33)
-	noisy := scen.WithNoisyProcessors(1.02, 2.0)
+	noisy, err := scen.WithNoisyProcessors(1.02, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	h, err := HEFT(noisy)
 	if err != nil {
 		t.Fatal(err)

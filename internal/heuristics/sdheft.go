@@ -22,12 +22,12 @@ import (
 // under variable per-task UL the two diverge and SDHEFT trades a
 // little expected makespan for lower makespan variance.
 //
-// lambda must be finite and non-negative; any other value is an error.
+// lambda must pass CheckLambda; any other value is an error.
 //
 // Compiled implementation, bit-identical to ReferenceSDHEFT.
 func SDHEFT(scen *platform.Scenario, lambda float64) (Result, error) {
-	if !(lambda >= 0) || math.IsInf(lambda, 1) {
-		return Result{}, fmt.Errorf("heuristics: SDHEFT lambda %v: want a finite value >= 0", lambda)
+	if err := CheckLambda(lambda); err != nil {
+		return Result{}, err
 	}
 	pess := func(d stochastic.Dist) float64 {
 		return d.Mean() + lambda*math.Sqrt(d.Variance())
@@ -37,4 +37,14 @@ func SDHEFT(scen *platform.Scenario, lambda float64) (Result, error) {
 		return Result{}, err
 	}
 	return listSchedule(cm), nil
+}
+
+// CheckLambda rejects an SDHEFT weight that is not finite and >= 0: a
+// NaN or infinite weight makes the costs NaN or infinite, and a
+// negative one rewards variance.
+func CheckLambda(lambda float64) error {
+	if !(lambda >= 0) || math.IsInf(lambda, 1) {
+		return fmt.Errorf("heuristics: SDHEFT lambda %v: want a finite value >= 0", lambda)
+	}
+	return nil
 }

@@ -50,7 +50,10 @@ func TestEvaluatorsWithProcUL(t *testing.T) {
 		P:  &platform.Platform{M: 2, ETC: platform.GenerateETCFromWeights(w, 2, 0.5, rng), Tau: tau, Lat: lat},
 		UL: 1.1,
 	}
-	noisy := scen.WithNoisyProcessors(1.01, 1.8)
+	noisy, err := scen.WithNoisyProcessors(1.01, 1.8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := heuristics.RandomSchedule(noisy, rng)
 	cls, err := EvaluateClassic(noisy, s, 64)
 	if err != nil {

@@ -3,7 +3,9 @@ package makespan
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dag"
 	"repro/internal/platform"
@@ -152,6 +154,15 @@ func getOps() *stochastic.Ops { return opsPool.Get().(*stochastic.Ops) }
 
 func putOps(o *stochastic.Ops) { opsPool.Put(o) }
 
+// classicGoroutines counts the goroutines of the process evaluating
+// Classic tasks: every caller of Classic, and every helper one started.
+// A helper starts only while the count is below GOMAXPROCS and stops
+// before its next task once the count is above it, so helpers use idle
+// processors only. Like opsPool, the count changes no result — a
+// task's density is the same whichever goroutine computes it — only
+// how many goroutines share an evaluation's work.
+var classicGoroutines atomic.Int32
+
 // zeroCommArc is THE skip rule of the evaluation layer, shared by the
 // compiled model and the reference evaluators: a disjunctive arc's
 // communication drops out of the evaluation exactly when its time is
@@ -182,9 +193,11 @@ func zeroCommArc(d stochastic.Dist) bool {
 //
 //   - Classic: numeric density propagation, bit-identical to
 //     ReferenceEvaluateClassic, with all intermediate densities drawn
-//     from a recycling workspace (stochastic.Ops) and completion
+//     from recycling workspaces (stochastic.Ops) and completion
 //     densities released by successor refcount — live memory is
-//     bounded by the schedule's frontier width, not n;
+//     bounded by the schedule's frontier width, not n. Tasks that do
+//     not precede one another may run on helper goroutines, with
+//     the same bits at any worker count;
 //   - Spelde: Clark moment propagation, equal to
 //     ReferenceEvaluateSpelde;
 //   - Slacks: the §IV mean-duration slack vector, equal to the
@@ -210,8 +223,12 @@ type EvalModel struct {
 
 // Model compiles the evaluation context for one schedule. The schedule
 // is validated exactly like Schedule.Validate (completeness,
-// assignment consistency, disjunctive acyclicity).
+// assignment consistency, disjunctive acyclicity), and the scenario's
+// uncertainty levels by platform.Scenario.CheckLevels.
 func (c *EvalCache) Model(s *schedule.Schedule) (*EvalModel, error) {
+	if err := c.scen.CheckLevels(); err != nil {
+		return nil, err
+	}
 	csr, cc := c.flat()
 	d, err := s.CompileDisjunctive(csr)
 	if err != nil {
@@ -269,78 +286,237 @@ func (m *EvalModel) Schedule() *schedule.Schedule { return m.sched }
 // through a recycling workspace instead of fresh allocations. A task's
 // communication-arc arrivals are computed before the max chain that
 // consumes them, two at a time (see arrivals).
+//
+// A task's density depends only on its predecessors' densities, so
+// tasks that do not precede one another are evaluated from a ready
+// queue by the caller and by helper goroutines, each on its own
+// workspace. Every task keeps its operands and their operation order
+// and the sink maximum runs on the caller after the last task, so the
+// result is the same bits at any worker count. Helpers start only
+// while a ready task is waiting, up to classicWidth workers, and only
+// on processors that no other Classic goroutine holds (see
+// classicGoroutines); the caller never waits for a processor.
 func (m *EvalModel) Classic() *stochastic.Numeric {
-	acc := m.cache.acc
-	grid := acc.GridSize
-	ops := getOps()
-	defer putOps(ops)
+	rv, _ := m.classic(m.classicWidth())
+	return rv
+}
+
+// classicWidth is Classic's worker count: GOMAXPROCS, but at most
+// ⌊n / (2·depth)⌋, where depth is the number of tasks on the longest
+// disjunctive path. With fewer than two tasks per level for each
+// worker, on average, a helper mostly finds the queue empty, so deep
+// schedules stay on the caller.
+func (m *EvalModel) classicWidth() int {
+	procs := runtime.GOMAXPROCS(0)
+	d := m.d
+	if procs < 2 || d.N == 0 {
+		return 1
+	}
+	level := make([]int32, d.N) // tasks on the longest path ending at t
+	depth := int32(0)
+	for _, t := range d.Order {
+		l := int32(0)
+		for _, p := range d.PredRow(t) {
+			l = max(l, level[p])
+		}
+		level[t] = l + 1
+		depth = max(depth, l+1)
+	}
+	return max(1, min(procs, d.N/(2*int(depth))))
+}
+
+// classicRun is one Classic evaluation, shared by its caller and
+// helpers.
+type classicRun struct {
+	m          *EvalModel
+	completion []*stochastic.Numeric
+	// pending counts each task's unfinished disjunctive predecessors;
+	// the worker that drops it to zero queues the task.
+	pending []atomic.Int32
+	// refs counts the consumers a completion density has left: one
+	// per disjunctive successor, plus the final sink maximum. The
+	// worker that drops it to zero recycles the buffer into its own
+	// workspace.
+	refs     []atomic.Int32
+	ready    chan int32 // buffered to n: every task is sent exactly once
+	finished atomic.Int32
+	maxPreds int32
+	zero     *stochastic.Numeric
+
+	width   int32 // worker cap of this evaluation, caller included
+	procs   int32 // GOMAXPROCS at the call
+	workers atomic.Int32
+	helpers atomic.Int32 // helpers started, for tests
+	wg      sync.WaitGroup
+}
+
+// classic evaluates the makespan density with up to workers
+// goroutines, the caller included, and reports how many helpers
+// started. At one worker it starts none.
+func (m *EvalModel) classic(workers int) (*stochastic.Numeric, int) {
 	d := m.d
 	n := d.N
-	completion := make([]*stochastic.Numeric, n)
-	// Successor refcounts: a completion density is consumed once per
-	// disjunctive successor, plus once by the final sink maximum. When
-	// the count hits zero its buffer returns to the workspace.
-	refs := make([]int32, n)
-	maxPreds := int32(0)
+	r := &classicRun{
+		m:          m,
+		completion: make([]*stochastic.Numeric, n),
+		pending:    make([]atomic.Int32, n),
+		refs:       make([]atomic.Int32, n),
+		ready:      make(chan int32, n),
+		zero:       stochastic.NewPoint(0),
+		width:      int32(workers),
+		procs:      int32(runtime.GOMAXPROCS(0)),
+	}
 	for t := 0; t < n; t++ {
-		refs[t] = d.SuccStart[t+1] - d.SuccStart[t]
-		maxPreds = max(maxPreds, d.PredStart[t+1]-d.PredStart[t])
+		preds := d.PredStart[t+1] - d.PredStart[t]
+		r.pending[t].Store(preds)
+		r.refs[t].Store(d.SuccStart[t+1] - d.SuccStart[t])
+		r.maxPreds = max(r.maxPreds, preds)
 	}
 	for _, s := range d.Sinks {
-		refs[s]++
+		r.refs[s].Add(1)
 	}
-	release := func(p int32) {
-		refs[p]--
-		if refs[p] == 0 {
-			ops.Recycle(completion[p])
-			completion[p] = nil
-		}
-	}
-	arrivals := make([]*stochastic.Numeric, maxPreds)
-	zero := stochastic.NewPoint(0)
 	for _, t := range d.Order {
-		lo, hi := d.PredStart[t], d.PredStart[t+1]
-		arr := arrivals[:hi-lo]
-		m.arrivals(ops, arr, lo, hi, completion)
-		start := zero
-		startOwned := false
-		for k := lo; k < hi; k++ {
-			p := d.PredTask[k]
-			arrival, arrivalOwned := arr[k-lo], true
-			if arrival == nil {
-				arrival, arrivalOwned = completion[p], false
-			}
-			next := ops.MaxAcc(start, arrival, acc)
-			if startOwned {
-				ops.Recycle(start)
-			}
-			if arrivalOwned {
-				ops.Recycle(arrival)
-				arr[k-lo] = nil
-			}
-			release(p)
-			start = next
-			startOwned = true
-		}
-		completion[t] = ops.AddAcc(start, m.dur[t].numeric(grid), acc)
-		if startOwned {
-			ops.Recycle(start)
+		if r.pending[t].Load() == 0 {
+			r.ready <- int32(t)
 		}
 	}
-	makespan := zero
+	if n == 0 {
+		close(r.ready)
+	}
+
+	classicGoroutines.Add(1)
+	defer classicGoroutines.Add(-1)
+	r.workers.Store(1)
+	ops := getOps()
+	defer putOps(ops)
+	arrivals := make([]*stochastic.Numeric, r.maxPreds)
+	for t := range r.ready {
+		r.spawn()
+		r.task(ops, arrivals, t)
+	}
+	r.wg.Wait()
+
+	acc := m.cache.acc
+	makespan := r.zero
 	owned := false
 	for _, s := range d.Sinks {
-		next := ops.MaxAcc(makespan, completion[s], acc)
+		next := ops.MaxAcc(makespan, r.completion[s], acc)
 		if owned {
 			ops.Recycle(makespan)
 		}
-		release(int32(s))
+		r.release(ops, int32(s))
 		makespan = next
 		owned = true
 	}
 	// The result keeps its buffer: it was removed from the free list
 	// and is never recycled, so pooling the workspace stays safe.
-	return makespan
+	return makespan, int(r.helpers.Load())
+}
+
+// spawn starts a helper when a ready task is waiting, the evaluation
+// is below its worker cap, and the process has fewer Classic
+// goroutines than processors.
+func (r *classicRun) spawn() {
+	w := r.workers.Load()
+	if w >= r.width || len(r.ready) == 0 || !r.workers.CompareAndSwap(w, w+1) {
+		return
+	}
+	for {
+		c := classicGoroutines.Load()
+		if c >= r.procs {
+			r.workers.Add(-1)
+			return
+		}
+		if classicGoroutines.CompareAndSwap(c, c+1) {
+			break
+		}
+	}
+	r.helpers.Add(1)
+	r.wg.Add(1)
+	go r.help()
+}
+
+// help evaluates ready tasks on its own workspace until the queue is
+// empty or closed, or until the process has more Classic goroutines
+// than processors.
+func (r *classicRun) help() {
+	defer r.wg.Done()
+	ops := getOps()
+	defer putOps(ops)
+	arrivals := make([]*stochastic.Numeric, r.maxPreds)
+	for classicGoroutines.Load() <= r.procs {
+		t, ok := r.next()
+		if !ok {
+			break
+		}
+		r.spawn()
+		r.task(ops, arrivals, t)
+	}
+	r.workers.Add(-1)
+	classicGoroutines.Add(-1)
+}
+
+// next takes a ready task without waiting; ok is false when the queue
+// is empty or closed.
+func (r *classicRun) next() (t int32, ok bool) {
+	select {
+	case t, ok = <-r.ready:
+		return t, ok
+	default:
+		return 0, false
+	}
+}
+
+// task computes the completion density of t, whose predecessors have
+// all finished, then queues the successors it was the last to wait
+// for. The worker that finishes the last task closes the queue.
+func (r *classicRun) task(ops *stochastic.Ops, arrivals []*stochastic.Numeric, t int32) {
+	m, d := r.m, r.m.d
+	acc := m.cache.acc
+	lo, hi := d.PredStart[t], d.PredStart[t+1]
+	arr := arrivals[:hi-lo]
+	m.arrivals(ops, arr, lo, hi, r.completion)
+	start := r.zero
+	startOwned := false
+	for k := lo; k < hi; k++ {
+		p := d.PredTask[k]
+		arrival, arrivalOwned := arr[k-lo], true
+		if arrival == nil {
+			arrival, arrivalOwned = r.completion[p], false
+		}
+		next := ops.MaxAcc(start, arrival, acc)
+		if startOwned {
+			ops.Recycle(start)
+		}
+		if arrivalOwned {
+			ops.Recycle(arrival)
+			arr[k-lo] = nil
+		}
+		r.release(ops, p)
+		start = next
+		startOwned = true
+	}
+	r.completion[t] = ops.AddAcc(start, m.dur[t].numeric(acc.GridSize), acc)
+	if startOwned {
+		ops.Recycle(start)
+	}
+	for _, s := range d.SuccTask[d.SuccStart[t]:d.SuccStart[t+1]] {
+		if r.pending[s].Add(-1) == 0 {
+			r.ready <- s
+		}
+	}
+	if r.finished.Add(1) == int32(d.N) {
+		close(r.ready)
+	}
+}
+
+// release drops one consumer of p's completion density and recycles
+// its buffer into ops after the last.
+func (r *classicRun) release(ops *stochastic.Ops, p int32) {
+	if r.refs[p].Add(-1) == 0 {
+		ops.Recycle(r.completion[p])
+		r.completion[p] = nil
+	}
 }
 
 // arrivals fills arr[k-lo] with the arrival density completion ⊕ comm of

@@ -185,9 +185,17 @@ func TestEvalModelUnderULExtensions(t *testing.T) {
 	durfn.DurFn = func(min, ul float64) stochastic.Dist {
 		return stochastic.Uniform{Lo: min, Hi: min * ul}
 	}
+	varUL, err := base.WithVariableUL(1.0, 2.0, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy, err := base.WithNoisyProcessors(1.02, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	scens := map[string]*platform.Scenario{
-		"variable-ul":  base.WithVariableUL(1.0, 2.0, rand.New(rand.NewSource(5))),
-		"noisy-procs":  base.WithNoisyProcessors(1.02, 2.0),
+		"variable-ul":  varUL,
+		"noisy-procs":  noisy,
 		"custom-durfn": &durfn,
 	}
 	for name, scen := range scens {
@@ -196,6 +204,42 @@ func TestEvalModelUnderULExtensions(t *testing.T) {
 		for k := 0; k < 2; k++ {
 			s := heuristics.RandomSchedule(scen, rng)
 			checkModelAgainstReferences(t, name+"/sched="+itoa(k), cache, s, 64)
+		}
+	}
+}
+
+// TestLevelsCheckedBeforeEvaluation sets uncertainty levels outside
+// [1, +Inf) by hand on Fig. 3's 10-task Cholesky case: the compiled
+// model and the Monte-Carlo simulator must both refuse the scenario.
+// Unchecked, a NaN or infinite per-task level panicked in Metrics and a
+// level below 1 silently ran deterministic durations.
+func TestLevelsCheckedBeforeEvaluation(t *testing.T) {
+	base, err := experiment.Fig3Case(1).BuildScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	heft, err := heuristics.HEFT(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0.5} {
+		global := *base
+		global.UL = bad
+		perTask := *base
+		perTask.TaskUL = make([]float64, base.G.N())
+		for i := range perTask.TaskUL {
+			perTask.TaskUL[i] = 1.1
+		}
+		perTask.TaskUL[3] = bad
+		perProc := *base
+		perProc.ProcUL = []float64{1.1, bad, 1.1}
+		for name, scen := range map[string]*platform.Scenario{"UL": &global, "TaskUL": &perTask, "ProcUL": &perProc} {
+			if _, err := makespan.NewEvalCache(scen, 64).Model(heft.Schedule); err == nil {
+				t.Errorf("%s = %v: EvalCache.Model accepted it", name, bad)
+			}
+			if _, err := schedule.NewSimulator(scen, heft.Schedule); err == nil {
+				t.Errorf("%s = %v: NewSimulator accepted it", name, bad)
+			}
 		}
 	}
 }

@@ -240,6 +240,65 @@ func TestScenarioDists(t *testing.T) {
 	}
 }
 
+// Every uncertainty level must lie in [1, +Inf): the global UL, each
+// per-task and per-processor override, and the bounds handed to the
+// scenario builders of §VIII.
+func TestUncertaintyLevelsChecked(t *testing.T) {
+	g := graphgen.Chain(3, 5)
+	tau, lat := NewUniformNetwork(2, 1, 0)
+	p := &Platform{M: 2, ETC: [][]float64{{10, 12}, {11, 13}, {9, 14}}, Tau: tau, Lat: lat}
+	base := &Scenario{G: g, P: p, UL: 1.1}
+	rng := rand.New(rand.NewSource(1))
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0.5} {
+		global := *base
+		global.UL = bad
+		perTask := *base
+		perTask.TaskUL = []float64{1.2, bad, 1.3}
+		perProc := *base
+		perProc.ProcUL = []float64{bad, 1.5}
+		for name, s := range map[string]*Scenario{"UL": &global, "TaskUL": &perTask, "ProcUL": &perProc} {
+			if err := s.CheckLevels(); err == nil {
+				t.Errorf("%s = %v: CheckLevels accepted it", name, bad)
+			}
+		}
+		if _, err := base.WithVariableUL(bad, 2, rng); err == nil {
+			t.Errorf("WithVariableUL(%v, 2) accepted", bad)
+		}
+		if _, err := base.WithVariableUL(1, bad, rng); err == nil {
+			t.Errorf("WithVariableUL(1, %v) accepted", bad)
+		}
+		if _, err := base.WithNoisyProcessors(bad, 2); err == nil {
+			t.Errorf("WithNoisyProcessors(%v, 2) accepted", bad)
+		}
+		if _, err := base.WithNoisyProcessors(1.02, bad); err == nil {
+			t.Errorf("WithNoisyProcessors(1.02, %v) accepted", bad)
+		}
+	}
+	if _, err := base.WithVariableUL(1.5, 1.2, rng); err == nil {
+		t.Error("WithVariableUL(1.5, 1.2): lower bound above upper accepted")
+	}
+
+	for _, s := range []*Scenario{base, {G: g, P: p, UL: 1, TaskUL: []float64{1, 2, 1e300}, ProcUL: []float64{1, 1.5}}} {
+		if err := s.CheckLevels(); err != nil {
+			t.Errorf("valid levels rejected: %v", err)
+		}
+	}
+	v, err := base.WithVariableUL(1, 1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.CheckLevels(); err != nil {
+		t.Errorf("WithVariableUL(1, 1): %v", err)
+	}
+	n, err := base.WithNoisyProcessors(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.CheckLevels(); err != nil {
+		t.Errorf("WithNoisyProcessors(1, 2): %v", err)
+	}
+}
+
 // The default family (no DurFn): Dirac at UL 1 or a zero minimum,
 // Beta(2,5) over [min, min·ul] otherwise.
 func TestScenarioDurDist(t *testing.T) {

@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/dag"
@@ -154,17 +156,57 @@ func (s *Scenario) MeanComm(from, to dag.Task, pi, pj int) float64 {
 	return s.CommDist(from, to, pi, pj).Mean()
 }
 
+// CheckUL rejects an uncertainty level outside [1, +Inf), NaN
+// included. Durations range over [min, min·UL], so a level below 1
+// would silently run deterministic durations, and a NaN or infinite
+// one breaks the evaluators' density grids.
+func CheckUL(ul float64) error {
+	if !(ul >= 1) || math.IsInf(ul, 1) {
+		return fmt.Errorf("platform: uncertainty level %v: want 1 <= UL < +Inf", ul)
+	}
+	return nil
+}
+
+// CheckLevels rejects a scenario whose UL, or any TaskUL or ProcUL
+// entry, is outside [1, +Inf) (see CheckUL). Evaluation entry points
+// call it, so levels set by hand cannot reach a density grid.
+func (s *Scenario) CheckLevels() error {
+	if err := CheckUL(s.UL); err != nil {
+		return err
+	}
+	for t, ul := range s.TaskUL {
+		if err := CheckUL(ul); err != nil {
+			return fmt.Errorf("TaskUL[%d]: %w", t, err)
+		}
+	}
+	for p, ul := range s.ProcUL {
+		if err := CheckUL(ul); err != nil {
+			return fmt.Errorf("ProcUL[%d]: %w", p, err)
+		}
+	}
+	return nil
+}
+
 // WithVariableUL returns a copy of the scenario whose tasks draw their
 // uncertainty levels uniformly from [ulLo, ulHi] (the paper's §VIII
-// variable-UL future work). The graph and platform are shared.
-func (s *Scenario) WithVariableUL(ulLo, ulHi float64, rng *rand.Rand) *Scenario {
+// variable-UL future work). The graph and platform are shared. Both
+// bounds must pass CheckUL, and ulLo must not exceed ulHi.
+func (s *Scenario) WithVariableUL(ulLo, ulHi float64, rng *rand.Rand) (*Scenario, error) {
+	for _, ul := range []float64{ulLo, ulHi} {
+		if err := CheckUL(ul); err != nil {
+			return nil, err
+		}
+	}
+	if ulLo > ulHi {
+		return nil, fmt.Errorf("platform: variable uncertainty levels [%v, %v]: lower bound above upper", ulLo, ulHi)
+	}
 	c := *s
 	uls := make([]float64, s.G.N())
 	for i := range uls {
 		uls[i] = ulLo + rng.Float64()*(ulHi-ulLo)
 	}
 	c.TaskUL = uls
-	return &c
+	return &c, nil
 }
 
 // WithNoisyProcessors returns a copy of the scenario where
@@ -174,7 +216,13 @@ func (s *Scenario) WithVariableUL(ulLo, ulHi float64, rng *rand.Rand) *Scenario 
 // and on a noisy processor. In this setting a mean-based heuristic is
 // blind to the noise while a σ-aware one (SDHEFT) can trade placement
 // for robustness — the paper's §VIII proposal in its purest form.
-func (s *Scenario) WithNoisyProcessors(stableUL, noisyUL float64) *Scenario {
+// Both levels must pass CheckUL.
+func (s *Scenario) WithNoisyProcessors(stableUL, noisyUL float64) (*Scenario, error) {
+	for _, ul := range []float64{stableUL, noisyUL} {
+		if err := CheckUL(ul); err != nil {
+			return nil, err
+		}
+	}
 	c := *s
 	// Mean scale factor of the duration family per unit of minimum.
 	factor := func(ul float64) float64 { return s.durDist(1, ul).Mean() }
@@ -201,5 +249,5 @@ func (s *Scenario) WithNoisyProcessors(stableUL, noisyUL float64) *Scenario {
 		}
 	}
 	c.ProcUL = uls
-	return &c
+	return &c, nil
 }

@@ -3,6 +3,7 @@ package schedule
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/graphgen"
@@ -211,6 +212,27 @@ func TestKernelDeterministicAcrossWorkers(t *testing.T) {
 				if got[i] != base[i] {
 					t.Fatalf("mode %v: workers=%d diverges at %d", mode, workers, i)
 				}
+			}
+		}
+	}
+}
+
+// Empirical sorts the realizations it draws in place; they must be
+// exactly Realizations' values in sorted order.
+func TestKernelEmpiricalIsSortedRealizations(t *testing.T) {
+	sim := randomSimulator(t, 25, 4, 1.3, 7)
+	for _, sampler := range []stochastic.SamplerMode{stochastic.SamplerExact, stochastic.SamplerTable} {
+		k := sim.Compile(sampler)
+		opt := KernelOptions{BlockSize: 64}
+		want := k.Realizations(3000, 5, opt)
+		sort.Float64s(want)
+		got := k.Empirical(3000, 5, opt).Sorted()
+		if len(got) != len(want) {
+			t.Fatalf("sampler %v: %d samples, want %d", sampler, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("sampler %v: sample %d = %v, want %v", sampler, i, got[i], want[i])
 			}
 		}
 	}

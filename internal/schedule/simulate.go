@@ -58,13 +58,17 @@ type Simulator struct {
 	maxTiming                  Timing
 }
 
-// NewSimulator validates the schedule against the scenario's graph and
-// precomputes the realization machinery. Validation and the disjunctive
-// topological order come from the compiled CSR builder — one O(n+e)
-// pass that reproduces the map-based Disjunctive(g).TopoOrder() order
-// bit-for-bit, so the realization streams (which draw in order) are
-// unchanged.
+// NewSimulator validates the scenario's uncertainty levels
+// (platform.Scenario.CheckLevels) and the schedule against the
+// scenario's graph, and precomputes the realization machinery.
+// Validation and the disjunctive topological order come from the
+// compiled CSR builder — one O(n+e) pass that reproduces the map-based
+// Disjunctive(g).TopoOrder() order bit-for-bit, so the realization
+// streams (which draw in order) are unchanged.
 func NewSimulator(scen *platform.Scenario, s *Schedule) (*Simulator, error) {
+	if err := scen.CheckLevels(); err != nil {
+		return nil, err
+	}
 	d, err := s.CompileDisjunctive(scen.G.SortedCSR())
 	if err != nil {
 		return nil, err

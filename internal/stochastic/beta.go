@@ -42,6 +42,10 @@ func (b Beta) Variance() float64 {
 	return w * w * betaAlpha * betaBeta / (s * s * (s + 1))
 }
 
+// betaLogNorm is −log B(α, β), the log of the Beta(2, 5) density's
+// normalizing constant.
+var betaLogNorm = lgamma(betaAlpha+betaBeta) - lgamma(betaAlpha) - lgamma(betaBeta)
+
 // PDF returns the density of the rescaled beta variable. With α, β > 1
 // the expression is exactly +0 at both ends of the support (log 0 is
 // −Inf and exp(−Inf) is +0), so the endpoints need no special case.
@@ -51,8 +55,7 @@ func (b Beta) PDF(x float64) float64 {
 		return 0
 	}
 	t := (x - b.Lo) / w
-	lb := lgamma(betaAlpha+betaBeta) - lgamma(betaAlpha) - lgamma(betaBeta)
-	return math.Exp(lb+(betaAlpha-1)*math.Log(t)+(betaBeta-1)*math.Log(1-t)) / w
+	return math.Exp(betaLogNorm+(betaAlpha-1)*math.Log(t)+(betaBeta-1)*math.Log(1-t)) / w
 }
 
 // CDF returns the regularized incomplete beta of the rescaled argument.

@@ -167,6 +167,36 @@ func TestBetaMomentsPDFCDF(t *testing.T) {
 	checkCDFMatchesSamples(t, "beta", b, 80000, 0.01)
 }
 
+// TestBetaPDFNormalizerHoisted checks Beta.PDF bit for bit against the
+// expression that recomputed the normalizing constant on every call,
+// kept here verbatim, across supports and points including both
+// endpoints.
+func TestBetaPDFNormalizerHoisted(t *testing.T) {
+	old := func(b Beta, x float64) float64 {
+		w := b.width()
+		if w <= 0 || x < b.Lo || x > b.Hi {
+			return 0
+		}
+		t := (x - b.Lo) / w
+		lb := lgamma(betaAlpha+betaBeta) - lgamma(betaAlpha) - lgamma(betaBeta)
+		return math.Exp(lb+(betaAlpha-1)*math.Log(t)+(betaBeta-1)*math.Log(1-t)) / w
+	}
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 200; i++ {
+		min := math.Ldexp(0.5+rng.Float64(), rng.Intn(40)-20)
+		b := NewBetaUL(min, 1+math.Ldexp(rng.Float64(), -rng.Intn(12)))
+		xs := []float64{b.Lo, b.Hi, math.Nextafter(b.Lo, b.Hi), math.Nextafter(b.Hi, b.Lo)}
+		for j := 0; j < 50; j++ {
+			xs = append(xs, b.Lo+rng.Float64()*(b.Hi-b.Lo))
+		}
+		for _, x := range xs {
+			if got, want := b.PDF(x), old(b, x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Beta[%v, %v].PDF(%v) = %v, want %v", b.Lo, b.Hi, x, got, want)
+			}
+		}
+	}
+}
+
 func TestBetaScaled(t *testing.T) {
 	// Beta(2,5) over [10, 11] — the paper's UL = 1.1 at min = 10.
 	b := NewBetaUL(10, 1.1)

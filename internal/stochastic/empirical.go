@@ -14,12 +14,12 @@ type Empirical struct {
 	sorted []float64
 }
 
-// NewEmpirical builds an empirical distribution from samples (copied and
-// sorted).
+// NewEmpirical builds an empirical distribution from samples. It takes
+// ownership of the slice and sorts it in place: the caller must not use
+// samples afterwards.
 func NewEmpirical(samples []float64) *Empirical {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return &Empirical{sorted: s}
+	sort.Float64s(samples)
+	return &Empirical{sorted: samples}
 }
 
 // Len returns the number of samples.
