@@ -209,10 +209,12 @@ func TestEvalModelUnderULExtensions(t *testing.T) {
 }
 
 // TestLevelsCheckedBeforeEvaluation sets uncertainty levels outside
-// [1, +Inf) by hand on Fig. 3's 10-task Cholesky case: the compiled
-// model and the Monte-Carlo simulator must both refuse the scenario.
-// Unchecked, a NaN or infinite per-task level panicked in Metrics and a
-// level below 1 silently ran deterministic durations.
+// [1, +Inf), and per-task and per-processor levels of the wrong length,
+// by hand on Fig. 3's 10-task Cholesky case: the compiled model and the
+// Monte-Carlo simulator must both refuse the scenario. Unchecked, a NaN
+// or infinite per-task level panicked in Metrics, a level below 1
+// silently ran deterministic durations, and the tasks or processors a
+// short TaskUL or ProcUL missed silently ran at the global UL.
 func TestLevelsCheckedBeforeEvaluation(t *testing.T) {
 	base, err := experiment.Fig3Case(1).BuildScenario()
 	if err != nil {
@@ -240,6 +242,26 @@ func TestLevelsCheckedBeforeEvaluation(t *testing.T) {
 			if _, err := schedule.NewSimulator(scen, heft.Schedule); err == nil {
 				t.Errorf("%s = %v: NewSimulator accepted it", name, bad)
 			}
+		}
+	}
+
+	shortTask := *base
+	shortTask.TaskUL = []float64{1.1, 1.2, 1.3}
+	shortProc := *base
+	shortProc.ProcUL = []float64{1.5}
+	longProc := *base
+	longProc.ProcUL = []float64{1.1, 1.2, 1.3, 1.4}
+	emptyTask := *base
+	emptyTask.TaskUL = []float64{}
+	for name, scen := range map[string]*platform.Scenario{
+		"3-entry TaskUL": &shortTask, "1-entry ProcUL": &shortProc,
+		"4-entry ProcUL": &longProc, "empty TaskUL": &emptyTask,
+	} {
+		if _, err := makespan.NewEvalCache(scen, 64).Model(heft.Schedule); err == nil {
+			t.Errorf("%s: EvalCache.Model accepted it", name)
+		}
+		if _, err := schedule.NewSimulator(scen, heft.Schedule); err == nil {
+			t.Errorf("%s: NewSimulator accepted it", name)
 		}
 	}
 }

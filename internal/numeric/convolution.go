@@ -1,53 +1,95 @@
 package numeric
 
+import "slices"
+
 // ConvolveDirect computes the full linear convolution of a and b by the
 // naive O(len(a)·len(b)) algorithm. The result has length
 // len(a)+len(b)-1. It is exact up to floating-point rounding and is the
-// reference implementation for the FFT-based variants.
+// reference implementation for the FFT-based variants. Every element of
+// a and b must be finite: the kernel also forms products with zeros that
+// the plain double loop skips or never reaches, and 0·Inf is NaN.
 func ConvolveDirect(a, b []float64) []float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
-	return convolveDirectInto(make([]float64, len(a)+len(b)-1), a, b)
+	return convolveDirectInto(make([]float64, len(a)+len(b)-1), a, b, &ConvScratch{})
 }
 
+// dotBlock is the number of outputs one dotBlocks pass computes: six
+// two-lane accumulators in dot_amd64.s, which hardcodes it.
+const dotBlock = 12
+
 // convolveDirectInto writes the full convolution into out, which must
-// have length len(a)+len(b)-1 (its prior contents are overwritten).
+// have length len(a)+len(b)-1 (its prior contents are overwritten),
+// laying its window out in ws. Every element of a and b must be finite.
 //
-// Each nonzero a[i] adds av*b into the window out[i:i+len(b)] — an AXPY
-// unrolled by four over fixed-length sub-slices, so the element accesses
-// carry no bounds checks (one window check per four elements remains).
-// Each out[i+j] still receives the same product a[i]*b[j] in increasing
-// i, so the sums are bit-identical to the plain double loop.
-func convolveDirectInto(out, a, b []float64) []float64 {
-	clear(out)
-	nb := len(b)
-	for i, av := range a {
-		if av == 0 { //reprovet:allow floateq sparse skip of exactly-zero mass bins; near-zero bins must still convolve
-			continue
+// Output k is the sum of a[i]·b[k−i] in increasing i, as in the plain
+// double loop, computed output by output as a dot product (dotBlocks).
+// The shorter operand is the coefficient vector c; the longer one is
+// laid into the window w between len(c)−1 zeros on the left and enough
+// zeros on the right for the last, partial block of outputs. a keeps
+// its order and b runs reversed: when b is the shorter, c is b reversed
+// and w holds a; when a is the shorter (or as long), c is a and w holds
+// b reversed, which yields the outputs in reverse order.
+//
+// The bits equal the double loop's, which skipped every a[i] = 0. Each
+// output starts at +0 and takes the same products in the same order;
+// the extra terms, zero coefficients and window padding, are ±0, and
+// adding ±0 leaves a sum unchanged unless the sum is −0, which one that
+// starts at +0 never is in round-to-nearest. With an infinite operand
+// an extra term would be 0·Inf = NaN instead; hence finite operands.
+func convolveDirectInto(out, a, b []float64, ws *ConvScratch) []float64 {
+	coefA := len(a) <= len(b)
+	c := a
+	if !coefA {
+		c = resize(&ws.coef, len(b))
+		for j, v := range b {
+			c[len(b)-1-j] = v
 		}
-		o := out[i:][:nb:nb]
-		j := 0
-		for ; j+4 <= nb; j += 4 {
-			b4 := b[j : j+4 : j+4]
-			o4 := o[j : j+4 : j+4]
-			o4[0] += av * b4[0]
-			o4[1] += av * b4[1]
-			o4[2] += av * b4[2]
-			o4[3] += av * b4[3]
+	}
+	n, pad := len(out), len(c)-1
+	full := n - n%dotBlock
+	w := resize(&ws.win, full+dotBlock+pad)
+	clear(w[:pad])
+	if coefA {
+		for j, v := range b {
+			w[n-1-j] = v
 		}
-		for ; j < nb; j++ {
-			o[j] += av * b[j]
-		}
+	} else {
+		copy(w[pad:], a)
+	}
+	clear(w[n:])
+	dotBlocks(out[:full], c, w)
+	if full < n {
+		var tail [dotBlock]float64
+		dotBlocks(tail[:], c, w[full:])
+		copy(out[full:], tail[:])
+	}
+	if coefA {
+		slices.Reverse(out)
 	}
 	return out
 }
 
-// ConvScratch holds the FFT work arrays of the convolution routines so
-// hot loops can convolve without allocating. The zero value is ready to
-// use.
+// ConvScratch holds the work arrays of the convolution routines so hot
+// loops can convolve without allocating. The zero value is ready to use.
 type ConvScratch struct {
-	are, aim, bre, bim []float64
+	are, aim, bre, bim []float64 // FFT work arrays
+
+	// The direct sum's operands (convolveDirectInto): win is the
+	// zero-padded window over the longer operand, and coef the shorter
+	// operand reversed when it is b. Both grow geometrically.
+	win, coef []float64
+}
+
+// resize returns *buf resliced to n, reallocating only when its capacity
+// is short, then to at least twice the old capacity.
+func resize(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, max(n, 2*cap(*buf)))
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 func (ws *ConvScratch) grow(n int) (are, aim, bre, bim []float64) {
@@ -155,13 +197,15 @@ func convolveOverlapAddInto(out, signal, kernel []float64, ws *ConvScratch) []fl
 	return out
 }
 
-// directKernelMax is the largest "short side" for which the direct
-// algorithm beats the FFT strategies. The makespan evaluation's hot
-// shape — a work grid of thousands of points convolved with a narrow
-// duration or communication kernel of a few dozen — sits far below it
-// (measured: direct wins up to ~128-point kernels against overlap-add
-// on 8192-point signals), and the direct sum is exact, so the cutoff
-// also removes FFT round-off from the narrow-kernel path.
+// directKernelMax is the largest "short side" that ConvolveInto sends
+// to the direct sum. The direct sum is exact up to rounding and the FFT
+// strategies add round-off of their own, so this cutoff and the 4096
+// product fix which bits each shape's convolution gets: moving either
+// changes results. The value was a measured speed crossover for an
+// earlier direct kernel and is kept for its bits, not its speed. The
+// makespan evaluation's hot shape, a work grid of thousands of points
+// convolved with a narrow duration or communication kernel of a few
+// dozen, sits far below it.
 const directKernelMax = 96
 
 // Convolve picks a convolution strategy based on operand sizes: direct
@@ -177,7 +221,7 @@ func Convolve(a, b []float64) []float64 {
 }
 
 // ConvolveInto is Convolve writing into out, which must have length
-// len(a)+len(b)-1; ws carries the FFT scratch. The strategy choice and
+// len(a)+len(b)-1; ws carries the scratch. The strategy choice and
 // the arithmetic are identical to Convolve, so the results agree
 // bit-for-bit.
 func ConvolveInto(out, a, b []float64, ws *ConvScratch) []float64 {
@@ -186,7 +230,7 @@ func ConvolveInto(out, a, b []float64, ws *ConvScratch) []float64 {
 	case la == 0 || lb == 0:
 		return nil
 	case la <= directKernelMax || lb <= directKernelMax || la*lb <= 4096:
-		return convolveDirectInto(out, a, b)
+		return convolveDirectInto(out, a, b, ws)
 	case la >= 8*lb || lb >= 8*la:
 		return convolveOverlapAddInto(out, a, b, ws)
 	default:

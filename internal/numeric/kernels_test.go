@@ -7,10 +7,9 @@ import (
 	"testing"
 )
 
-// oracleConvolveDirect is the plain double loop convolveDirectInto
-// replaced, kept verbatim as the bit-identity oracle of the AXPY kernel
-// (test files are outside the floateq check, so the zero skip carries no
-// allow directive here).
+// oracleConvolveDirect is the plain double loop, kept verbatim as the
+// bit-identity oracle of convolveDirectInto (test files are outside the
+// floateq check, so the zero skip carries no allow directive here).
 func oracleConvolveDirect(out, a, b []float64) []float64 {
 	for i := range out {
 		out[i] = 0
@@ -116,27 +115,83 @@ func knots(rng *rand.Rand, n int) (x, y []float64) {
 	return x, y
 }
 
-// The AXPY kernel must be bit-identical to the double loop over random
-// shapes: either operand longer, length-1 operands, the work-grid sizes
-// the evaluator produces, and signed zeros in both operands.
+// poison fills every buffer of ws up to its capacity with NaN, so a
+// read of a window or coefficient element the kernel did not write in
+// this call shows in its output.
+func poison(ws *ConvScratch) {
+	for _, buf := range [][]float64{ws.win[:cap(ws.win)], ws.coef[:cap(ws.coef)]} {
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+	}
+}
+
+// The direct kernel must be bit-identical to the double loop over random
+// shapes: either operand longer, length-1 operands, output lengths on
+// either side of one and two dotBlock passes with a much shorter a or b,
+// the work-grid sizes the evaluator produces, and signed zeros in both
+// operands. One ConvScratch serves every shape and is poisoned first.
 func TestConvolveDirectMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := [][2]int{
 		{1, 1}, {1, 9}, {9, 1}, {2, 3}, {3, 2}, {4, 4}, {5, 7}, {7, 5},
 		{64, 64}, {64, 257}, {257, 64}, {8192, 64}, {64, 8192}, {8192, 3},
 	}
+	for _, n := range []int{11, 12, 13, 23, 24, 25} {
+		for short := 1; short <= 3; short++ {
+			shapes = append(shapes, [2]int{short, n + 1 - short}, [2]int{n + 1 - short, short})
+		}
+	}
 	for trial := 0; trial < 40; trial++ {
 		shapes = append(shapes, [2]int{1 + rng.Intn(300), 1 + rng.Intn(300)})
 	}
+	ws := &ConvScratch{}
 	for _, sh := range shapes {
 		a, b := sparseVector(rng, sh[0]), sparseVector(rng, sh[1])
 		out := make([]float64, len(a)+len(b)-1)
 		for i := range out {
 			out[i] = math.NaN() // prior contents must be overwritten
 		}
+		poison(ws)
 		want := oracleConvolveDirect(make([]float64, len(out)), a, b)
-		sameBits(t, fmt.Sprint(sh), convolveDirectInto(out, a, b), want)
+		sameBits(t, fmt.Sprint(sh), convolveDirectInto(out, a, b, ws), want)
 	}
+}
+
+// finiteVector draws like sparseVector, except that one value in eight
+// is an arbitrary finite bit pattern: subnormals, and magnitudes whose
+// products overflow to ±Inf and whose sums then reach NaN.
+func finiteVector(rng *rand.Rand, n int) []float64 {
+	v := sparseVector(rng, n)
+	for i := range v {
+		if rng.Intn(8) != 0 {
+			continue
+		}
+		for {
+			v[i] = math.Float64frombits(rng.Uint64())
+			if !math.IsNaN(v[i]) && !math.IsInf(v[i], 0) {
+				break
+			}
+		}
+	}
+	return v
+}
+
+// FuzzConvolveDirect checks the direct kernel against the double loop
+// bit for bit on finite operands of 1 to 600 elements each.
+func FuzzConvolveDirect(f *testing.F) {
+	f.Add(uint16(0), uint16(0), int64(1))
+	f.Add(uint16(10), uint16(1), int64(2))
+	f.Add(uint16(1), uint16(22), int64(3))
+	f.Add(uint16(63), uint16(599), int64(4))
+	f.Add(uint16(599), uint16(95), int64(5))
+	f.Fuzz(func(t *testing.T, la, lb uint16, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		a := finiteVector(rng, 1+int(la)%600)
+		b := finiteVector(rng, 1+int(lb)%600)
+		want := oracleConvolveDirect(make([]float64, len(a)+len(b)-1), a, b)
+		sameBits(t, fmt.Sprint(len(a), len(b)), ConvolveDirect(a, b), want)
+	})
 }
 
 // The fused sweep must reproduce the three-pass solve bit for bit,
@@ -211,13 +266,14 @@ func TestFitPairMatchesTwoFits(t *testing.T) {
 var sinkFloats []float64
 
 func BenchmarkConvolveDirect(b *testing.B) {
-	for _, sh := range [][2]int{{8192, 64}, {256, 8}} {
+	for _, sh := range [][2]int{{8192, 64}, {64, 8192}, {256, 8}} {
 		rng := rand.New(rand.NewSource(1))
 		x, y := sparseVector(rng, sh[0]), sparseVector(rng, sh[1])
 		out := make([]float64, sh[0]+sh[1]-1)
+		ws := &ConvScratch{}
 		b.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(b *testing.B) {
 			for b.Loop() {
-				sinkFloats = convolveDirectInto(out, x, y)
+				sinkFloats = convolveDirectInto(out, x, y, ws)
 			}
 		})
 	}

@@ -71,7 +71,7 @@ func TestStrategyIntoVariantsBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if want, got := ConvolveDirect(a, b), convolveDirectInto(out, a, b); true {
+	if want, got := ConvolveDirect(a, b), convolveDirectInto(out, a, b, ws); true {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("direct Into diverges at %d", i)

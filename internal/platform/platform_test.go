@@ -242,7 +242,8 @@ func TestScenarioDists(t *testing.T) {
 
 // Every uncertainty level must lie in [1, +Inf): the global UL, each
 // per-task and per-processor override, and the bounds handed to the
-// scenario builders of §VIII.
+// scenario builders of §VIII. A non-nil TaskUL or ProcUL must hold one
+// level per task or per processor.
 func TestUncertaintyLevelsChecked(t *testing.T) {
 	g := graphgen.Chain(3, 5)
 	tau, lat := NewUniformNetwork(2, 1, 0)
@@ -276,6 +277,16 @@ func TestUncertaintyLevelsChecked(t *testing.T) {
 	}
 	if _, err := base.WithVariableUL(1.5, 1.2, rng); err == nil {
 		t.Error("WithVariableUL(1.5, 1.2): lower bound above upper accepted")
+	}
+	for _, s := range []*Scenario{
+		{G: g, P: p, UL: 1.1, TaskUL: []float64{1.2, 1.3}},
+		{G: g, P: p, UL: 1.1, TaskUL: []float64{}},
+		{G: g, P: p, UL: 1.1, ProcUL: []float64{1.2}},
+		{G: g, P: p, UL: 1.1, ProcUL: []float64{1.2, 1.3, 1.4}},
+	} {
+		if err := s.CheckLevels(); err == nil {
+			t.Errorf("TaskUL %#v, ProcUL %#v on 3 tasks and 2 processors: CheckLevels accepted the lengths", s.TaskUL, s.ProcUL)
+		}
 	}
 
 	for _, s := range []*Scenario{base, {G: g, P: p, UL: 1, TaskUL: []float64{1, 2, 1e300}, ProcUL: []float64{1, 1.5}}} {

@@ -168,11 +168,19 @@ func CheckUL(ul float64) error {
 }
 
 // CheckLevels rejects a scenario whose UL, or any TaskUL or ProcUL
-// entry, is outside [1, +Inf) (see CheckUL). Evaluation entry points
-// call it, so levels set by hand cannot reach a density grid.
+// entry, is outside [1, +Inf) (see CheckUL), or whose TaskUL or ProcUL
+// is non-nil without one level per task or per processor (ULFor and
+// ULAt would give the uncovered ones the global UL). Evaluation entry
+// points call it, so levels set by hand cannot reach a density grid.
 func (s *Scenario) CheckLevels() error {
 	if err := CheckUL(s.UL); err != nil {
 		return err
+	}
+	if s.TaskUL != nil && len(s.TaskUL) != s.G.N() {
+		return fmt.Errorf("platform: %d TaskUL entries for %d tasks", len(s.TaskUL), s.G.N())
+	}
+	if s.ProcUL != nil && len(s.ProcUL) != s.P.M {
+		return fmt.Errorf("platform: %d ProcUL entries for %d processors", len(s.ProcUL), s.P.M)
 	}
 	for t, ul := range s.TaskUL {
 		if err := CheckUL(ul); err != nil {
