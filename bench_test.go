@@ -1,9 +1,9 @@
 package repro
 
 // One benchmark per table/figure of the paper (BenchmarkFig1..9), plus
-// micro-benchmarks, ablation benches for the numeric substrate, and the
-// old-vs-new Monte-Carlo kernel comparison (BenchmarkRealizations*,
-// BenchmarkKernel*), Fig. 1's Monte-Carlo distance
+// micro-benchmarks, ablation benches for the numeric substrate, the
+// Monte-Carlo kernel in each sampler mode (BenchmarkKernel*), Fig. 1's
+// Monte-Carlo distance
 // (BenchmarkKSAgainstEmpirical) and BIL on wide FFTs
 // (BenchmarkBILWide). Run: go test -bench=. -benchmem
 
@@ -567,43 +567,11 @@ func BenchmarkEvaluateSpelde(b *testing.B) {
 	}
 }
 
-func BenchmarkRealize(b *testing.B) {
-	scen := benchRandom30(b)
-	s := RandomSchedule(scen, 5)
-	sim, err := schedule.NewSimulator(scen, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	buf := make([]float64, 2*scen.G.N())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.RealizeTiming(rng, buf)
-	}
-}
-
-// BenchmarkMonteCarloParallel measures the parallel realization
-// engine's throughput (10 000 realizations per iteration).
-func BenchmarkMonteCarloParallel(b *testing.B) {
-	scen := benchRandom30(b)
-	s := RandomSchedule(scen, 5)
-	sim, err := schedule.NewSimulator(scen, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Realizations(10000, int64(i))
-	}
-}
-
-// --- Monte-Carlo kernel: old vs new ----------------------------------------
+// --- Monte-Carlo kernel ----------------------------------------------------
 //
-// The acceptance pair of the batch-kernel refactor, on the Fig. 3
-// Cholesky scenario: BenchmarkRealizationsLegacy is the per-sample
-// reference engine, BenchmarkKernel* the compiled batch kernel. Each
-// iteration draws benchMCCount realizations, so ns/op are directly
-// comparable; per-realization cost is reported as ns/real.
+// The compiled batch kernel on the Fig. 3 Cholesky scenario, in each
+// sampler mode. Each iteration draws benchMCCount realizations;
+// per-realization cost is reported as ns/real.
 
 const benchMCCount = 10000
 
@@ -622,15 +590,6 @@ func benchSim(b *testing.B) *schedule.Simulator {
 
 func reportPerRealization(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchMCCount, "ns/real")
-}
-
-func BenchmarkRealizationsLegacy(b *testing.B) {
-	sim := benchSim(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Realizations(benchMCCount, int64(i))
-	}
-	reportPerRealization(b)
 }
 
 func benchKernel(b *testing.B, mode stochastic.SamplerMode) {

@@ -34,7 +34,8 @@ import (
 // revised order, and a task costs O(m·(in-degree + m)) once when it
 // becomes ready — instead of O(#ready · m · (in-degree + k)) per step.
 //
-// Compiled implementation, bit-identical to ReferenceBIL.
+// Compiled implementation; its results equal the original Model-based
+// implementation's, whose digests the equivalence harness keeps.
 func BIL(scen *platform.Scenario) (Result, error) {
 	cm, err := NewCostModel(scen)
 	if err != nil {
@@ -92,8 +93,8 @@ func BIL(scen *platform.Scenario) (Result, error) {
 	arrive := make([]float64, n*m)
 	bim := make([]float64, n*m)
 	byBIM := make([]int32, n*m)
-	// est folds the fixed arrival with p's ready time the way
-	// builder.estAppend does: the ready time unless data arrive later.
+	// est folds the fixed arrival with p's ready time: the ready time
+	// unless data arrive later.
 	est := func(t dag.Task, p int) float64 {
 		if a := arrive[int(t)*m+p]; a > procReady[p] {
 			return a
@@ -166,7 +167,7 @@ func BIL(scen *platform.Scenario) (Result, error) {
 				bestProc, bestVal, bestStart = p, val, e
 			}
 		}
-		// Commit (append mode), mirroring builder.place.
+		// Commit (append mode).
 		sched.Assign(t, bestProc)
 		start[t] = bestStart
 		finish[t] = bestStart + cm.MeanETC[int(t)*m+bestProc]

@@ -7,13 +7,15 @@
 // equivalent to using the minimum durations); SDHEFT works on
 // mean + λσ.
 //
-// Each heuristic exists twice: the exported entry points (HEFT, BIL,
-// HBMCT, SDHEFT) run on the compiled CostModel — flat CSR
-// adjacency, precomputed per-edge communication costs, gap-indexed
-// processor timelines — and the Reference* functions in reference.go
-// retain the original Model-based implementations. The two are
-// bit-identical by construction (same float operations in the same
-// order), enforced by the equivalence harness in equivalence_test.go.
+// The exported entry points (HEFT, BIL, HBMCT, SDHEFT) run on the
+// compiled CostModel — flat CSR adjacency, precomputed per-edge
+// communication costs, gap-indexed processor timelines. HEFT and HBMCT
+// also exist as the original Model-based ReferenceHEFT and
+// ReferenceHBMCT in reference.go, kept because CI's scheduler ratio
+// guard times them; the two versions are bit-identical by construction
+// (same float operations in the same order), enforced by the
+// equivalence harness in equivalence_test.go. BIL and SDHEFT are
+// pinned there by frozen digests of their former references' results.
 package heuristics
 
 import (

@@ -38,8 +38,9 @@ type CostModel struct {
 	classComm [][]float64 // per comm class, per edge id: concrete comm cost
 }
 
-// NewCostModel compiles the scenario's mean cost model. It fails only
-// on a cyclic graph.
+// NewCostModel compiles the scenario's mean cost model. It fails when
+// the scenario's uncertainty levels do not pass
+// platform.Scenario.CheckLevels, or on a cyclic graph.
 func NewCostModel(scen *platform.Scenario) (*CostModel, error) {
 	return newCostModel(scen, stochastic.Dist.Mean, scen.MeanAt)
 }
@@ -53,6 +54,9 @@ func NewCostModel(scen *platform.Scenario) (*CostModel, error) {
 // deriving it would change schedules.
 func newCostModel(scen *platform.Scenario, stat func(stochastic.Dist) float64,
 	edgeStat func(min float64) float64) (*CostModel, error) {
+	if err := scen.CheckLevels(); err != nil {
+		return nil, err
+	}
 	order, err := scen.G.TopoOrder()
 	if err != nil {
 		return nil, err

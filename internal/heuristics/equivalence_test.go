@@ -2,15 +2,36 @@ package heuristics_test
 
 // The equivalence harness of the compiled scheduling layer: every
 // optimized heuristic must produce a byte-identical schedule and a
-// bitwise-equal makespan to its retained reference implementation, on
-// every registered workload family, across sizes, uncertainty levels
-// and seeds. This is what licenses the CostModel/timeline rewrites to
-// claim "pure mechanical sympathy, zero behavior change".
+// bitwise-equal makespan to its reference, on every registered
+// workload family, across sizes, uncertainty levels and seeds. This is
+// what licenses the CostModel/timeline rewrites to claim "pure
+// mechanical sympathy, zero behavior change".
+//
+// HEFT and HBMCT run against their retained Reference* implementations.
+// BIL and SDHEFT run against frozen digests of the results their
+// reference implementations produced, one file per test in testdata/.
+// The digests are compared on amd64 only: other architectures may fuse
+// multiply-adds and round differently. Regenerate them only for a
+// deliberate change of BIL's or SDHEFT's results, on amd64 and without
+// -short:
+//
+//	go test ./internal/heuristics -run 'MatchReference|MatchesReference|ULExtensions' -update
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"flag"
+	"maps"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dag"
@@ -20,18 +41,24 @@ import (
 	"repro/internal/stochastic"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/*.digests from the compiled BIL and SDHEFT results")
+
+// sdheft fixes SDHEFT's weight.
+func sdheft(lambda float64) func(*platform.Scenario) (heuristics.Result, error) {
+	return func(s *platform.Scenario) (heuristics.Result, error) { return heuristics.SDHEFT(s, lambda) }
+}
+
 // heuristicPairs lists each optimized entry point with its reference
-// oracle.
+// oracle; a nil ref checks the frozen digest instead.
 var heuristicPairs = []struct {
 	name string
 	opt  func(*platform.Scenario) (heuristics.Result, error)
 	ref  func(*platform.Scenario) (heuristics.Result, error)
 }{
 	{"HEFT", heuristics.HEFT, heuristics.ReferenceHEFT},
-	{"BIL", heuristics.BIL, heuristics.ReferenceBIL},
+	{"BIL", heuristics.BIL, nil},
 	{"HBMCT", heuristics.HBMCT, heuristics.ReferenceHBMCT},
-	{"SDHEFT", func(s *platform.Scenario) (heuristics.Result, error) { return heuristics.SDHEFT(s, 1) },
-		func(s *platform.Scenario) (heuristics.Result, error) { return heuristics.ReferenceSDHEFT(s, 1) }},
+	{"SDHEFT", sdheft(1), nil},
 }
 
 // assertIdentical fails unless the two results are exactly equal:
@@ -50,6 +77,107 @@ func assertIdentical(t *testing.T, label string, opt, ref heuristics.Result) {
 	}
 }
 
+// resultDigest is the first 8 bytes, in hex, of the SHA-256 of a
+// result's processor assignment, its per-processor orders and its
+// makespan's bits.
+func resultDigest(r heuristics.Result) string {
+	var buf []byte
+	put := func(v int) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
+	put(len(r.Schedule.Proc))
+	for _, p := range r.Schedule.Proc {
+		put(p)
+	}
+	put(len(r.Schedule.Order))
+	for _, tasks := range r.Schedule.Order {
+		put(len(tasks))
+		for _, task := range tasks {
+			put(int(task))
+		}
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Makespan))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:8])
+}
+
+// frozenDigests holds one harness test's digests, read from
+// testdata/<test>.digests ("label digest" lines), and the cells the
+// test has checked so far.
+type frozenDigests struct {
+	path      string
+	want, got map[string]string
+}
+
+// loadDigests reads the calling test's digest file. Without -short it
+// also fails the test, at its end, for every digest whose cell the
+// test no longer visits; with -update it writes the checked cells'
+// digests in place of the file instead.
+func loadDigests(t *testing.T) *frozenDigests {
+	t.Helper()
+	d := &frozenDigests{
+		path: filepath.Join("testdata", t.Name()+".digests"),
+		want: map[string]string{},
+		got:  map[string]string{},
+	}
+	if *update {
+		if testing.Short() || runtime.GOARCH != "amd64" {
+			t.Fatal("-update needs the full tier (no -short) on amd64")
+		}
+		t.Cleanup(func() {
+			var b strings.Builder
+			for _, label := range slices.Sorted(maps.Keys(d.got)) {
+				b.WriteString(label + " " + d.got[label] + "\n")
+			}
+			if err := os.WriteFile(d.path, []byte(b.String()), 0o644); err != nil {
+				t.Error(err)
+			}
+		})
+		return d
+	}
+	data, err := os.ReadFile(d.path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		label, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", d.path, line)
+		}
+		d.want[label] = sum
+	}
+	t.Cleanup(func() {
+		if testing.Short() || t.Failed() {
+			return
+		}
+		for _, label := range slices.Sorted(maps.Keys(d.want)) {
+			if _, ok := d.got[label]; !ok {
+				t.Errorf("%s: %s holds a digest of a cell the test does not visit", label, d.path)
+			}
+		}
+	})
+	return d
+}
+
+// check records r's digest under label and, on amd64 without -update,
+// requires it to equal the frozen one.
+func (d *frozenDigests) check(t *testing.T, label string, r heuristics.Result) {
+	t.Helper()
+	if _, dup := d.got[label]; dup {
+		t.Fatalf("%s: label checked twice", label)
+	}
+	sum := resultDigest(r)
+	d.got[label] = sum
+	if *update || runtime.GOARCH != "amd64" {
+		return
+	}
+	want, ok := d.want[label]
+	if !ok {
+		t.Fatalf("%s: no digest in %s (regenerate with -update)", label, d.path)
+	}
+	if sum != want {
+		t.Fatalf("%s: result digest %s, frozen reference %s", label, sum, want)
+	}
+}
+
 // caseScenario builds the scenario of one harness cell, or returns nil
 // when the size is off the family's grid (e.g. strassen at 10).
 func caseScenario(t *testing.T, spec experiment.CaseSpec) *platform.Scenario {
@@ -65,18 +193,24 @@ func caseScenario(t *testing.T, spec experiment.CaseSpec) *platform.Scenario {
 	return scen
 }
 
-func runPair(t *testing.T, label string, scen *platform.Scenario,
+// runPair checks opt's result on scen against ref's, or against the
+// frozen digest when ref is nil, and validates its schedule.
+func runPair(t *testing.T, frozen *frozenDigests, label string, scen *platform.Scenario,
 	opt, ref func(*platform.Scenario) (heuristics.Result, error)) {
 	t.Helper()
 	ro, err := opt(scen)
 	if err != nil {
 		t.Fatalf("%s: optimized: %v", label, err)
 	}
-	rr, err := ref(scen)
-	if err != nil {
-		t.Fatalf("%s: reference: %v", label, err)
+	if ref == nil {
+		frozen.check(t, label, ro)
+	} else {
+		rr, err := ref(scen)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", label, err)
+		}
+		assertIdentical(t, label, ro, rr)
 	}
-	assertIdentical(t, label, ro, rr)
 	if err := ro.Schedule.Validate(scen.G); err != nil {
 		t.Fatalf("%s: schedule invalid: %v", label, err)
 	}
@@ -94,6 +228,7 @@ func TestOptimizedHeuristicsMatchReference(t *testing.T) {
 	}
 	uls := []float64{1.0, 1.5}
 	seeds := []int64{1, 2, 3}
+	frozen := loadDigests(t)
 	for _, family := range experiment.FamilyNames() {
 		for _, n := range sizes {
 			// Reference HBMCT is quadratic in sequence length; keep the
@@ -114,7 +249,7 @@ func TestOptimizedHeuristicsMatchReference(t *testing.T) {
 					for _, pair := range heuristicPairs {
 						label := pair.name + "/" + family + "/n=" +
 							itoa(n) + "/ul=" + ftoa(ul) + "/seed=" + itoa(int(seed))
-						runPair(t, label, scen, pair.opt, pair.ref)
+						runPair(t, frozen, label, scen, pair.opt, pair.ref)
 					}
 				}
 			}
@@ -123,13 +258,15 @@ func TestOptimizedHeuristicsMatchReference(t *testing.T) {
 }
 
 // TestBILMatchesReferenceAcrossProcessorCounts pins BIL's incremental
-// ready-set priorities against ReferenceBIL beyond the m = 4 of the
-// sweep above: m = 1 (a single order entry), m = 2 and the n = 10
-// cells at m ≥ 8 (ready sets narrower than m, so k = #ready < m), and
-// UL 1.0 (deterministic costs, where equal BIMs and equal priorities
-// are common). The wide FFT cells keep over a hundred tasks ready at
-// once, whose orders are revised after every placement.
+// ready-set priorities against the reference's frozen results beyond
+// the m = 4 of the sweep above: m = 1 (a single order entry), m = 2
+// and the n = 10 cells at m ≥ 8 (ready sets narrower than m, so
+// k = #ready < m), and UL 1.0 (deterministic costs, where equal BIMs
+// and equal priorities are common). The wide FFT cells keep over a
+// hundred tasks ready at once, whose orders are revised after every
+// placement.
 func TestBILMatchesReferenceAcrossProcessorCounts(t *testing.T) {
+	frozen := loadDigests(t)
 	bilPair := func(t *testing.T, spec experiment.CaseSpec) {
 		t.Helper()
 		scen := caseScenario(t, spec)
@@ -138,7 +275,7 @@ func TestBILMatchesReferenceAcrossProcessorCounts(t *testing.T) {
 		}
 		label := "BIL/" + spec.Family + "/n=" + itoa(spec.N) + "/m=" + itoa(spec.M) +
 			"/ul=" + ftoa(spec.UL) + "/seed=" + itoa(int(spec.Seed))
-		runPair(t, label, scen, heuristics.BIL, heuristics.ReferenceBIL)
+		runPair(t, frozen, label, scen, heuristics.BIL, nil)
 	}
 	for _, family := range experiment.FamilyNames() {
 		for _, n := range []int{10, 100} {
@@ -152,8 +289,8 @@ func TestBILMatchesReferenceAcrossProcessorCounts(t *testing.T) {
 			}
 		}
 	}
-	// Wide FFTs: ~1 000 tasks (ReferenceBIL ~0.2 s) in every tier,
-	// ~2 000 (~1 s) only without -short.
+	// Wide FFTs: ~1 000 tasks in every tier, ~2 000 only without
+	// -short.
 	wide := []int{1000}
 	if !testing.Short() {
 		wide = append(wide, 2000)
@@ -167,7 +304,7 @@ func TestBILMatchesReferenceAcrossProcessorCounts(t *testing.T) {
 }
 
 // TestEquivalenceUnderULExtensions pins the compiled paths against the
-// reference on the §VIII scenario extensions, which exercise the
+// references on the §VIII scenario extensions, which exercise the
 // per-task (TaskUL), per-processor (ProcUL) and custom-DurFn branches
 // of the cost precomputation.
 func TestEquivalenceUnderULExtensions(t *testing.T) {
@@ -192,6 +329,7 @@ func TestEquivalenceUnderULExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	frozen := loadDigests(t)
 	scens := map[string]*platform.Scenario{
 		"variable-ul":  varUL,
 		"noisy-procs":  noisy,
@@ -199,15 +337,12 @@ func TestEquivalenceUnderULExtensions(t *testing.T) {
 	}
 	for name, scen := range scens {
 		for _, pair := range heuristicPairs {
-			runPair(t, pair.name+"/"+name, scen, pair.opt, pair.ref)
+			runPair(t, frozen, pair.name+"/"+name, scen, pair.opt, pair.ref)
 		}
 	}
 	// λ sweep for SDHEFT on the variable-UL scenario.
 	for _, lambda := range []float64{0, 0.5, 2} {
-		l := lambda
-		runPair(t, "SDHEFT/lambda", scens["variable-ul"],
-			func(s *platform.Scenario) (heuristics.Result, error) { return heuristics.SDHEFT(s, l) },
-			func(s *platform.Scenario) (heuristics.Result, error) { return heuristics.ReferenceSDHEFT(s, l) })
+		runPair(t, frozen, "SDHEFT/variable-ul/lambda="+ftoa(lambda), scens["variable-ul"], sdheft(lambda), nil)
 	}
 }
 
@@ -256,6 +391,34 @@ func TestAvgCommFollowsDurFn(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIdentical(t, "HEFT vs SDHEFT(λ=0)", heft, sd)
+}
+
+// The schedulers must reject the uncertainty levels evaluation
+// rejects: a TaskUL or ProcUL without one level per task or processor
+// used to leave the uncovered ones at the global UL, and a NaN UL gave
+// NaN costs and a makespan of 0.
+func TestHeuristicsCheckLevels(t *testing.T) {
+	base := caseScenario(t, experiment.CaseSpec{Name: "levels",
+		Family: experiment.CholeskyFamily, N: 10, M: 3, UL: 1.1, Seed: 1})
+	shortTask, shortProc, nanUL := *base, *base, *base
+	shortTask.TaskUL = []float64{3, 3, 3}
+	shortProc.ProcUL = []float64{2}
+	nanUL.UL = math.NaN()
+	for name, scen := range map[string]*platform.Scenario{
+		"3-entry TaskUL": &shortTask, "1-entry ProcUL": &shortProc, "NaN UL": &nanUL,
+	} {
+		for _, h := range []struct {
+			name string
+			fn   func(*platform.Scenario) (heuristics.Result, error)
+		}{
+			{"HEFT", heuristics.HEFT}, {"BIL", heuristics.BIL},
+			{"HBMCT", heuristics.HBMCT}, {"SDHEFT", sdheft(1)},
+		} {
+			if res, err := h.fn(scen); err == nil {
+				t.Errorf("%s: %s scheduled it (makespan %v)", name, h.name, res.Makespan)
+			}
+		}
+	}
 }
 
 func itoa(n int) string {

@@ -171,8 +171,9 @@ func TestSDHEFTBeatsHEFTSigmaOnNoisyProcessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hStd := stochastic.NewEmpirical(hSim.Realizations(20000, 1)).StdDev()
-	sStd := stochastic.NewEmpirical(sSim.Realizations(20000, 2)).StdDev()
+	opt := schedule.KernelOptions{}
+	hStd := hSim.Compile(stochastic.SamplerExact).Empirical(20000, 1, opt).StdDev()
+	sStd := sSim.Compile(stochastic.SamplerExact).Empirical(20000, 2, opt).StdDev()
 	if sStd >= hStd {
 		t.Errorf("SDHEFT sigma %g not below HEFT sigma %g on noisy processors", sStd, hStd)
 	}

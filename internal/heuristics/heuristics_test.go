@@ -252,20 +252,6 @@ func TestHEFTInsertionUsesGaps(t *testing.T) {
 	}
 }
 
-func TestKthSmallest(t *testing.T) {
-	xs := []float64{5, 1, 4, 2}
-	if kthSmallest(xs, 1) != 1 || kthSmallest(xs, 2) != 2 || kthSmallest(xs, 4) != 5 {
-		t.Error("kthSmallest wrong")
-	}
-	if kthSmallest(xs, 0) != 1 || kthSmallest(xs, 10) != 5 {
-		t.Error("kthSmallest clamping wrong")
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 || xs[1] != 1 {
-		t.Error("kthSmallest mutated input")
-	}
-}
-
 func TestIndependentGroups(t *testing.T) {
 	// Chain 0→1→2: every task is its own group.
 	g := graphgen.Chain(3, 1)

@@ -24,7 +24,8 @@ import (
 //
 // lambda must pass CheckLambda; any other value is an error.
 //
-// Compiled implementation, bit-identical to ReferenceSDHEFT.
+// Its results equal the original stand-alone implementation's, whose
+// digests the equivalence harness keeps.
 func SDHEFT(scen *platform.Scenario, lambda float64) (Result, error) {
 	if err := CheckLambda(lambda); err != nil {
 		return Result{}, err

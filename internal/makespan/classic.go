@@ -11,9 +11,12 @@
 // per scenario and per schedule, so the paper's core experiment —
 // hundreds of metric vectors per case — builds the disjunctive
 // structure once per schedule and discretizes each distinct
-// distribution once per case. The Reference* entry points retain the
-// uncompiled implementations; the equivalence harness keeps the
-// compiled classic path bit-identical to them.
+// distribution once per case. ReferenceEvaluateClassic and
+// ReferenceEvaluateDodin retain the uncompiled classical and Dodin
+// evaluators: the equivalence harnesses hold EvalModel.Classic
+// bit-identical to the first and EvalModel.Dodin within tolerance of
+// the second, and CI's ratio guards time both against their compiled
+// paths.
 package makespan
 
 import (
@@ -170,7 +173,7 @@ func ReferenceEvaluateClassic(scen *platform.Scenario, s *schedule.Schedule, gri
 // MonteCarlo draws count realizations of the schedule and returns the
 // empirical makespan distribution (the paper's ground truth with
 // count = 100 000). It runs the compiled batch kernel in exact mode,
-// which is bit-identical to the per-sample reference engine; use
+// which draws every variate with its distribution's own Sample; use
 // MonteCarloWith to select the faster table samplers.
 func MonteCarlo(scen *platform.Scenario, s *schedule.Schedule, count int, seed int64) (*stochastic.Empirical, error) {
 	return MonteCarloWith(scen, s, count, seed, MCOptions{})

@@ -1,7 +1,6 @@
 package makespan
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -198,8 +197,8 @@ func zeroCommArc(d stochastic.Dist) bool {
 //     bounded by the schedule's frontier width, not n. Tasks that do
 //     not precede one another may run on helper goroutines, with
 //     the same bits at any worker count;
-//   - Spelde: Clark moment propagation, equal to
-//     ReferenceEvaluateSpelde;
+//   - Spelde: Clark moment propagation, equal to the same propagation
+//     on the rebuilt map-based disjunctive graph;
 //   - Slacks: the §IV mean-duration slack vector, equal to the
 //     disjunctive-graph path robustness.FromDistribution used to
 //     rebuild per call.
@@ -551,8 +550,8 @@ func (m *EvalModel) arrivals(ops *stochastic.Ops, arr []*stochastic.Numeric, lo,
 }
 
 // Spelde propagates (µ, σ²) through the disjunctive order with Clark's
-// formulas, equal to ReferenceEvaluateSpelde (same moment values, same
-// accumulation order).
+// formulas, equal to the propagation on the rebuilt map-based
+// disjunctive graph (same moment values, same accumulation order).
 func (m *EvalModel) Spelde() SpeldeResult {
 	d := m.d
 	n := d.N
@@ -601,13 +600,6 @@ func (m *EvalModel) Spelde() SpeldeResult {
 // that path: top/bottom levels are pure float maxima, which are
 // accumulation-order independent.
 func (m *EvalModel) Slacks() []float64 {
-	slacks, _ := m.slacksCP()
-	return slacks
-}
-
-// slacksCP computes the slack vector together with the mean-duration
-// critical-path length it is defined against (cp = max_t tl(t)+bl(t)).
-func (m *EvalModel) slacksCP() ([]float64, float64) {
 	d := m.d
 	n := d.N
 	tl := make([]float64, n)
@@ -646,7 +638,7 @@ func (m *EvalModel) slacksCP() ([]float64, float64) {
 		}
 		out[t] = s
 	}
-	return out, cp
+	return out
 }
 
 // Metrics evaluates the full eight-metric robustness vector of the
@@ -656,31 +648,4 @@ func (m *EvalModel) slacksCP() ([]float64, float64) {
 // experiment, and the call RunCaseOn fans out over its worker pool.
 func (m *EvalModel) Metrics(p robustness.Params) robustness.Metrics {
 	return robustness.FromDistributionSlacks(m.Classic(), m.Slacks(), p)
-}
-
-// MetricsFromSamples evaluates the metric vector with the distribution
-// metrics taken from Monte-Carlo samples and the slack metrics from
-// the compiled slack vector — the model-holding form of
-// robustness.FromSamples, without the per-call disjunctive rebuild.
-func (m *EvalModel) MetricsFromSamples(emp *stochastic.Empirical, p robustness.Params) robustness.Metrics {
-	return robustness.FromSamplesSlacks(emp, m.Slacks(), p)
-}
-
-// SlackIdentity runs the paper's §V consistency test on the compiled
-// slack vector — a zero-slack (critical-path) task must exist — and
-// returns the critical-path length on mean durations. It is the
-// model-holding form of robustness.VerifySlackIdentity, computed from
-// EvalModel.Slacks instead of a rebuilt map-based disjunctive graph.
-func (m *EvalModel) SlackIdentity() (float64, error) {
-	slacks, cp := m.slacksCP()
-	min := math.Inf(1)
-	for _, v := range slacks {
-		if v < min {
-			min = v
-		}
-	}
-	if min > 1e-6 {
-		return 0, fmt.Errorf("makespan: no zero-slack task (min slack %g)", min)
-	}
-	return cp, nil
 }

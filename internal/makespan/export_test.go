@@ -8,3 +8,10 @@ import "repro/internal/stochastic"
 func (m *EvalModel) ClassicWorkers(workers int) (*stochastic.Numeric, int) {
 	return m.classic(workers)
 }
+
+// ClarkMax and ZeroCommArc let the Spelde oracle share the moment
+// formulas and the arc-skip rule with the evaluators.
+var (
+	ClarkMax    = clarkMax
+	ZeroCommArc = zeroCommArc
+)

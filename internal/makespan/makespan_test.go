@@ -355,9 +355,9 @@ func TestClassicOnRandomScheduleAgainstMC(t *testing.T) {
 	}
 }
 
-// MonteCarlo (kernel, exact mode) must remain byte-identical to the
-// per-sample reference engine, and the table mode must agree in
-// distribution.
+// MonteCarlo must draw the kernel's exact-mode realizations at the
+// default block size, which the schedule package holds equal to its
+// per-sample oracle, and the table mode must agree in distribution.
 func TestMonteCarloKernelModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graphgen.Cholesky(3, 10, 20, rng)
@@ -372,7 +372,7 @@ func TestMonteCarloKernelModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sim.Realizations(4000, 11)
+	want := sim.Compile(stochastic.SamplerExact).Realizations(4000, 11, schedule.KernelOptions{})
 	sort.Float64s(want)
 	emp, err := MonteCarlo(scen, s, 4000, 11)
 	if err != nil {
@@ -380,7 +380,7 @@ func TestMonteCarloKernelModes(t *testing.T) {
 	}
 	for i, x := range emp.Sorted() {
 		if x != want[i] {
-			t.Fatalf("MonteCarlo diverges from the reference engine at %d", i)
+			t.Fatalf("MonteCarlo diverges from the exact kernel at %d", i)
 		}
 	}
 	fast, err := MonteCarloWith(scen, s, 4000, 11, MCOptions{Sampler: stochastic.SamplerTable})

@@ -6,10 +6,8 @@ import (
 	"repro/internal/stochastic"
 )
 
-// MCOptions tunes the Monte-Carlo engine. The zero value reproduces
-// the historical behaviour exactly: the compiled kernel in exact
-// sampler mode at the default block size, which is bit-identical to
-// the per-sample reference engine.
+// MCOptions tunes the Monte-Carlo engine. The zero value selects the
+// compiled kernel in exact sampler mode at the default block size.
 type MCOptions struct {
 	// Sampler selects the realization samplers; SamplerTable trades
 	// bit-compatibility for table-driven Beta sampling (several times

@@ -25,11 +25,6 @@ func (r SpeldeResult) RV(gridSize int) *stochastic.Numeric {
 	return stochastic.FromDist(stochastic.Normal{Mu: r.Mean, Sigma: r.Std}, gridSize)
 }
 
-// moments extracts the first two moments of a distribution.
-func moments(d stochastic.Dist) (mu, variance float64) {
-	return d.Mean(), d.Variance()
-}
-
 // clarkMax returns the first two moments of max(X, Y) for independent
 // normals X ~ (mu1, var1) and Y ~ (mu2, var2), by Clark's (1961)
 // formulas.
@@ -67,52 +62,4 @@ func EvaluateSpelde(scen *platform.Scenario, s *schedule.Schedule) (SpeldeResult
 		return SpeldeResult{}, err
 	}
 	return m.Spelde(), nil
-}
-
-// ReferenceEvaluateSpelde is the retained uncompiled implementation:
-// it rebuilds the disjunctive graph and re-derives every moment per
-// call. The equivalence harness holds EvalModel.Spelde equal to it.
-func ReferenceEvaluateSpelde(scen *platform.Scenario, s *schedule.Schedule) (SpeldeResult, error) {
-	ctx, err := newEvalContext(scen, s)
-	if err != nil {
-		return SpeldeResult{}, err
-	}
-	n := scen.G.N()
-	mu := make([]float64, n)
-	variance := make([]float64, n)
-	for _, t := range ctx.order {
-		var sMu, sVar float64
-		first := true
-		for _, p := range ctx.dg.Pred(t) {
-			aMu, aVar := mu[p], variance[p]
-			if d, skip := ctx.commDist(p, t); !skip {
-				cMu, cVar := moments(d)
-				aMu += cMu
-				aVar += cVar
-			}
-			if first {
-				sMu, sVar = aMu, aVar
-				first = false
-			} else {
-				sMu, sVar = clarkMax(sMu, sVar, aMu, aVar)
-			}
-		}
-		if first {
-			sMu, sVar = 0, 0 // entry task starts at time 0
-		}
-		dMu, dVar := moments(scen.TaskDist(t, s.Proc[t]))
-		mu[t] = sMu + dMu
-		variance[t] = sVar + dVar
-	}
-	var outMu, outVar float64
-	firstSink := true
-	for _, t := range ctx.dg.Sinks() {
-		if firstSink {
-			outMu, outVar = mu[t], variance[t]
-			firstSink = false
-		} else {
-			outMu, outVar = clarkMax(outMu, outVar, mu[t], variance[t])
-		}
-	}
-	return SpeldeResult{Mean: outMu, Std: math.Sqrt(outVar)}, nil
 }

@@ -2,14 +2,13 @@
 // by the paper (§IV): expected makespan, makespan standard deviation,
 // makespan differential entropy, average slack, slack standard
 // deviation, average lateness, and the absolute and relative
-// probabilistic metrics. Metrics can be computed from an analytic
-// makespan distribution (stochastic.Numeric) or directly from
-// Monte-Carlo samples.
+// probabilistic metrics. The five distribution metrics are computed
+// from an analytic makespan distribution (stochastic.Numeric), the two
+// slack metrics from the schedule's mean-duration disjunctive graph.
 package robustness
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dag"
 	"repro/internal/numeric"
@@ -89,8 +88,9 @@ func (m Metrics) String() string {
 // FromDistribution computes the five distribution-based metrics from an
 // analytic makespan distribution and fills the slack metrics from the
 // schedule's mean-value disjunctive graph, which it rebuilds per call.
-// This is the retained reference path; pipelines that already hold a
-// compiled evaluation model (makespan.EvalModel) use
+// This is the retained reference path: its only callers are tests and
+// the reference leg of the EvalCase benchmark that CI's ratio guard
+// times. Every pipeline compiles a makespan.EvalModel and calls
 // FromDistributionSlacks with the model's slack vector instead, which
 // is identical without the rebuild.
 func FromDistribution(scen *platform.Scenario, s *schedule.Schedule, rv *stochastic.Numeric, p Params) (Metrics, error) {
@@ -128,45 +128,6 @@ func fillDistribution(m *Metrics, rv *stochastic.Numeric, p Params) {
 func applySlacks(m *Metrics, slacks []float64) {
 	m.AvgSlack = numeric.KahanSum(slacks)
 	m.SlackStdDev = numeric.StdDev(slacks)
-}
-
-// FromSamples computes the metrics from Monte-Carlo makespan samples;
-// the entropy uses a histogram density with the same grid size as the
-// analytic pipeline. This is the retained reference path: it rebuilds
-// the schedule's disjunctive graph to derive the slack metrics.
-// Pipelines that already hold a compiled evaluation model
-// (makespan.EvalModel) call its MetricsFromSamples, which pairs
-// FromSamplesSlacks with the model's slack vector — identical values,
-// no rebuild.
-func FromSamples(scen *platform.Scenario, s *schedule.Schedule, emp *stochastic.Empirical, p Params) (Metrics, error) {
-	var m Metrics
-	fillSampleDist(&m, emp, p)
-	if err := fillSlack(scen, s, &m); err != nil {
-		return m, err
-	}
-	return m, nil
-}
-
-// FromSamplesSlacks computes the metric vector from Monte-Carlo
-// makespan samples and a precomputed per-task slack vector (§IV, mean
-// durations) — the compiled-evaluation form of FromSamples.
-func FromSamplesSlacks(emp *stochastic.Empirical, slacks []float64, p Params) Metrics {
-	var m Metrics
-	fillSampleDist(&m, emp, p)
-	applySlacks(&m, slacks)
-	return m
-}
-
-// fillSampleDist fills the distribution-based metrics from samples.
-func fillSampleDist(m *Metrics, emp *stochastic.Empirical, p Params) {
-	m.Makespan = emp.Mean()
-	m.StdDev = emp.StdDev()
-	m.Entropy = emp.ToNumeric(p.GridSize).Entropy()
-	m.Lateness = emp.LatenessAboveMean()
-	m.AbsProb = emp.ProbWithin(m.Makespan-p.Delta, m.Makespan+p.Delta)
-	if p.Gamma > 0 {
-		m.RelProb = emp.ProbWithin(m.Makespan/p.Gamma, m.Makespan*p.Gamma)
-	}
 }
 
 // latenessOf computes E(M') − E(M) where M' is M conditioned on
@@ -235,40 +196,4 @@ func fillSlack(scen *platform.Scenario, s *schedule.Schedule, m *Metrics) error 
 	}
 	applySlacks(m, slacks)
 	return nil
-}
-
-// VerifySlackIdentity checks the paper's §V consistency test: the
-// bottom level of an entry task on the critical path equals the
-// critical-path length, i.e. a zero-slack task exists. Returns the
-// critical-path length on mean durations. This is the retained
-// map-graph reference; the compiled path is
-// makespan.EvalModel.SlackIdentity, which runs the same test on the
-// model's flat slack vector.
-func VerifySlackIdentity(scen *platform.Scenario, s *schedule.Schedule) (float64, error) {
-	dg, err := s.Disjunctive(scen.G)
-	if err != nil {
-		return 0, err
-	}
-	n := scen.G.N()
-	nodeW := make([]float64, n)
-	for i := 0; i < n; i++ {
-		nodeW[i] = scen.MeanTask(dagTask(i), s.Proc[i])
-	}
-	edgeW := func(from, to dagTask) float64 {
-		return scen.MeanComm(from, to, s.Proc[from], s.Proc[to])
-	}
-	slacks, err := dg.Slacks(nodeW, edgeW)
-	if err != nil {
-		return 0, err
-	}
-	min := math.Inf(1)
-	for _, v := range slacks {
-		if v < min {
-			min = v
-		}
-	}
-	if min > 1e-6 {
-		return 0, fmt.Errorf("robustness: no zero-slack task (min slack %g)", min)
-	}
-	return dg.CriticalPathLength(nodeW, edgeW)
 }

@@ -2,7 +2,6 @@ package robustness_test
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/dag"
@@ -126,55 +125,6 @@ func TestSlackParallelTasks(t *testing.T) {
 	}
 }
 
-func TestFromSamplesMatchesFromDistribution(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g, w := graphgen.Random(12, rng)
-	tau, lat := platform.NewUniformNetwork(3, 1, 0)
-	scen := &platform.Scenario{
-		G:  g,
-		P:  &platform.Platform{M: 3, ETC: platform.GenerateETCFromWeights(w, 3, 0.5, rng), Tau: tau, Lat: lat},
-		UL: 1.1,
-	}
-	s := schedule.New(g.N(), 3)
-	order, err := g.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, task := range order {
-		s.Assign(task, rng.Intn(3))
-	}
-	rv, err := makespan.EvaluateClassic(scen, s, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emp, err := makespan.MonteCarlo(scen, s, 50000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := DefaultParams()
-	ma, err := FromDistribution(scen, s, rv, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb, err := FromSamples(scen, s, emp, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(ma.Makespan, mb.Makespan, 0.01*mb.Makespan) {
-		t.Errorf("mean: analytic %g vs sampled %g", ma.Makespan, mb.Makespan)
-	}
-	if !almostEqual(ma.StdDev, mb.StdDev, 0.35*mb.StdDev+0.01) {
-		t.Errorf("std: analytic %g vs sampled %g", ma.StdDev, mb.StdDev)
-	}
-	if !almostEqual(ma.Lateness, mb.Lateness, 0.35*mb.Lateness+0.01) {
-		t.Errorf("lateness: analytic %g vs sampled %g", ma.Lateness, mb.Lateness)
-	}
-	// Slack metrics are identical: same deterministic computation.
-	if ma.AvgSlack != mb.AvgSlack || ma.SlackStdDev != mb.SlackStdDev {
-		t.Error("slack metrics must not depend on the distribution source")
-	}
-}
-
 func TestVectorAndNames(t *testing.T) {
 	m := Metrics{Makespan: 1, StdDev: 2, Entropy: 3, AvgSlack: 4, SlackStdDev: 5, Lateness: 6, AbsProb: 7, RelProb: 8}
 	v := m.Vector()
@@ -222,18 +172,5 @@ func TestLatenessMonotoneInSpread(t *testing.T) {
 	}
 	if mn.Entropy >= mw.Entropy {
 		t.Errorf("entropy should grow with spread: %g vs %g", mn.Entropy, mw.Entropy)
-	}
-}
-
-func TestVerifySlackIdentity(t *testing.T) {
-	scen, s := simpleScenario(1.1)
-	cp, err := VerifySlackIdentity(scen, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chain of three tasks with mean duration 10·(1+0.1·2/7).
-	want := 3 * 10 * (1 + 0.1*2.0/7.0)
-	if !almostEqual(cp, want, 1e-9) {
-		t.Errorf("critical path = %g, want %g", cp, want)
 	}
 }

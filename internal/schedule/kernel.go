@@ -6,12 +6,14 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/seeds"
 	"repro/internal/stochastic"
 )
 
 // RealizationKernel is the schedule simulator compiled into a flat
-// batch program. Compilation resolves everything the per-sample engine
-// re-decides on every realization:
+// batch program, the one engine that draws makespan realizations.
+// Compilation resolves everything a realization would otherwise
+// re-decide per sample:
 //
 //   - the predecessor lists become CSR-style int32/float64 arrays, so
 //     the timing pass walks contiguous memory instead of a slice of
@@ -26,10 +28,11 @@ import (
 //     task-major pass, each task's B finish times a contiguous row
 //     updated by branch-light loops over the block's sample rows.
 //
-// Realizations are seeded per block exactly like
-// Simulator.Realizations, so the kernel's exact mode at
-// DefaultBlockSize is bit-identical to the legacy per-sample path,
-// and every mode is deterministic at any worker count.
+// Realizations are seeded per block (blockSeeds), so every mode is
+// deterministic at any worker count. Exact mode draws each
+// realization's variates in the per-sample order: tasks in disjunctive
+// topological order, each task's stochastic arcs in predecessor order
+// and then its duration, Dirac ones skipped.
 type RealizationKernel struct {
 	n    int
 	mode stochastic.SamplerMode
@@ -48,13 +51,35 @@ type RealizationKernel struct {
 	durSlot []int32
 
 	// samplers holds one batch sampler per stochastic slot, in the
-	// draw order of the per-sample engine (tasks in disjunctive
-	// topological order, each task's arcs before its duration), so
-	// exact-mode realization-major sampling consumes the RNG stream in
-	// the legacy order.
+	// per-sample draw order (tasks in disjunctive topological order,
+	// each task's arcs before its duration), so exact-mode
+	// realization-major sampling consumes the RNG stream in that
+	// order.
 	samplers []stochastic.BatchSampler
 
 	workerPool sync.Pool // *kernelWorker, reused across Run calls
+}
+
+// DefaultBlockSize is the realization-block granularity of a kernel
+// run: realizations are partitioned into blocks of this size, and block
+// k draws from an RNG seeded with seeds.NewFamily(seed, "mc-block").Seed(k).
+// Because the seeding is per block — not per worker — results are
+// identical at every worker count and GOMAXPROCS setting.
+const DefaultBlockSize = 256
+
+// blockSeeds precomputes the per-block RNG seeds for count
+// realizations in blocks of size block.
+func blockSeeds(count, block int, seed int64) []int64 {
+	fam := seeds.NewFamily(seed, "mc-block")
+	nb := count / block
+	if count%block != 0 {
+		nb++ // a partial last block; no overflow for any block size
+	}
+	out := make([]int64, nb)
+	for k := range out {
+		out[k] = fam.Seed(k)
+	}
+	return out
 }
 
 // KernelOptions tunes a kernel run. The zero value selects
@@ -62,7 +87,7 @@ type RealizationKernel struct {
 type KernelOptions struct {
 	// BlockSize is the number of realizations sampled and timed per
 	// batch. Results depend on the block size (each block owns an RNG
-	// stream); DefaultBlockSize matches Simulator.Realizations.
+	// stream).
 	BlockSize int
 	// Workers bounds the goroutines of a run; results are identical
 	// for every value.
@@ -84,10 +109,10 @@ func (o KernelOptions) workers() int {
 }
 
 // Compile builds the batch realization kernel for the simulator's
-// schedule. mode selects the samplers: SamplerExact reproduces the
-// per-sample engine bit-for-bit (at DefaultBlockSize), SamplerTable
-// swaps Beta durations/arcs for inverse-CDF table lookups — the fast
-// path for bulk Monte Carlo.
+// schedule. mode selects the samplers: SamplerExact draws every
+// variate with its distribution's own Sample in the per-sample order,
+// SamplerTable swaps Beta durations/arcs for inverse-CDF table
+// lookups — the fast path for bulk Monte Carlo.
 func (sim *Simulator) Compile(mode stochastic.SamplerMode) *RealizationKernel {
 	n := len(sim.dur)
 	k := &RealizationKernel{
@@ -111,8 +136,8 @@ func (sim *Simulator) Compile(mode stochastic.SamplerMode) *RealizationKernel {
 	k.predVal = make([]float64, nArcs)
 	k.predSlot = make([]int32, nArcs)
 
-	// Slots are allocated in legacy draw order: walk tasks in the
-	// disjunctive topological order, arcs before the task's own
+	// Slots are allocated in the per-sample draw order: walk tasks in
+	// the disjunctive topological order, arcs before the task's own
 	// duration.
 	addSlot := func(d stochastic.Dist) int32 {
 		k.samplers = append(k.samplers, stochastic.NewBatchSampler(d, mode))
@@ -179,7 +204,7 @@ func (k *RealizationKernel) getWorker(blockLen int) *kernelWorker {
 // sampleBlock fills the structure-of-arrays block with m realizations
 // worth of variates. Batch modes sample slot-major (each sampler
 // amortizes over the whole block); exact mode samples
-// realization-major so the RNG stream matches the per-sample engine.
+// realization-major so the RNG stream follows the per-sample order.
 func (k *RealizationKernel) sampleBlock(w *kernelWorker, m int) {
 	buf := w.block
 	if k.mode == stochastic.SamplerExact {
@@ -204,9 +229,10 @@ func (k *RealizationKernel) sampleBlock(w *kernelWorker, m int) {
 //	for each arc (p, c): ft[r] = max(ft[r], fp[r] + c[r])
 //	ft[r] += d[r]; ms[r] = max(ms[r], ft[r])
 //
-// Per realization these are the operations of Simulator.timing in the
-// same order, so identical samples produce bit-identical makespans.
-// Constant arcs and durations use a scalar in place of a sample row.
+// Per realization these are the operations of a per-sample eager
+// execution in the same order, so identical samples produce
+// bit-identical makespans. Constant arcs and durations use a scalar in
+// place of a sample row.
 func (k *RealizationKernel) passBlock(w *kernelWorker, ms []float64) {
 	m := len(ms)
 	buf := w.block
@@ -264,9 +290,7 @@ func (k *RealizationKernel) passBlock(w *kernelWorker, ms []float64) {
 }
 
 // Realizations draws count makespan realizations. Deterministic for a
-// fixed (count, seed, block size, mode) at any worker count; in exact
-// mode at DefaultBlockSize it is bit-identical to
-// Simulator.Realizations.
+// fixed (count, seed, block size, mode) at any worker count.
 func (k *RealizationKernel) Realizations(count int, seed int64, opt KernelOptions) []float64 {
 	out := make([]float64, count)
 	k.RealizationsInto(out, seed, opt)

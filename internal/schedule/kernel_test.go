@@ -47,21 +47,100 @@ func randomSimulatorDur(t *testing.T, n, m int, ul float64, seed int64, durFn fu
 	return sim
 }
 
-// The kernel's exact mode at the default block size must reproduce the
-// per-sample engine bit for bit.
-func TestKernelExactBitIdenticalToLegacy(t *testing.T) {
-	sim := randomSimulator(t, 25, 4, 1.3, 3)
-	k := sim.Compile(stochastic.SamplerExact)
-	for _, count := range []int{1, 100, DefaultBlockSize, 3000} {
-		legacy := sim.Realizations(count, 42)
-		got := k.Realizations(count, 42, KernelOptions{})
-		for i := range legacy {
-			if got[i] != legacy[i] {
-				t.Fatalf("count %d: realization %d = %v, legacy %v (not bit-identical)",
-					count, i, got[i], legacy[i])
+// perSampleRealizations is the per-sample Monte-Carlo engine, serial:
+// the oracle of the kernel's exact mode. Realizations are drawn in
+// blocks of DefaultBlockSize, block k from an RNG seeded with the k-th
+// of blockSeeds. Each realization walks the tasks in disjunctive
+// topological order and draws, for every task, its stochastic arcs in
+// predecessor order and then its duration; a Dirac arc or duration
+// takes its value without a draw.
+func perSampleRealizations(sim *Simulator, count int, seed int64) []float64 {
+	out := make([]float64, count)
+	finish := make([]float64, len(sim.dur))
+	rng := rand.New(rand.NewSource(0))
+	draw := func(d stochastic.Dist, min float64) float64 {
+		if _, isPoint := d.(stochastic.Dirac); isPoint {
+			return min
+		}
+		return d.Sample(rng)
+	}
+	for k, bs := range blockSeeds(count, DefaultBlockSize, seed) {
+		rng.Seed(bs)
+		for i := k * DefaultBlockSize; i < min((k+1)*DefaultBlockSize, count); i++ {
+			var makespan float64
+			for _, t := range sim.order {
+				st := 0.0
+				if p := sim.prevProc[t]; p >= 0 {
+					st = finish[p]
+				}
+				for _, pi := range sim.preds[t] {
+					if arr := finish[pi.pred] + draw(pi.comm, pi.min); arr > st {
+						st = arr
+					}
+				}
+				finish[t] = st + draw(sim.dur[t], sim.durMin[t])
+				if finish[t] > makespan {
+					makespan = finish[t]
+				}
 			}
+			out[i] = makespan
 		}
 	}
+	return out
+}
+
+// requireExactMatchesOracle fails unless the kernel's exact mode at
+// DefaultBlockSize draws the oracle's count realizations bit for bit.
+func requireExactMatchesOracle(t *testing.T, label string, sim *Simulator, count int, seed int64) {
+	t.Helper()
+	want := perSampleRealizations(sim, count, seed)
+	got := sim.Compile(stochastic.SamplerExact).Realizations(count, seed, KernelOptions{})
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s, count %d: realization %d = %v, per-sample oracle %v",
+				label, count, i, got[i], want[i])
+		}
+	}
+}
+
+// The kernel's exact mode at the default block size must reproduce the
+// per-sample oracle bit for bit, with sampled and constant durations.
+func TestKernelExactBitIdenticalToLegacy(t *testing.T) {
+	sims := []struct {
+		name string
+		sim  *Simulator
+	}{
+		{"random-25x4", randomSimulator(t, 25, 4, 1.3, 3)},
+		{"random-40x6", randomSimulator(t, 40, 6, 2.5, 19)},
+		{"dirac-durations", randomSimulatorDur(t, 25, 3, 1.3, 31, diracEveryThird)},
+	}
+	for _, tc := range sims {
+		for _, count := range []int{1, 100, DefaultBlockSize, 3000} {
+			requireExactMatchesOracle(t, tc.name, tc.sim, count, 42)
+		}
+	}
+}
+
+// FuzzKernelExactMatchesOracle requires the kernel's exact mode to
+// match the per-sample oracle on fuzzed random schedules: up to 40
+// tasks on up to 6 processors, UL in [1, 3], up to 3 000 realizations,
+// with or without diracEveryThird's constant durations.
+func FuzzKernelExactMatchesOracle(f *testing.F) {
+	f.Add(uint8(25), uint8(4), 1.3, int64(3), uint16(300), false)
+	f.Add(uint8(25), uint8(3), 1.3, int64(31), uint16(3000), true)
+	f.Add(uint8(1), uint8(1), 1.0, int64(1), uint16(1), false)
+	f.Add(uint8(40), uint8(6), 3.0, int64(7), uint16(257), true)
+	f.Fuzz(func(t *testing.T, n, m uint8, ul float64, seed int64, count uint16, dirac bool) {
+		if math.IsNaN(ul) || math.IsInf(ul, 0) {
+			t.Skip("UL not finite")
+		}
+		var durFn func(min, ul float64) stochastic.Dist
+		if dirac {
+			durFn = diracEveryThird
+		}
+		sim := randomSimulatorDur(t, 1+int(n)%40, 1+int(m)%6, 1+math.Mod(math.Abs(ul), 2), seed, durFn)
+		requireExactMatchesOracle(t, "fuzz", sim, int(count)%3001, seed)
+	})
 }
 
 // legacyPass is the kernel's former per-realization timing pass, kept
@@ -239,7 +318,7 @@ func TestKernelEmpiricalIsSortedRealizations(t *testing.T) {
 }
 
 // Table mode is a different (approximate) sampler, so it cannot be
-// bit-identical — but its distribution must match the legacy engine's
+// bit-identical — but its distribution must match the exact draws'
 // within Monte-Carlo tolerance at every block size: close moments and
 // a small two-sample KS distance.
 func TestKernelTableMatchesLegacyDistribution(t *testing.T) {
@@ -248,15 +327,15 @@ func TestKernelTableMatchesLegacyDistribution(t *testing.T) {
 	}
 	sim := randomSimulator(t, 25, 4, 1.3, 7)
 	const count = 60000
-	legacy := stochastic.NewEmpirical(sim.Realizations(count, 11))
+	exact := sim.Compile(stochastic.SamplerExact).Empirical(count, 11, KernelOptions{})
 	k := sim.Compile(stochastic.SamplerTable)
 	for _, block := range []int{64, DefaultBlockSize, 1024} {
 		emp := k.Empirical(count, 13, KernelOptions{BlockSize: block})
-		relMean := math.Abs(emp.Mean()-legacy.Mean()) / legacy.Mean()
+		relMean := math.Abs(emp.Mean()-exact.Mean()) / exact.Mean()
 		if relMean > 0.005 {
 			t.Errorf("block %d: mean off by %.3g%%", block, 100*relMean)
 		}
-		relStd := math.Abs(emp.StdDev()-legacy.StdDev()) / legacy.StdDev()
+		relStd := math.Abs(emp.StdDev()-exact.StdDev()) / exact.StdDev()
 		if relStd > 0.05 {
 			t.Errorf("block %d: stddev off by %.3g%%", block, 100*relStd)
 		}
@@ -264,17 +343,17 @@ func TestKernelTableMatchesLegacyDistribution(t *testing.T) {
 		// 60k samples is ~0.008.
 		var ks float64
 		for _, q := range []float64{0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99} {
-			x := legacy.Quantile(q)
-			if d := math.Abs(emp.CDFAt(x) - legacy.CDFAt(x)); d > ks {
+			x := exact.Quantile(q)
+			if d := math.Abs(emp.CDFAt(x) - exact.CDFAt(x)); d > ks {
 				ks = d
 			}
 			x = emp.Quantile(q)
-			if d := math.Abs(emp.CDFAt(x) - legacy.CDFAt(x)); d > ks {
+			if d := math.Abs(emp.CDFAt(x) - exact.CDFAt(x)); d > ks {
 				ks = d
 			}
 		}
 		if ks > 0.015 {
-			t.Errorf("block %d: KS distance %g between table and legacy", block, ks)
+			t.Errorf("block %d: KS distance %g between table and exact", block, ks)
 		}
 	}
 }

@@ -2,8 +2,9 @@
 // processors together with a per-processor execution order, where every
 // task starts as soon as its predecessors' data has arrived and its
 // processor is free (no deliberate slack; §II of the paper). It
-// provides validation, deterministic timing, the disjunctive-graph
-// augmentation, and a fast Monte-Carlo realization simulator.
+// provides validation, deterministic timing (Simulator), the
+// disjunctive-graph augmentation, and the compiled Monte-Carlo
+// realization kernel (RealizationKernel).
 package schedule
 
 import (

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/graphgen"
 	"repro/internal/platform"
+	"repro/internal/stochastic"
 )
 
 // chainScenario: 3-task chain, 2 procs, deterministic ETC.
@@ -197,9 +198,7 @@ func TestRealizationBounds(t *testing.T) {
 	min := sim.MinTiming().Makespan
 	// Upper bound: every duration at min·UL.
 	max := min * 1.2
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 2000; i++ {
-		ms := sim.Realize(rng)
+	for _, ms := range sim.Compile(stochastic.SamplerExact).Realizations(2000, 1, KernelOptions{}) {
 		if ms < min-1e-9 || ms > max+1e-9 {
 			t.Fatalf("realization %g outside [%g,%g]", ms, min, max)
 		}
@@ -216,14 +215,15 @@ func TestRealizationsDeterministicAndParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := sim.Realizations(5000, 42)
-	b := sim.Realizations(5000, 42)
+	k := sim.Compile(stochastic.SamplerExact)
+	a := k.Realizations(5000, 42, KernelOptions{})
+	b := k.Realizations(5000, 42, KernelOptions{})
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed produced different realizations")
 		}
 	}
-	c := sim.Realizations(5000, 43)
+	c := k.Realizations(5000, 43, KernelOptions{})
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -248,7 +248,7 @@ func TestRealizationsMatchSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := sim.MinTiming().Makespan
-	for _, ms := range sim.Realizations(100, 7) {
+	for _, ms := range sim.Compile(stochastic.SamplerExact).Realizations(100, 7, KernelOptions{}) {
 		if ms != want {
 			t.Fatalf("deterministic realization = %g, want %g", ms, want)
 		}
@@ -265,7 +265,7 @@ func TestEmpiricalFromSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emp := sim.Empirical(20000, 3)
+	emp := sim.Compile(stochastic.SamplerExact).Empirical(20000, 3, KernelOptions{})
 	if emp.Len() != 20000 {
 		t.Fatalf("empirical len = %d", emp.Len())
 	}
@@ -327,8 +327,8 @@ func TestRealizationAboveCriticalPathProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 50; i++ {
-			if ms := sim.Realize(rng); ms < cp-1e-9 {
+		for _, ms := range sim.Compile(stochastic.SamplerExact).Realizations(50, int64(trial), KernelOptions{}) {
+			if ms < cp-1e-9 {
 				t.Fatalf("trial %d: realization %g below critical path %g", trial, ms, cp)
 			}
 		}

@@ -1,14 +1,10 @@
 package schedule
 
 import (
-	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dag"
 	"repro/internal/platform"
-	"repro/internal/seeds"
 	"repro/internal/stochastic"
 )
 
@@ -29,15 +25,12 @@ type predInfo struct {
 	max  float64
 }
 
-// Simulator evaluates one schedule repeatedly: it freezes the
-// disjunctive topological order and the per-task / per-arc duration
-// distributions so that each realization is a single O(V+E) pass with
-// only the sampling as per-iteration work. This is the engine behind
-// the paper's 100 000-realization ground-truth distributions.
-//
-// Simulator is the per-sample reference engine; Compile builds the
-// batch kernel that runs the same realizations without per-sample
-// interface dispatch.
+// Simulator holds one schedule's eager execution: the disjunctive
+// topological order, each task's processor predecessor, and the
+// per-task and per-arc duration distributions. It computes the
+// deterministic timings (every duration at its minimum, mean or
+// maximum), and Compile builds from it the RealizationKernel that
+// draws the paper's 100 000-realization ground-truth distributions.
 type Simulator struct {
 	scen     *platform.Scenario
 	sched    *Schedule
@@ -117,20 +110,14 @@ const (
 	durMin durationKind = iota
 	durMean
 	durMax
-	durSample
 )
 
-// timing runs the eager execution once.
-func (sim *Simulator) timing(kind durationKind, rng *rand.Rand, buf []float64) Timing {
+// timing runs the eager execution once with every duration and arc at
+// the value kind selects.
+func (sim *Simulator) timing(kind durationKind) Timing {
 	n := len(sim.dur)
-	var start []float64
-	if cap(buf) >= 2*n {
-		start = buf[:2*n]
-	} else {
-		start = make([]float64, 2*n)
-	}
-	finish := start[n:]
-	start = start[:n]
+	start := make([]float64, n)
+	finish := make([]float64, n)
 	var makespan float64
 	for _, t := range sim.order {
 		st := 0.0
@@ -139,40 +126,23 @@ func (sim *Simulator) timing(kind durationKind, rng *rand.Rand, buf []float64) T
 		}
 		for i := range sim.preds[t] {
 			pi := &sim.preds[t][i]
-			var c float64
+			c := pi.min
 			switch kind {
-			case durMin:
-				c = pi.min
 			case durMean:
 				c = pi.mean
 			case durMax:
 				c = pi.max
-			default:
-				if _, isPoint := pi.comm.(stochastic.Dirac); isPoint {
-					c = pi.min
-				} else {
-					c = pi.comm.Sample(rng)
-				}
 			}
-			arr := finish[pi.pred] + c
-			if arr > st {
+			if arr := finish[pi.pred] + c; arr > st {
 				st = arr
 			}
 		}
-		var d float64
+		d := sim.durMin[t]
 		switch kind {
-		case durMin:
-			d = sim.durMin[t]
 		case durMean:
 			d = sim.durMean[t]
 		case durMax:
 			d = sim.durMax[t]
-		default:
-			if _, isPoint := sim.dur[t].(stochastic.Dirac); isPoint {
-				d = sim.durMin[t]
-			} else {
-				d = sim.dur[t].Sample(rng)
-			}
 		}
 		start[t] = st
 		finish[t] = st + d
@@ -187,7 +157,7 @@ func (sim *Simulator) timing(kind durationKind, rng *rand.Rand, buf []float64) T
 // (the deterministic base case). The timing is computed once and
 // cached; treat the returned vectors as read-only.
 func (sim *Simulator) MinTiming() Timing {
-	sim.minOnce.Do(func() { sim.minTiming = sim.timing(durMin, nil, nil) })
+	sim.minOnce.Do(func() { sim.minTiming = sim.timing(durMin) })
 	return sim.minTiming
 }
 
@@ -196,7 +166,7 @@ func (sim *Simulator) MinTiming() Timing {
 // timing is computed once and cached; treat the returned vectors as
 // read-only.
 func (sim *Simulator) MeanTiming() Timing {
-	sim.meanOnce.Do(func() { sim.meanTiming = sim.timing(durMean, nil, nil) })
+	sim.meanOnce.Do(func() { sim.meanTiming = sim.timing(durMean) })
 	return sim.meanTiming
 }
 
@@ -206,92 +176,6 @@ func (sim *Simulator) MeanTiming() Timing {
 // is computed once and cached; treat the returned vectors as
 // read-only.
 func (sim *Simulator) MaxTiming() Timing {
-	sim.maxOnce.Do(func() { sim.maxTiming = sim.timing(durMax, nil, nil) })
+	sim.maxOnce.Do(func() { sim.maxTiming = sim.timing(durMax) })
 	return sim.maxTiming
-}
-
-// Realize samples one realization of every duration and returns the
-// resulting makespan.
-func (sim *Simulator) Realize(rng *rand.Rand) float64 {
-	return sim.timing(durSample, rng, nil).Makespan
-}
-
-// RealizeTiming is Realize but returns the full start/finish vectors;
-// buf, when at least 2n long, avoids allocations.
-func (sim *Simulator) RealizeTiming(rng *rand.Rand, buf []float64) Timing {
-	return sim.timing(durSample, rng, buf)
-}
-
-// DefaultBlockSize is the realization-block granularity shared by the
-// per-sample engine and the compiled kernel: realizations are
-// partitioned into blocks of this size, and block k draws from an RNG
-// seeded with seeds.NewFamily(seed, "mc-block").Seed(k). Because the
-// seeding is per block — not per worker — results are identical at
-// every worker count and GOMAXPROCS setting, and the kernel's exact
-// mode reproduces Realizations bit-for-bit at this block size.
-const DefaultBlockSize = 256
-
-// blockSeeds precomputes the per-block RNG seeds for count
-// realizations in blocks of size block.
-func blockSeeds(count, block int, seed int64) []int64 {
-	fam := seeds.NewFamily(seed, "mc-block")
-	nb := count / block
-	if count%block != 0 {
-		nb++ // a partial last block; no overflow for any block size
-	}
-	out := make([]int64, nb)
-	for k := range out {
-		out[k] = fam.Seed(k)
-	}
-	return out
-}
-
-// Realizations draws count makespan realizations with the per-sample
-// reference engine, distributing whole blocks of DefaultBlockSize
-// realizations over GOMAXPROCS goroutines. Each block derives its own
-// RNG stream from seed, so results are deterministic for a given
-// (count, seed) pair at any worker count.
-func (sim *Simulator) Realizations(count int, seed int64) []float64 {
-	out := make([]float64, count)
-	if count == 0 {
-		return out
-	}
-	bs := blockSeeds(count, DefaultBlockSize, seed)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(bs) {
-		workers = len(bs)
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(0))
-			buf := make([]float64, 2*len(sim.dur))
-			for {
-				k := int(atomic.AddInt64(&next, 1)) - 1
-				if k >= len(bs) {
-					return
-				}
-				rng.Seed(bs[k])
-				lo := k * DefaultBlockSize
-				hi := lo + DefaultBlockSize
-				if hi > count {
-					hi = count
-				}
-				for i := lo; i < hi; i++ {
-					out[i] = sim.timing(durSample, rng, buf).Makespan
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// Empirical draws count realizations and wraps them as an empirical
-// distribution.
-func (sim *Simulator) Empirical(count int, seed int64) *stochastic.Empirical {
-	return stochastic.NewEmpirical(sim.Realizations(count, seed))
 }

@@ -110,31 +110,3 @@ func (e *Empirical) ToNumeric(gridSize int) *Numeric {
 	rv.clampNormalize()
 	return rv
 }
-
-// LatenessAboveMean returns E[X | X > mean] − mean, the average lateness
-// metric computed directly on samples.
-func (e *Empirical) LatenessAboveMean() float64 {
-	mu := e.Mean()
-	var sum float64
-	var count int
-	for _, x := range e.sorted {
-		if x > mu {
-			sum += x
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return sum/float64(count) - mu
-}
-
-// ProbWithin returns the fraction of samples in [lo, hi].
-func (e *Empirical) ProbWithin(lo, hi float64) float64 {
-	if len(e.sorted) == 0 || hi < lo {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, lo)
-	j := sort.SearchFloat64s(e.sorted, math.Nextafter(hi, math.Inf(1)))
-	return float64(j-i) / float64(len(e.sorted))
-}

@@ -41,28 +41,6 @@ func TestEmpiricalQuantile(t *testing.T) {
 	}
 }
 
-func TestEmpiricalProbWithin(t *testing.T) {
-	e := NewEmpirical([]float64{1, 2, 3, 4, 5})
-	if got := e.ProbWithin(2, 4); !almostEqual(got, 0.6, 1e-12) {
-		t.Errorf("ProbWithin(2,4) = %g, want 0.6", got)
-	}
-	if e.ProbWithin(6, 7) != 0 || e.ProbWithin(4, 2) != 0 {
-		t.Error("out-of-range / inverted interval should be 0")
-	}
-}
-
-func TestEmpiricalLateness(t *testing.T) {
-	// Samples {0, 10}: mean 5; late samples {10}; lateness = 5.
-	e := NewEmpirical([]float64{0, 10})
-	if !almostEqual(e.LatenessAboveMean(), 5, 1e-12) {
-		t.Errorf("lateness = %g, want 5", e.LatenessAboveMean())
-	}
-	// All equal: no late realizations.
-	if NewEmpirical([]float64{3, 3, 3}).LatenessAboveMean() != 0 {
-		t.Error("constant samples should have 0 lateness")
-	}
-}
-
 func TestEmpiricalToNumericRecoversMoments(t *testing.T) {
 	b := NewBetaUL(10, 1.5)
 	rng := rand.New(rand.NewSource(11))

@@ -44,7 +44,8 @@ type (
 	Scenario = platform.Scenario
 	// Schedule is an eager schedule (assignment + per-processor order).
 	Schedule = schedule.Schedule
-	// Simulator draws realizations of a schedule.
+	// Simulator holds a schedule's eager execution: its deterministic
+	// timings, and Compile builds its RealizationKernel.
 	Simulator = schedule.Simulator
 	// Metrics is the paper's eight-metric robustness vector.
 	Metrics = robustness.Metrics
@@ -71,7 +72,7 @@ type (
 	// EvalModel is a per-(scenario, schedule) compiled evaluation
 	// context: classical makespan density, Spelde moments, slack
 	// vector and the full metric vector, bit-identical to the
-	// uncompiled reference evaluators.
+	// uncompiled map-graph evaluations.
 	EvalModel = makespan.EvalModel
 	// EvalAccuracy is the discretization contract of the numeric
 	// evaluation stack: density grid size plus the resampling policy
@@ -99,8 +100,9 @@ func ParseEvalAccuracy(s string) (EvalAccuracy, error) {
 
 // Sampler modes re-exported from the stochastic package.
 const (
-	// SamplerExact draws through each distribution's own sampler:
-	// bit-identical to the per-sample reference engine.
+	// SamplerExact draws through each distribution's own sampler, in
+	// the per-sample order: tasks in disjunctive topological order,
+	// each task's arcs before its duration.
 	SamplerExact = stochastic.SamplerExact
 	// SamplerTable swaps Beta sampling for precomputed inverse-CDF
 	// tables — several times faster, identical within
@@ -183,8 +185,7 @@ func MakespanDistribution(scen *Scenario, s *Schedule, method makespan.Method) (
 }
 
 // MonteCarlo draws count makespan realizations of s through the
-// compiled kernel in exact mode (bit-identical to the per-sample
-// reference engine).
+// compiled kernel in exact mode (SamplerExact).
 func MonteCarlo(scen *Scenario, s *Schedule, count int, seed int64) (*EmpiricalRV, error) {
 	return makespan.MonteCarlo(scen, s, count, seed)
 }
@@ -226,12 +227,19 @@ func ComputeMetrics(scen *Scenario, s *Schedule) (Metrics, error) {
 }
 
 // ComputeMetricsWith is ComputeMetrics with explicit parameters and a
-// pre-computed distribution.
+// pre-computed distribution. The slack metrics come from the compiled
+// evaluation model, so the schedule and the scenario's uncertainty
+// levels are checked as in ComputeMetrics.
 func ComputeMetricsWith(scen *Scenario, s *Schedule, rv *MakespanRV, p MetricParams) (Metrics, error) {
-	return robustness.FromDistribution(scen, s, rv, p)
+	m, err := makespan.NewEvalCache(scen, p.GridSize).Model(s)
+	if err != nil {
+		return Metrics{}, err
+	}
+	return robustness.FromDistributionSlacks(rv, m.Slacks(), p), nil
 }
 
-// NewSimulator builds a realization simulator for the schedule.
+// NewSimulator builds the schedule's simulator: its deterministic
+// timings and, through Compile, its Monte-Carlo kernel.
 func NewSimulator(scen *Scenario, s *Schedule) (*Simulator, error) {
 	return schedule.NewSimulator(scen, s)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/makespan"
+	"repro/internal/robustness"
 )
 
 func TestFacadeScenarios(t *testing.T) {
@@ -98,6 +99,39 @@ func TestFacadeEndToEnd(t *testing.T) {
 		if math.Abs(m.Makespan-emp.Mean()) > 0.01*emp.Mean() {
 			t.Errorf("%s: analytic mean %g vs MC %g", h.name, m.Makespan, emp.Mean())
 		}
+	}
+}
+
+// ComputeMetricsWith must check the scenario's uncertainty levels as
+// ComputeMetrics does: a 3-entry TaskUL used to return slack metrics
+// that ran the uncovered tasks at the global UL. On valid input it
+// returns ComputeMetrics' bits for the same distribution.
+func TestComputeMetricsWithChecksLevels(t *testing.T) {
+	scen, err := NewCholeskyScenario(3, 3, 1.1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := RandomSchedule(scen, 1)
+	rv, err := MakespanDistribution(scen, s, makespan.Classic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := robustness.DefaultParams()
+	bad := *scen
+	bad.TaskUL = []float64{3, 3, 3}
+	if m, err := ComputeMetricsWith(&bad, s, rv, p); err == nil {
+		t.Errorf("3-entry TaskUL accepted: AvgSlack %v", m.AvgSlack)
+	}
+	want, err := ComputeMetrics(scen, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ComputeMetricsWith(scen, s, rv, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("ComputeMetricsWith %+v, ComputeMetrics %+v", got, want)
 	}
 }
 
