@@ -275,15 +275,12 @@ func BenchmarkSDHEFT(b *testing.B) {
 	}
 }
 
-// --- Scheduler kernels: old vs new at scale --------------------------------
+// --- Scheduler kernels at scale --------------------------------------------
 //
-// The acceptance pair of the compiled scheduling layer (mirroring the
-// Monte-Carlo kernel benches below): BenchmarkScheduler*Reference are
-// the retained Model-based implementations, BenchmarkScheduler* the
-// compiled CostModel/timeline rewrites. Both run on the same
-// 8-processor Cholesky scenarios; cmd/benchguard compares the pairs in
-// CI and fails on speedup regressions. Gated behind -short: the 50k
-// graphs take seconds per iteration.
+// The compiled CostModel/timeline heuristics on 8-processor Cholesky
+// scenarios of 1 000 to 50 000 tasks. CI archives the series as
+// absolute numbers. Gated behind -short: the 50k graphs take seconds
+// per iteration.
 
 var schedulerBenchSizes = []int{1000, 10000, 50000}
 
@@ -318,20 +315,8 @@ func BenchmarkSchedulerHEFT(b *testing.B) {
 	benchSchedulerSizes(b, heuristics.HEFT, schedulerBenchSizes)
 }
 
-func BenchmarkSchedulerHEFTReference(b *testing.B) {
-	benchSchedulerSizes(b, heuristics.ReferenceHEFT, schedulerBenchSizes)
-}
-
 func BenchmarkSchedulerHBMCT(b *testing.B) {
 	benchSchedulerSizes(b, heuristics.HBMCT, schedulerBenchSizes)
-}
-
-// Reference HBMCT replays the whole placement sequence after every
-// tentative move (quadratic) and materializes the n² reachability
-// bitset (314 MB at n=50k), so its bench stops at n=1000; the ratio at
-// that size already tells the story (~300×).
-func BenchmarkSchedulerHBMCTReference(b *testing.B) {
-	benchSchedulerSizes(b, heuristics.ReferenceHBMCT, []int{1000})
 }
 
 func BenchmarkRandomSchedule(b *testing.B) {
@@ -343,20 +328,13 @@ func BenchmarkRandomSchedule(b *testing.B) {
 	}
 }
 
-// --- Case evaluation: old vs new at scale ----------------------------------
+// --- Case evaluation at scale ----------------------------------------------
 //
-// The acceptance pair of the compiled evaluation layer (mirroring the
-// scheduler and MC-kernel pairs): BenchmarkEvalCaseReference is the
-// retained per-schedule pipeline — ReferenceEvaluateClassic plus
-// robustness.FromDistribution, each call re-validating, re-building the
-// disjunctive graph (three times across the two calls), re-discretizing
-// every distribution and allocating every intermediate density —
-// BenchmarkEvalCase the compiled EvalCache/EvalModel pipeline. Each
-// iteration evaluates the full metric vector of evalCaseSchedules
-// random schedules of one Cholesky case, the per-case unit of work of
-// the paper's core experiment. cmd/benchguard compares the pairs in CI
-// (-series '^EvalCase') and fails on regressions. Gated behind -short:
-// a 10k iteration is tens of seconds.
+// The compiled EvalCache/EvalModel pipeline: each iteration evaluates
+// the full metric vector of evalCaseSchedules random schedules of one
+// Cholesky case, the per-case unit of work of the paper's core
+// experiment. CI archives the series as absolute numbers. Gated behind
+// -short: a 10k iteration takes seconds.
 
 var evalBenchSizes = []int{1000, 10000}
 
@@ -372,68 +350,44 @@ func benchEvalSchedules(b *testing.B, n int) (*Scenario, []*schedule.Schedule) {
 	return scen, heuristics.RandomSchedules(scen, evalCaseSchedules, rng)
 }
 
-func benchEvalCaseSizes(b *testing.B, compiled bool, sizes []int) {
-	b.Helper()
+func BenchmarkEvalCase(b *testing.B) {
 	if testing.Short() {
 		b.Skip("large-N evaluation benches are skipped with -short")
 	}
 	p := robustness.DefaultParams()
-	for _, n := range sizes {
+	for _, n := range evalBenchSizes {
 		b.Run("N="+itoa(n), func(b *testing.B) {
 			scen, scheds := benchEvalSchedules(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if compiled {
-					cache := makespan.NewEvalCache(scen, 64)
-					for _, s := range scheds {
-						m, err := cache.Model(s)
-						if err != nil {
-							b.Fatal(err)
-						}
-						_ = m.Metrics(p)
+				cache := makespan.NewEvalCache(scen, 64)
+				for _, s := range scheds {
+					m, err := cache.Model(s)
+					if err != nil {
+						b.Fatal(err)
 					}
-				} else {
-					for _, s := range scheds {
-						rv, err := makespan.ReferenceEvaluateClassic(scen, s, 64)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if _, err := robustness.FromDistribution(scen, s, rv, p); err != nil {
-							b.Fatal(err)
-						}
-					}
+					_ = m.Metrics(p)
 				}
 			}
 		})
 	}
 }
 
-func BenchmarkEvalCase(b *testing.B) { benchEvalCaseSizes(b, true, evalBenchSizes) }
-
-func BenchmarkEvalCaseReference(b *testing.B) { benchEvalCaseSizes(b, false, evalBenchSizes) }
-
-// --- Dodin reduction: compiled vs legacy at scale ---------------------------
+// --- Dodin reduction at scale ----------------------------------------------
 //
-// The acceptance pairs of the compiled series-parallel reduction:
-// Benchmark*Reference is the retained map-based rvGraph reducer,
-// Benchmark* the flat edge-id spGraph on stochastic.Ops. Both run
-// strictly (no classic fallback) on a fully series-reducible case — a
-// task chain on one processor — at two uncertainty levels:
+// The flat edge-id series-parallel reduction on stochastic.Ops, on a
+// fully series-reducible case — a task chain on one processor — at two
+// uncertainty levels:
 //
 //   - BenchmarkDodin (UL = 1): every duration is deterministic, so each
-//     reduction step is pure graph work and the pair isolates the
-//     reduction machinery the rewrite replaced (map graph + quadratic
-//     rescans vs flat arrays + worklist). Measured ~3x at n=1000, ~6x
-//     at n=5000; cmd/benchguard (-series '^Dodin$') fails below 2x.
+//     reduction step is pure graph work;
 //   - BenchmarkDodinStochastic (UL = 1.3): the end-to-end evaluation,
-//     dominated by the work-grid spline fit + convolution inside Add
-//     that both legs share bit-identically under the reference
-//     accuracy, so the floor is the measured ~1.3x machinery margin
-//     (-series '^DodinStochastic$', 1.2x); the convolution cost itself
-//     is the EvalAccuracy work-grid knob's lever, guarded by the
-//     BenchmarkEvalAccuracyFast pair below.
+//     dominated by the work-grid spline fit and convolution inside Add,
+//     the EvalAccuracy work-grid knob's lever (see the
+//     BenchmarkEvalAccuracyFast pair below).
 //
-// Gated behind -short like the other large-N pairs.
+// CI archives both series as absolute numbers. Gated behind -short like
+// the other large-N benches.
 
 var dodinBenchSizes = []int{1000, 5000}
 
@@ -457,7 +411,7 @@ func benchDodinCase(b *testing.B, n int, ul float64) (*Scenario, *Schedule) {
 	return scen, s
 }
 
-func benchDodinSizes(b *testing.B, compiled bool, ul float64) {
+func benchDodinSizes(b *testing.B, ul float64) {
 	b.Helper()
 	if testing.Short() {
 		b.Skip("large-N Dodin benches are skipped with -short")
@@ -468,31 +422,21 @@ func benchDodinSizes(b *testing.B, compiled bool, ul float64) {
 			cache := makespan.NewEvalCache(scen, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if compiled {
-					m, err := cache.Model(s)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := m.Dodin(); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					if _, err := makespan.ReferenceEvaluateDodin(scen, s, 64); err != nil {
-						b.Fatal(err)
-					}
+				m, err := cache.Model(s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := m.Dodin(); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})
 	}
 }
 
-func BenchmarkDodin(b *testing.B) { benchDodinSizes(b, true, 1) }
+func BenchmarkDodin(b *testing.B) { benchDodinSizes(b, 1) }
 
-func BenchmarkDodinReference(b *testing.B) { benchDodinSizes(b, false, 1) }
-
-func BenchmarkDodinStochastic(b *testing.B) { benchDodinSizes(b, true, 1.3) }
-
-func BenchmarkDodinStochasticReference(b *testing.B) { benchDodinSizes(b, false, 1.3) }
+func BenchmarkDodinStochastic(b *testing.B) { benchDodinSizes(b, 1.3) }
 
 // --- Evaluation accuracy: fast preset vs reference --------------------------
 //
@@ -626,19 +570,19 @@ func BenchmarkKSAgainstEmpirical(b *testing.B) {
 // ksSink keeps BenchmarkKSAgainstEmpirical's result live.
 var ksSink float64
 
+// BenchmarkMetrics times EvalModel.Metrics on a Fig. 3 Cholesky
+// schedule: the classical density, the slack vector and the metric
+// vector built from them.
 func BenchmarkMetrics(b *testing.B) {
 	scen := benchScenario(b)
-	s := RandomSchedule(scen, 5)
-	rv, err := makespan.EvaluateClassic(scen, s, 64)
+	m, err := makespan.NewEvalCache(scen, 64).Model(RandomSchedule(scen, 5))
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := robustness.DefaultParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := robustness.FromDistribution(scen, s, rv, p); err != nil {
-			b.Fatal(err)
-		}
+		_ = m.Metrics(p)
 	}
 }
 

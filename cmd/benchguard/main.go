@@ -1,24 +1,24 @@
-// Command benchguard compares old-vs-new benchmark pairs and fails
-// loudly when a speedup regresses. It reads `go test -bench` output —
-// either plain text or the `go test -json` stream CI archives as
+// Command benchguard compares benchmark pairs and fails loudly when a
+// speedup regresses; in CI it holds the fast evaluation preset to its
+// floor against the reference preset. It reads `go test -bench` output
+// — either plain text or the `go test -json` stream CI archives as
 // BENCH_*.json — from files or stdin, pairs every
 // Benchmark<Name>Reference/... series with its Benchmark<Name>/...
 // counterpart, prints a benchstat-style table, and exits non-zero when
 // an enforced pair is less than -min-speedup times faster than its
-// reference. A pair is enforced when its task count is at or above
-// -at, or when it is the largest benchmarked size of its family — so a
-// family whose reference implementation is too slow to bench at -at
-// scale (HBMCT stops at n=1000) is still guarded at the largest size
-// it does run. A rename cannot silently disable the guard: finding no
-// pairs at all, or a family whose series never complete a single pair
-// (its counterpart series detached), is an error. A family may run
-// extra compiled-only sizes beyond its reference (HBMCT does) as long
-// as at least one size pairs up.
+// Reference series. A pair is enforced when its task count is at or
+// above -at, or when it is the largest benchmarked size of its family —
+// so a family whose slower leg is too slow to bench at -at scale is
+// still guarded at the largest size it does run. A rename cannot
+// silently disable the guard: finding no pairs at all, or a family
+// whose series never complete a single pair (its counterpart series
+// detached), is an error. A family may run extra sizes beyond its
+// Reference series as long as at least one size pairs up.
 //
 // Usage:
 //
-//	go test -json -bench 'BenchmarkScheduler' -benchtime=1x -run='^$' . \
-//	    | tee BENCH_scheduler.json | benchguard -min-speedup 2 -at 10000
+//	go test -json -bench 'BenchmarkEvalAccuracyFast' -benchtime=1x -run='^$' . \
+//	    | tee BENCH_accuracy.json | benchguard -series '^EvalAccuracyFast' -min-speedup 2 -at 10000
 package main
 
 import (

@@ -34,8 +34,7 @@ import (
 // revised order, and a task costs O(m·(in-degree + m)) once when it
 // becomes ready — instead of O(#ready · m · (in-degree + k)) per step.
 //
-// Compiled implementation; its results equal the original Model-based
-// implementation's, whose digests the equivalence harness keeps.
+// The equivalence harness pins its results by frozen digests.
 func BIL(scen *platform.Scenario) (Result, error) {
 	cm, err := NewCostModel(scen)
 	if err != nil {

@@ -7,15 +7,11 @@
 // equivalent to using the minimum durations); SDHEFT works on
 // mean + λσ.
 //
-// The exported entry points (HEFT, BIL, HBMCT, SDHEFT) run on the
-// compiled CostModel — flat CSR adjacency, precomputed per-edge
-// communication costs, gap-indexed processor timelines. HEFT and HBMCT
-// also exist as the original Model-based ReferenceHEFT and
-// ReferenceHBMCT in reference.go, kept because CI's scheduler ratio
-// guard times them; the two versions are bit-identical by construction
-// (same float operations in the same order), enforced by the
-// equivalence harness in equivalence_test.go. BIL and SDHEFT are
-// pinned there by frozen digests of their former references' results.
+// The entry points (HEFT, BIL, HBMCT, SDHEFT) run on the compiled
+// CostModel — flat CSR adjacency, precomputed per-edge communication
+// costs, gap-indexed processor timelines. The equivalence harness in
+// equivalence_test.go pins every heuristic's results by frozen
+// digests.
 package heuristics
 
 import (
@@ -26,121 +22,11 @@ import (
 	"repro/internal/schedule"
 )
 
-// Model precomputes the deterministic (mean) costs every list heuristic
-// needs: the mean ETC matrix, per-task processor-averaged durations and
-// placement-agnostic mean communication costs. It is the uncompiled
-// counterpart of CostModel, kept as the equivalence oracle.
-type Model struct {
-	Scen    *platform.Scenario
-	MeanETC [][]float64 // n×m mean durations
-	AvgDur  []float64   // mean duration averaged over processors
-	avgTau  float64
-	avgLat  float64
-}
-
-// NewModel builds the cost model for a scenario.
-func NewModel(scen *platform.Scenario) *Model {
-	n, m := scen.G.N(), scen.P.M
-	meanETC := make([][]float64, n)
-	avgDur := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, m)
-		var sum float64
-		for j := 0; j < m; j++ {
-			row[j] = scen.MeanTask(dag.Task(i), j)
-			sum += row[j]
-		}
-		meanETC[i] = row
-		avgDur[i] = sum / float64(m)
-	}
-	return &Model{
-		Scen:    scen,
-		MeanETC: meanETC,
-		AvgDur:  avgDur,
-		avgTau:  scen.P.AvgTau(),
-		avgLat:  scen.P.AvgLat(),
-	}
-}
-
-// AvgComm returns the placement-agnostic mean communication cost of
-// edge from→to: the scenario's mean duration (under UL and its
-// duration family) of lat + volume·τ, with τ and lat averaged over
-// distinct processor pairs.
-func (m *Model) AvgComm(from, to dag.Task) float64 {
-	if m.Scen.P.M <= 1 {
-		return 0
-	}
-	return m.Scen.MeanAt(m.avgLat + m.Scen.G.Volume(from, to)*m.avgTau)
-}
-
-// MeanComm returns the mean communication cost of edge from→to for a
-// concrete placement.
-func (m *Model) MeanComm(from, to dag.Task, pi, pj int) float64 {
-	return m.Scen.MeanComm(from, to, pi, pj)
-}
-
-// UpwardRanks returns HEFT's rank_u: rank(i) = avgDur(i) +
-// max_{s ∈ succ(i)} (avgComm(i,s) + rank(s)).
-func (m *Model) UpwardRanks() ([]float64, error) {
-	g := m.Scen.G
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	rank := make([]float64, g.N())
-	for i := len(order) - 1; i >= 0; i-- {
-		t := order[i]
-		best := 0.0
-		for _, s := range g.Succ(t) {
-			cand := m.AvgComm(t, s) + rank[s]
-			if cand > best {
-				best = cand
-			}
-		}
-		rank[t] = m.AvgDur[t] + best
-	}
-	return rank, nil
-}
-
-// RankOrder returns the tasks sorted by decreasing upward rank. Ties
-// are broken by topological position, not task index: ranks strictly
-// decrease along edges only while durations are positive, so with
-// zero-duration tasks an index tie-break could order a successor
-// before its predecessor and break every downstream consumer that
-// assumes a precedence-compatible order. The result is always a valid
-// topological order.
-func (m *Model) RankOrder() ([]dag.Task, error) {
-	rank, err := m.UpwardRanks()
-	if err != nil {
-		return nil, err
-	}
-	pos, err := topoPositions(m.Scen.G)
-	if err != nil {
-		return nil, err
-	}
-	return sortByRankDesc(rank, pos), nil
-}
-
 // Result bundles a heuristic's schedule with its predicted (mean)
 // makespan.
 type Result struct {
 	Schedule *schedule.Schedule
 	Makespan float64 // heuristic's own makespan estimate under its cost model
-}
-
-// topoPositions returns each task's index in the deterministic
-// topological order — the precedence-compatible tie-break for equal
-// start times.
-func topoPositions(g *dag.Graph) ([]int32, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	pos := make([]int32, len(order))
-	for i, t := range order {
-		pos[t] = int32(i)
-	}
-	return pos, nil
 }
 
 // buildFromPlacement converts a task→processor assignment plus start

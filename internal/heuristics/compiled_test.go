@@ -1,12 +1,14 @@
 package heuristics
 
 // Unit tests of the compiled building blocks: the gap-indexed timeline
-// against the linear-scan reference, the level-pruned grouping against
-// the bitset reference, and the zero-duration tie-break regression of
+// against the linear-scan oracle, the level-pruned grouping against
+// the reachability-bitset oracle, the cost tables against the duration
+// laws they summarize, and the zero-duration tie-break regression of
 // buildFromPlacement.
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/dag"
@@ -14,8 +16,94 @@ import (
 	"repro/internal/platform"
 )
 
+// insertionStart is the timeline oracle: the earliest start >= est on
+// a processor whose busy slots are sorted by start time, allowing
+// insertion into idle gaps large enough for dur, found by a linear
+// scan.
+func insertionStart(slots []slot, est, dur float64) float64 {
+	cur := est
+	for _, s := range slots {
+		if almostLE(cur+dur, s.start) {
+			return cur
+		}
+		if s.finish > cur {
+			cur = s.finish
+		}
+	}
+	return cur
+}
+
+// insertSlot adds a busy interval keeping the slice sorted by start.
+func insertSlot(slots []slot, s slot) []slot {
+	idx := sort.Search(len(slots), func(i int) bool { return slots[i].start >= s.start })
+	slots = append(slots, slot{})
+	copy(slots[idx+1:], slots[idx:])
+	slots[idx] = s
+	return slots
+}
+
+// reachability is the grouping oracle's closure: reach[i] has bit j set
+// when there is a path i → j. O(n²) bits.
+func reachability(g *dag.Graph) [][]uint64 {
+	n := g.N()
+	words := (n + 63) / 64
+	reach := make([][]uint64, n)
+	for i := range reach {
+		reach[i] = make([]uint64, words)
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		return reach
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		t := order[i]
+		for _, s := range g.Succ(t) {
+			reach[t][int(s)/64] |= 1 << (uint(s) % 64)
+			for w := 0; w < words; w++ {
+				reach[t][w] |= reach[s][w]
+			}
+		}
+	}
+	return reach
+}
+
+// connected reports whether a and b are related by a path in either
+// direction.
+func connected(reach [][]uint64, a, b dag.Task) bool {
+	if reach[a][int(b)/64]&(1<<(uint(b)%64)) != 0 {
+		return true
+	}
+	return reach[b][int(a)/64]&(1<<(uint(a)%64)) != 0
+}
+
+// independentGroups is the grouping oracle: it splits a rank-ordered
+// task list into maximal consecutive groups of pairwise independent
+// tasks.
+func independentGroups(order []dag.Task, reach [][]uint64) [][]dag.Task {
+	var groups [][]dag.Task
+	var cur []dag.Task
+	for _, t := range order {
+		dependent := false
+		for _, u := range cur {
+			if connected(reach, t, u) {
+				dependent = true
+				break
+			}
+		}
+		if dependent {
+			groups = append(groups, cur)
+			cur = nil
+		}
+		cur = append(cur, t)
+	}
+	if len(cur) > 0 {
+		groups = append(groups, cur)
+	}
+	return groups
+}
+
 // TestTimelineMatchesInsertionScan drives a timeline and the
-// reference slot slice with the same random query/insert stream —
+// oracle's slot slice with the same random query/insert stream —
 // including zero durations and ε-adjacent placements — and requires
 // bit-identical answers at every step.
 func TestTimelineMatchesInsertionScan(t *testing.T) {
@@ -63,7 +151,7 @@ func TestTimelineMatchesInsertionScan(t *testing.T) {
 }
 
 // TestIndependentGroupsCSRMatchesBitset checks the level-pruned
-// grouping against the reachability-bitset reference on random and
+// grouping against the reachability-bitset oracle on random and
 // structured DAGs.
 func TestIndependentGroupsCSRMatchesBitset(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
@@ -142,8 +230,7 @@ func zeroDurScenario(m int) *platform.Scenario {
 // tie-break in RankOrder could feed HBMCT a non-precedence-compatible
 // sequence (negative-index panic on an unplaced predecessor), and
 // HBMCT's rebalancing dereferenced task -1 when a whole group finishes
-// at 0. All four heuristics, and the HEFT and HBMCT references, must
-// emit valid schedules.
+// at 0. All four heuristics must emit valid schedules.
 func TestZeroDurationTieBreak(t *testing.T) {
 	for _, m := range []int{1, 3} {
 		scen := zeroDurScenario(m)
@@ -151,9 +238,7 @@ func TestZeroDurationTieBreak(t *testing.T) {
 			name string
 			fn   func(*platform.Scenario) (Result, error)
 		}{
-			{"HEFT", HEFT}, {"ReferenceHEFT", ReferenceHEFT},
-			{"BIL", BIL},
-			{"HBMCT", HBMCT}, {"ReferenceHBMCT", ReferenceHBMCT},
+			{"HEFT", HEFT}, {"BIL", BIL}, {"HBMCT", HBMCT},
 			{"SDHEFT", func(s *platform.Scenario) (Result, error) { return SDHEFT(s, 1) }},
 		} {
 			res, err := h.fn(scen)
@@ -167,8 +252,13 @@ func TestZeroDurationTieBreak(t *testing.T) {
 	}
 }
 
-// TestCostModelMatchesModel pins the compiled tables against the
-// Model-based values bit-for-bit on a heterogeneous scenario.
+// TestCostModelMatchesModel pins the compiled tables bit for bit
+// against the mean model they compile, read straight from the
+// scenario's duration laws on a heterogeneous scenario: mean ETCs,
+// their processor averages, placement-agnostic communication means
+// (the family mean of the minimum averaged over processor pairs),
+// concrete communication means, and upward ranks. The rank order must
+// sort by decreasing rank with ties by topological position.
 func TestCostModelMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g, w := graphgen.Random(40, rng)
@@ -178,42 +268,58 @@ func TestCostModelMatchesModel(t *testing.T) {
 		P:  &platform.Platform{M: 4, ETC: platform.GenerateETCFromWeights(w, 4, 0.5, rng), Tau: tau, Lat: lat},
 		UL: 1.3,
 	}
-	ref := NewModel(scen)
 	cm, err := NewCostModel(scen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for task := 0; task < cm.N; task++ {
+		var sum float64
 		for p := 0; p < cm.M; p++ {
-			if cm.MeanETC[task*cm.M+p] != ref.MeanETC[task][p] {
+			mean := scen.TaskDist(dag.Task(task), p).Mean()
+			if cm.MeanETC[task*cm.M+p] != mean {
 				t.Fatalf("MeanETC[%d][%d] diverges", task, p)
 			}
+			sum += mean
 		}
-		if cm.AvgDur[task] != ref.AvgDur[task] {
+		if cm.AvgDur[task] != sum/float64(cm.M) {
 			t.Fatalf("AvgDur[%d] diverges", task)
 		}
 	}
+	avgComm := map[[2]dag.Task]float64{}
 	csr := cm.csr
 	for task := 0; task < cm.N; task++ {
 		for k := csr.SuccStart[task]; k < csr.SuccStart[task+1]; k++ {
 			to := dag.Task(csr.SuccAdj[k])
 			e := csr.SuccEdge[k]
-			if cm.EdgeAvgComm[e] != ref.AvgComm(dag.Task(task), to) {
-				t.Fatalf("AvgComm(%d,%d) diverges", task, to)
+			want := scen.MeanAt(scen.P.AvgLat() + g.Volume(dag.Task(task), to)*scen.P.AvgTau())
+			if cm.EdgeAvgComm[e] != want {
+				t.Fatalf("EdgeAvgComm(%d,%d) diverges", task, to)
 			}
+			avgComm[[2]dag.Task{dag.Task(task), to}] = want
 			for pi := 0; pi < cm.M; pi++ {
 				for pj := 0; pj < cm.M; pj++ {
-					if cm.Comm(e, pi, pj) != ref.MeanComm(dag.Task(task), to, pi, pj) {
-						t.Fatalf("MeanComm(%d,%d,%d,%d) diverges", task, to, pi, pj)
+					if cm.Comm(e, pi, pj) != scen.CommDist(dag.Task(task), to, pi, pj).Mean() {
+						t.Fatalf("Comm(%d,%d,%d,%d) diverges", task, to, pi, pj)
 					}
 				}
 			}
 		}
 	}
-	// Rank machinery agrees bitwise as well.
-	wantRank, err := ref.UpwardRanks()
+	// rank(i) = AvgDur(i) + max over successors s of (comm(i,s) + rank(s)).
+	order, err := g.TopoOrder()
 	if err != nil {
 		t.Fatal(err)
+	}
+	wantRank := make([]float64, cm.N)
+	pos := make([]int, cm.N)
+	for i := len(order) - 1; i >= 0; i-- {
+		task := order[i]
+		pos[task] = i
+		best := 0.0
+		for _, s := range g.Succ(task) {
+			best = max(best, avgComm[[2]dag.Task{task, s}]+wantRank[s])
+		}
+		wantRank[task] = cm.AvgDur[task] + best
 	}
 	gotRank := cm.UpwardRanks()
 	for i := range wantRank {
@@ -221,13 +327,14 @@ func TestCostModelMatchesModel(t *testing.T) {
 			t.Fatalf("rank[%d] diverges", i)
 		}
 	}
-	wantOrder, err := ref.RankOrder()
-	if err != nil {
-		t.Fatal(err)
+	rankOrder := cm.RankOrder()
+	if len(rankOrder) != cm.N {
+		t.Fatalf("rank order holds %d tasks, want %d", len(rankOrder), cm.N)
 	}
-	for i, task := range cm.RankOrder() {
-		if task != wantOrder[i] {
-			t.Fatalf("rank order position %d diverges", i)
+	for i := 1; i < len(rankOrder); i++ {
+		a, b := rankOrder[i-1], rankOrder[i]
+		if wantRank[a] < wantRank[b] || (wantRank[a] <= wantRank[b] && pos[a] > pos[b]) {
+			t.Fatalf("rank order positions %d and %d out of order", i-1, i)
 		}
 	}
 }

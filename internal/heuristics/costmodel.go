@@ -8,19 +8,14 @@ import (
 	"repro/internal/stochastic"
 )
 
-// CostModel is the compiled counterpart of Model: every quantity the
-// list heuristics consult in their inner loops — ETC entries,
-// processor-averaged durations, placement-agnostic and concrete
-// communication costs — is precomputed once into flat arrays indexed
-// by task, edge id and communication class, and the DAG itself is
-// flattened to CSR form. Each cost is one statistic of its duration
-// law: the mean for HEFT, BIL and HBMCT, mean + λσ for SDHEFT.
-// Heuristics built on it run without map lookups, distribution
-// construction or per-query allocations, yet produce bit-identical
-// schedules to the Model-based Reference* implementations: every
-// derived value is computed with the same floating-point operations in
-// the same order, which the equivalence harness enforces across all
-// registered workload families.
+// CostModel holds every quantity the list heuristics consult in their
+// inner loops — ETC entries, processor-averaged durations,
+// placement-agnostic and concrete communication costs — precomputed
+// once into flat arrays indexed by task, edge id and communication
+// class, with the DAG flattened to CSR form. Each cost is one statistic
+// of its duration law: the mean for HEFT, BIL and HBMCT, mean + λσ for
+// SDHEFT. Heuristics built on it run without map lookups, distribution
+// construction or per-query allocations.
 type CostModel struct {
 	Scen *platform.Scenario
 	N, M int
@@ -33,7 +28,7 @@ type CostModel struct {
 	MeanETC []float64 // n×m row-major task costs (the model's statistic): entry (t,p) at t*M+p
 	AvgDur  []float64 // task cost averaged over processors
 
-	EdgeAvgComm []float64 // per edge id: placement-agnostic comm cost (Model.AvgComm for the mean)
+	EdgeAvgComm []float64 // per edge id: placement-agnostic comm cost
 
 	classComm [][]float64 // per comm class, per edge id: concrete comm cost
 }
@@ -86,9 +81,9 @@ func newCostModel(scen *platform.Scenario, stat func(stochastic.Dist) float64,
 		}
 		cm.AvgDur[i] = sum / float64(m)
 	}
-	// Placement-agnostic per-edge communication costs: the same
-	// expression Model.AvgComm evaluates per query, hoisted out of the
-	// rank loops.
+	// Placement-agnostic per-edge communication costs: edgeStat of the
+	// minimum communication time averaged over distinct processor
+	// pairs, hoisted out of the rank loops.
 	cm.EdgeAvgComm = make([]float64, cm.csr.NumEdges)
 	if m > 1 {
 		avgTau, avgLat := scen.P.AvgTau(), scen.P.AvgLat()
@@ -101,8 +96,7 @@ func newCostModel(scen *platform.Scenario, stat func(stochastic.Dist) float64,
 }
 
 // Comm returns the communication cost of edge e between processors pi
-// and pj (0 when co-located) — for the mean model, the compiled form
-// of Model.MeanComm.
+// and pj (0 when co-located).
 func (cm *CostModel) Comm(e int32, pi, pj int) float64 {
 	if c := cm.cc.Class[pi*cm.M+pj]; c >= 0 {
 		return cm.classComm[c][e]
@@ -130,8 +124,12 @@ func (cm *CostModel) UpwardRanks() []float64 {
 	return rank
 }
 
-// RankOrder returns the tasks sorted by decreasing upward rank (ties
-// by topological position), matching Model.RankOrder.
+// RankOrder returns the tasks sorted by decreasing upward rank. Ties
+// are broken by topological position, not task index: ranks strictly
+// decrease along edges only while durations are positive, so with
+// zero-duration tasks an index tie-break could order a successor
+// before its predecessor. The result is always a valid topological
+// order.
 func (cm *CostModel) RankOrder() []dag.Task {
 	return sortByRankDesc(cm.UpwardRanks(), cm.pos)
 }

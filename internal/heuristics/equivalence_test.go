@@ -1,85 +1,71 @@
 package heuristics_test
 
 // The equivalence harness of the compiled scheduling layer: every
-// optimized heuristic must produce a byte-identical schedule and a
-// bitwise-equal makespan to its reference, on every registered
-// workload family, across sizes, uncertainty levels and seeds. This is
-// what licenses the CostModel/timeline rewrites to claim "pure
-// mechanical sympathy, zero behavior change".
+// heuristic must reproduce, on every registered workload family across
+// sizes, uncertainty levels and seeds, the byte-identical schedule and
+// bitwise-equal makespan its original straightforward implementation
+// produced. This is what licensed the CostModel/timeline rewrites to
+// claim "pure mechanical sympathy, zero behavior change".
 //
-// HEFT and HBMCT run against their retained Reference* implementations.
-// BIL and SDHEFT run against frozen digests of the results their
-// reference implementations produced, one file per test in testdata/.
-// The digests are compared on amd64 only: other architectures may fuse
-// multiply-adds and round differently. Regenerate them only for a
-// deliberate change of BIL's or SDHEFT's results, on amd64 and without
-// -short:
+// The original implementations are retired. Their results are frozen
+// as digests, one file per test in testdata/, recorded while each
+// harness still compared the compiled heuristic with its reference
+// and found them equal (see internal/testdigest). Regenerate them only
+// for a deliberate change of a heuristic's results, on amd64 and
+// without -short:
 //
 //	go test ./internal/heuristics -run 'MatchReference|MatchesReference|ULExtensions' -update
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
-	"flag"
-	"maps"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
-	"runtime"
-	"slices"
-	"strings"
 	"testing"
 
-	"repro/internal/dag"
 	"repro/internal/experiment"
 	"repro/internal/heuristics"
 	"repro/internal/platform"
 	"repro/internal/stochastic"
+	"repro/internal/testdigest"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/*.digests from the compiled BIL and SDHEFT results")
 
 // sdheft fixes SDHEFT's weight.
 func sdheft(lambda float64) func(*platform.Scenario) (heuristics.Result, error) {
 	return func(s *platform.Scenario) (heuristics.Result, error) { return heuristics.SDHEFT(s, lambda) }
 }
 
-// heuristicPairs lists each optimized entry point with its reference
-// oracle; a nil ref checks the frozen digest instead.
-var heuristicPairs = []struct {
+// harnessHeuristics lists the heuristics whose results the harness
+// pins.
+var harnessHeuristics = []struct {
 	name string
-	opt  func(*platform.Scenario) (heuristics.Result, error)
-	ref  func(*platform.Scenario) (heuristics.Result, error)
+	fn   func(*platform.Scenario) (heuristics.Result, error)
 }{
-	{"HEFT", heuristics.HEFT, heuristics.ReferenceHEFT},
-	{"BIL", heuristics.BIL, nil},
-	{"HBMCT", heuristics.HBMCT, heuristics.ReferenceHBMCT},
-	{"SDHEFT", sdheft(1), nil},
+	{"HEFT", heuristics.HEFT},
+	{"BIL", heuristics.BIL},
+	{"HBMCT", heuristics.HBMCT},
+	{"SDHEFT", sdheft(1)},
 }
 
 // assertIdentical fails unless the two results are exactly equal:
 // same processor assignment, same per-processor orders, bitwise-equal
 // makespan.
-func assertIdentical(t *testing.T, label string, opt, ref heuristics.Result) {
+func assertIdentical(t *testing.T, label string, got, want heuristics.Result) {
 	t.Helper()
-	if !reflect.DeepEqual(opt.Schedule.Proc, ref.Schedule.Proc) {
+	if !reflect.DeepEqual(got.Schedule.Proc, want.Schedule.Proc) {
 		t.Fatalf("%s: processor assignments differ", label)
 	}
-	if !reflect.DeepEqual(opt.Schedule.Order, ref.Schedule.Order) {
+	if !reflect.DeepEqual(got.Schedule.Order, want.Schedule.Order) {
 		t.Fatalf("%s: per-processor orders differ", label)
 	}
-	if opt.Makespan != ref.Makespan {
-		t.Fatalf("%s: makespan %v != reference %v", label, opt.Makespan, ref.Makespan)
+	if got.Makespan != want.Makespan {
+		t.Fatalf("%s: makespan %v != %v", label, got.Makespan, want.Makespan)
 	}
 }
 
-// resultDigest is the first 8 bytes, in hex, of the SHA-256 of a
-// result's processor assignment, its per-processor orders and its
-// makespan's bits.
+// resultDigest is the digest of a result's processor assignment, its
+// per-processor orders and its makespan's bits.
 func resultDigest(r heuristics.Result) string {
 	var buf []byte
 	put := func(v int) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
@@ -95,87 +81,7 @@ func resultDigest(r heuristics.Result) string {
 		}
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Makespan))
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:8])
-}
-
-// frozenDigests holds one harness test's digests, read from
-// testdata/<test>.digests ("label digest" lines), and the cells the
-// test has checked so far.
-type frozenDigests struct {
-	path      string
-	want, got map[string]string
-}
-
-// loadDigests reads the calling test's digest file. Without -short it
-// also fails the test, at its end, for every digest whose cell the
-// test no longer visits; with -update it writes the checked cells'
-// digests in place of the file instead.
-func loadDigests(t *testing.T) *frozenDigests {
-	t.Helper()
-	d := &frozenDigests{
-		path: filepath.Join("testdata", t.Name()+".digests"),
-		want: map[string]string{},
-		got:  map[string]string{},
-	}
-	if *update {
-		if testing.Short() || runtime.GOARCH != "amd64" {
-			t.Fatal("-update needs the full tier (no -short) on amd64")
-		}
-		t.Cleanup(func() {
-			var b strings.Builder
-			for _, label := range slices.Sorted(maps.Keys(d.got)) {
-				b.WriteString(label + " " + d.got[label] + "\n")
-			}
-			if err := os.WriteFile(d.path, []byte(b.String()), 0o644); err != nil {
-				t.Error(err)
-			}
-		})
-		return d
-	}
-	data, err := os.ReadFile(d.path)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		label, sum, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("%s: malformed line %q", d.path, line)
-		}
-		d.want[label] = sum
-	}
-	t.Cleanup(func() {
-		if testing.Short() || t.Failed() {
-			return
-		}
-		for _, label := range slices.Sorted(maps.Keys(d.want)) {
-			if _, ok := d.got[label]; !ok {
-				t.Errorf("%s: %s holds a digest of a cell the test does not visit", label, d.path)
-			}
-		}
-	})
-	return d
-}
-
-// check records r's digest under label and, on amd64 without -update,
-// requires it to equal the frozen one.
-func (d *frozenDigests) check(t *testing.T, label string, r heuristics.Result) {
-	t.Helper()
-	if _, dup := d.got[label]; dup {
-		t.Fatalf("%s: label checked twice", label)
-	}
-	sum := resultDigest(r)
-	d.got[label] = sum
-	if *update || runtime.GOARCH != "amd64" {
-		return
-	}
-	want, ok := d.want[label]
-	if !ok {
-		t.Fatalf("%s: no digest in %s (regenerate with -update)", label, d.path)
-	}
-	if sum != want {
-		t.Fatalf("%s: result digest %s, frozen reference %s", label, sum, want)
-	}
+	return testdigest.Sum(buf)
 }
 
 // caseScenario builds the scenario of one harness cell, or returns nil
@@ -193,34 +99,26 @@ func caseScenario(t *testing.T, spec experiment.CaseSpec) *platform.Scenario {
 	return scen
 }
 
-// runPair checks opt's result on scen against ref's, or against the
-// frozen digest when ref is nil, and validates its schedule.
-func runPair(t *testing.T, frozen *frozenDigests, label string, scen *platform.Scenario,
-	opt, ref func(*platform.Scenario) (heuristics.Result, error)) {
+// runCell checks fn's result on scen against the frozen digest and
+// validates its schedule.
+func runCell(t *testing.T, frozen *testdigest.Set, label string, scen *platform.Scenario,
+	fn func(*platform.Scenario) (heuristics.Result, error)) {
 	t.Helper()
-	ro, err := opt(scen)
+	res, err := fn(scen)
 	if err != nil {
-		t.Fatalf("%s: optimized: %v", label, err)
+		t.Fatalf("%s: %v", label, err)
 	}
-	if ref == nil {
-		frozen.check(t, label, ro)
-	} else {
-		rr, err := ref(scen)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", label, err)
-		}
-		assertIdentical(t, label, ro, rr)
-	}
-	if err := ro.Schedule.Validate(scen.G); err != nil {
+	frozen.Check(t, label, resultDigest(res))
+	if err := res.Schedule.Validate(scen.G); err != nil {
 		t.Fatalf("%s: schedule invalid: %v", label, err)
 	}
 }
 
 // TestOptimizedHeuristicsMatchReference sweeps all registered workload
 // families × sizes × uncertainty levels × seeds. The n=1000 tier
-// exercises deep timelines and large HBMCT groups but reference HBMCT
-// replays the whole sequence per trial there, so it runs only without
-// -short (the weekly full CI job).
+// exercises deep timelines and large HBMCT groups; it runs only
+// without -short (the weekly full CI job), one seed × one UL per
+// family, the grid its digests were recorded on.
 func TestOptimizedHeuristicsMatchReference(t *testing.T) {
 	sizes := []int{10, 100}
 	if !testing.Short() {
@@ -228,12 +126,9 @@ func TestOptimizedHeuristicsMatchReference(t *testing.T) {
 	}
 	uls := []float64{1.0, 1.5}
 	seeds := []int64{1, 2, 3}
-	frozen := loadDigests(t)
+	frozen := testdigest.Load(t)
 	for _, family := range experiment.FamilyNames() {
 		for _, n := range sizes {
-			// Reference HBMCT is quadratic in sequence length; keep the
-			// large tier to one seed × one UL per family so the full
-			// suite stays in CI budget.
 			cellULs, cellSeeds := uls, seeds
 			if n >= 1000 {
 				cellULs, cellSeeds = uls[1:], seeds[:1]
@@ -246,10 +141,10 @@ func TestOptimizedHeuristicsMatchReference(t *testing.T) {
 					if scen == nil {
 						continue
 					}
-					for _, pair := range heuristicPairs {
-						label := pair.name + "/" + family + "/n=" +
+					for _, h := range harnessHeuristics {
+						label := h.name + "/" + family + "/n=" +
 							itoa(n) + "/ul=" + ftoa(ul) + "/seed=" + itoa(int(seed))
-						runPair(t, frozen, label, scen, pair.opt, pair.ref)
+						runCell(t, frozen, label, scen, h.fn)
 					}
 				}
 			}
@@ -266,7 +161,7 @@ func TestOptimizedHeuristicsMatchReference(t *testing.T) {
 // hundred tasks ready at once, whose orders are revised after every
 // placement.
 func TestBILMatchesReferenceAcrossProcessorCounts(t *testing.T) {
-	frozen := loadDigests(t)
+	frozen := testdigest.Load(t)
 	bilPair := func(t *testing.T, spec experiment.CaseSpec) {
 		t.Helper()
 		scen := caseScenario(t, spec)
@@ -275,7 +170,7 @@ func TestBILMatchesReferenceAcrossProcessorCounts(t *testing.T) {
 		}
 		label := "BIL/" + spec.Family + "/n=" + itoa(spec.N) + "/m=" + itoa(spec.M) +
 			"/ul=" + ftoa(spec.UL) + "/seed=" + itoa(int(spec.Seed))
-		runPair(t, frozen, label, scen, heuristics.BIL, nil)
+		runCell(t, frozen, label, scen, heuristics.BIL)
 	}
 	for _, family := range experiment.FamilyNames() {
 		for _, n := range []int{10, 100} {
@@ -303,10 +198,10 @@ func TestBILMatchesReferenceAcrossProcessorCounts(t *testing.T) {
 	}
 }
 
-// TestEquivalenceUnderULExtensions pins the compiled paths against the
-// references on the §VIII scenario extensions, which exercise the
-// per-task (TaskUL), per-processor (ProcUL) and custom-DurFn branches
-// of the cost precomputation.
+// TestEquivalenceUnderULExtensions pins the compiled paths to the
+// references' results on the §VIII scenario extensions, which exercise
+// the per-task (TaskUL), per-processor (ProcUL) and custom-DurFn
+// branches of the cost precomputation.
 func TestEquivalenceUnderULExtensions(t *testing.T) {
 	spec := experiment.CaseSpec{Name: "equiv-ext", Family: experiment.RandomFamily,
 		N: 60, M: 4, UL: 1.2, Seed: 11}
@@ -329,20 +224,20 @@ func TestEquivalenceUnderULExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen := loadDigests(t)
+	frozen := testdigest.Load(t)
 	scens := map[string]*platform.Scenario{
 		"variable-ul":  varUL,
 		"noisy-procs":  noisy,
 		"custom-durfn": &durfn,
 	}
 	for name, scen := range scens {
-		for _, pair := range heuristicPairs {
-			runPair(t, frozen, pair.name+"/"+name, scen, pair.opt, pair.ref)
+		for _, h := range harnessHeuristics {
+			runCell(t, frozen, h.name+"/"+name, scen, h.fn)
 		}
 	}
 	// λ sweep for SDHEFT on the variable-UL scenario.
 	for _, lambda := range []float64{0, 0.5, 2} {
-		runPair(t, frozen, "SDHEFT/variable-ul/lambda="+ftoa(lambda), scens["variable-ul"], sdheft(lambda), nil)
+		runCell(t, frozen, "SDHEFT/variable-ul/lambda="+ftoa(lambda), scens["variable-ul"], sdheft(lambda))
 	}
 }
 
@@ -364,7 +259,6 @@ func TestAvgCommFollowsDurFn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := heuristics.NewModel(&scen)
 	avgLat, avgTau := scen.P.AvgLat(), scen.P.AvgTau()
 	// CSR edge ids are a pure function of the graph, so this flattening
 	// numbers the edges as the cost model's does.
@@ -375,9 +269,6 @@ func TestAvgCommFollowsDurFn(t *testing.T) {
 			want := scen.DurationAt(avgLat + csr.Vol[e]*avgTau).Mean()
 			if got := cm.EdgeAvgComm[e]; got != want {
 				t.Fatalf("EdgeAvgComm[%d->%d] = %v, want the family mean %v", from, to, got, want)
-			}
-			if got := model.AvgComm(dag.Task(from), dag.Task(to)); got != want {
-				t.Fatalf("AvgComm(%d, %d) = %v, want the family mean %v", from, to, got, want)
 			}
 		}
 	}

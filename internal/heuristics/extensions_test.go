@@ -191,7 +191,7 @@ func TestCustomDurFn(t *testing.T) {
 	// Mean matches the uniform mean, not the Beta mean.
 	min := scen.P.ETC[0][0]
 	want := min * (1 + 1.3) / 2
-	if got := scen.MeanTask(0, 0); got != want {
+	if got := scen.TaskDist(0, 0).Mean(); got != want {
 		t.Errorf("mean = %g, want %g", got, want)
 	}
 	// Deterministic minimum still degrades to Dirac.
@@ -220,9 +220,8 @@ func TestHeuristicsSingleProcessor(t *testing.T) {
 		}
 		// On one processor the makespan is at least the serial work.
 		var serial float64
-		m := NewModel(scen)
 		for t2 := 0; t2 < scen.G.N(); t2++ {
-			serial += m.MeanETC[t2][0]
+			serial += scen.TaskDist(dag.Task(t2), 0).Mean()
 		}
 		if res.Makespan < serial-1e-6 {
 			t.Errorf("%s: makespan %g below serial bound %g", h.name, res.Makespan, serial)

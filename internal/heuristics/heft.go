@@ -11,8 +11,8 @@ import (
 // minimizes its earliest finish time, with insertion into idle gaps.
 //
 // This is the compiled implementation — CSR adjacency, precomputed
-// communication costs, gap-indexed timelines — and is bit-identical to
-// ReferenceHEFT.
+// communication costs, gap-indexed timelines. The equivalence harness
+// pins its results by frozen digests.
 func HEFT(scen *platform.Scenario) (Result, error) {
 	cm, err := NewCostModel(scen)
 	if err != nil {

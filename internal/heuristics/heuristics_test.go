@@ -72,11 +72,11 @@ func TestRandomSchedulesAreDiverse(t *testing.T) {
 
 func TestUpwardRanksMonotone(t *testing.T) {
 	scen := randomScenario(30, 3, 1.1, 5)
-	m := NewModel(scen)
-	rank, err := m.UpwardRanks()
+	cm, err := NewCostModel(scen)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rank := cm.UpwardRanks()
 	// A parent's rank strictly exceeds every child's rank.
 	for _, e := range scen.G.Edges() {
 		if rank[e.From] <= rank[e.To] {
@@ -84,10 +84,7 @@ func TestUpwardRanksMonotone(t *testing.T) {
 		}
 	}
 	// RankOrder is a topological order.
-	order, err := m.RankOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
+	order := cm.RankOrder()
 	pos := make([]int, len(order))
 	for i, task := range order {
 		pos[task] = i
@@ -307,11 +304,14 @@ func TestAllSortedByName(t *testing.T) {
 
 func TestModelAvgComm(t *testing.T) {
 	scen := randomScenario(10, 1, 1.1, 15)
-	m := NewModel(scen)
+	cm, err := NewCostModel(scen)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Single processor: no communication ever.
-	for _, e := range scen.G.Edges() {
-		if m.AvgComm(e.From, e.To) != 0 {
-			t.Error("single-proc AvgComm must be 0")
+	for e, c := range cm.EdgeAvgComm {
+		if c != 0 {
+			t.Errorf("single-proc EdgeAvgComm[%d] = %g, must be 0", e, c)
 		}
 	}
 }

@@ -2,15 +2,19 @@ package heuristics
 
 import "sort"
 
+// slot is a busy interval on a processor.
+type slot struct{ start, finish float64 }
+
 // timeline is a gap-indexed processor timeline: the busy intervals of
 // one processor sorted by start time, plus the running prefix maximum
-// of their finish times. earliest answers the same query as
-// insertionStart — the earliest start ≥ est leaving room for dur,
-// allowing insertion into idle gaps — but instead of scanning the
-// whole slice it binary-searches the first interval that can interact
-// with est and takes an O(1) fast path for the dominant append-at-tail
-// case. add mirrors insertSlot (append fast path; copy-shift only on
-// the rare mid-timeline insertion).
+// of their finish times. earliest answers the same query as a linear
+// scan of the sorted intervals (the test oracle insertionStart) — the
+// earliest start ≥ est leaving room for dur, allowing insertion into
+// idle gaps — but instead of scanning the whole slice it
+// binary-searches the first interval that can interact with est and
+// takes an O(1) fast path for the dominant append-at-tail case. add
+// keeps the intervals sorted as the oracle's insertSlot does (append
+// fast path; copy-shift only on the rare mid-timeline insertion).
 //
 // Equivalence with the linear scan: intervals whose prefix-max finish
 // is ≤ est can neither advance the scan cursor (that needs

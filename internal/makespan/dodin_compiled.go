@@ -4,20 +4,17 @@ import (
 	"repro/internal/stochastic"
 )
 
-// This file is the compiled counterpart of dodin.go: the same
-// series-parallel reduction semantics on flat arrays instead of
-// per-node adjacency maps, with every density drawn from a pooled
-// recycling workspace (stochastic.Ops) instead of fresh allocations.
-//
-// Three structural changes carry the speedup:
+// Dodin's series-parallel reduction runs on flat arrays, with every
+// density drawn from a pooled recycling workspace (stochastic.Ops)
+// instead of fresh allocations. Three structural choices keep it fast:
 //
 //   - adjacency is slices of edge ids per node (the graph mutates too
 //     much for a frozen CSR, but the slices keep degree tests and
 //     sibling scans O(deg) with no map iteration);
-//   - an index-based reduction worklist replaces the legacy
-//     full-graph rescans: a reduction pushes only the nodes whose
-//     rule applicability it changed, and a single full pass is run
-//     only to certify "stuck" before a cone duplication;
+//   - an index-based reduction worklist replaces full-graph rescans: a
+//     reduction pushes only the nodes whose rule applicability it
+//     changed, and a single full pass is run only to certify "stuck"
+//     before a cone duplication;
 //   - cone duplication memoizes copies in a generation-stamped array
 //     (no per-duplication map), shares un-owned (cached) densities
 //     instead of cloning them, and clones owned ones through the
@@ -220,7 +217,7 @@ func (g *spGraph) seq(parts ...*stochastic.Numeric) *stochastic.Numeric {
 
 // trySeriesAt merges v into its single predecessor u when u has v as
 // its only successor (the merged node carries u ⊕ edge ⊕ v and
-// inherits v's out-edges), mirroring rvGraph.seriesReduceOnce.
+// inherits v's out-edges).
 func (g *spGraph) trySeriesAt(v int32) bool {
 	n := &g.node[v]
 	if len(n.pred) != 1 {
@@ -245,9 +242,8 @@ func (g *spGraph) trySeriesAt(v int32) bool {
 }
 
 // tryChainAt contracts a degree-(1,1) node v between u and w into an
-// edge u→w carrying edge(u,v) ⊕ v ⊕ edge(v,w), mirroring
-// rvGraph.chainContractOnce (including deferring to the series rule
-// when outdeg(u) == 1).
+// edge u→w carrying edge(u,v) ⊕ v ⊕ edge(v,w), deferring to the series
+// rule when outdeg(u) == 1.
 func (g *spGraph) tryChainAt(v int32) bool {
 	n := &g.node[v]
 	if len(n.pred) != 1 || len(n.succ) != 1 {
@@ -305,7 +301,7 @@ func (g *spGraph) paraSibling(v, x int32) bool {
 
 // mergeParallel folds sibling x into v: the two single-arc paths
 // combine by the maximum, and v's connecting edges reset to zero
-// points, mirroring rvGraph.parallelReduceOnce.
+// points.
 func (g *spGraph) mergeParallel(v, x int32) {
 	pv := g.pathRV(v)
 	px := g.pathRV(x)
@@ -408,8 +404,8 @@ func (g *spGraph) drain() {
 // fullPass certifies the worklist fixpoint: it scans every live node
 // once and applies the first reduction found (re-seeding the worklist
 // through the rules' own pushes). Returning false proves no
-// series/chain/parallel rule applies anywhere — the precondition the
-// legacy reducer established for cone duplication by construction.
+// series/chain/parallel rule applies anywhere — the precondition of a
+// cone duplication.
 func (g *spGraph) fullPass() bool {
 	for v := range g.node {
 		if !g.node[v].dead && g.tryReduce(int32(v)) {
@@ -419,12 +415,12 @@ func (g *spGraph) fullPass() bool {
 	return false
 }
 
-// duplicateCone performs one Dodin-style duplication, mirroring
-// rvGraph.duplicateCone: it finds an arc u→v with outdeg(u) > 1 and
-// indeg(v) > 1 (preferring the u with fewest predecessors, ties to the
-// lowest id — the scan order is deterministic, unlike the legacy map
-// iteration), detaches it, and re-routes it through a fresh copy of u's
-// ancestor cone. Returns the number of nodes created.
+// duplicateCone performs one Dodin-style duplication: it finds an arc
+// u→v with outdeg(u) > 1 and indeg(v) > 1 (preferring the u with fewest
+// predecessors, ties to the lowest id), detaches it, and re-routes it
+// through a fresh copy of u's ancestor cone, treated as independent of
+// the original — the approximation Dodin's transformation makes when
+// unsharing common sub-structures. Returns the number of nodes created.
 func (g *spGraph) duplicateCone() int {
 	bestU, bestE := int32(-1), int32(-1)
 	for u := range g.node {
@@ -489,8 +485,9 @@ func (g *spGraph) duplicateCone() int {
 }
 
 // reduce contracts the graph to a single node and returns its variable,
-// interleaving cone duplications when stuck, with the same budget
-// semantics as the legacy reducer. Failures are *ReductionError.
+// interleaving cone duplications when stuck: once the graph has
+// created budget nodes, a stuck graph fails instead. Failures are
+// *ReductionError.
 func (g *spGraph) reduce(budget int) (*stochastic.Numeric, error) {
 	for v := range g.node {
 		g.push(int32(v))
@@ -563,9 +560,9 @@ func (m *EvalModel) Dodin() (*stochastic.Numeric, error) {
 			g.addEdge(d.PredTask[k], int32(t), comm, false)
 		}
 	}
-	// Same budget as the legacy reducer: generous enough to unshare
-	// small graphs completely, bounded so pathological cases fail with
-	// a *ReductionError instead of growing without limit.
+	// Node budget: generous enough to unshare small graphs completely,
+	// bounded so pathological cases fail with a *ReductionError instead
+	// of growing without limit.
 	budget := 200 * (n + 2)
 	if budget > 20000 {
 		budget = 20000

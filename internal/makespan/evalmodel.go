@@ -26,8 +26,8 @@ import (
 //     keyed by the (min, ul) pair that fully determines a duration
 //     distribution for a fixed scenario. A random-schedule case
 //     re-evaluates the same (task, proc) durations and the same
-//     (class, volume) communications hundreds of times; the reference
-//     evaluators re-discretized them for every schedule.
+//     (class, volume) communications hundreds of times, and
+//     discretizes each once per case.
 //
 // The cache is safe for concurrent use: RunCaseOn evaluates the
 // schedules of a case in parallel against one cache. Custom DurFn
@@ -162,8 +162,8 @@ func putOps(o *stochastic.Ops) { opsPool.Put(o) }
 // how many goroutines share an evaluation's work.
 var classicGoroutines atomic.Int32
 
-// zeroCommArc is THE skip rule of the evaluation layer, shared by the
-// compiled model and the reference evaluators: a disjunctive arc's
+// zeroCommArc is THE skip rule of the evaluation layer, shared by every
+// evaluator: a disjunctive arc's
 // communication drops out of the evaluation exactly when its time is
 // almost surely zero — a degenerate distribution at 0 (co-located
 // tasks, pure sequencing arcs, and deterministic zero-min links).
@@ -181,27 +181,25 @@ func zeroCommArc(d stochastic.Dist) bool {
 
 // EvalModel is the per-(scenario, schedule) compiled evaluation
 // context — the tentpole of the evaluation layer. Building it performs,
-// exactly once, everything the reference evaluators repeated per
-// method call (and robustness.fillSlack repeated once more): schedule
-// validation, the disjunctive overlay (flat CSR via
-// schedule.CompileDisjunctive — no map-graph clones), and the
-// resolution of every task duration and every disjunctive arc's
-// communication to a cached discretized variable plus exact moments.
+// exactly once, everything the evaluators share: schedule validation,
+// the disjunctive overlay (flat CSR via schedule.CompileDisjunctive —
+// no map-graph clones), and the resolution of every task duration and
+// every disjunctive arc's communication to a cached discretized
+// variable plus exact moments.
 //
-// The three consumers then run over flat arrays:
+// The consumers then run over flat arrays:
 //
-//   - Classic: numeric density propagation, bit-identical to
-//     ReferenceEvaluateClassic, with all intermediate densities drawn
-//     from recycling workspaces (stochastic.Ops) and completion
-//     densities released by successor refcount — live memory is
-//     bounded by the schedule's frontier width, not n. Tasks that do
-//     not precede one another may run on helper goroutines, with
-//     the same bits at any worker count;
+//   - Classic: numeric density propagation, with all intermediate
+//     densities drawn from recycling workspaces (stochastic.Ops) and
+//     completion densities released by successor refcount — live
+//     memory is bounded by the schedule's frontier width, not n. Tasks
+//     that do not precede one another may run on helper goroutines,
+//     with the same bits at any worker count;
+//   - Dodin: the series-parallel reduction (dodin_compiled.go);
 //   - Spelde: Clark moment propagation, equal to the same propagation
 //     on the rebuilt map-based disjunctive graph;
-//   - Slacks: the §IV mean-duration slack vector, equal to the
-//     disjunctive-graph path robustness.FromDistribution used to
-//     rebuild per call.
+//   - Slacks: the §IV mean-duration slack vector, equal to the longest
+//     paths of the rebuilt map-based disjunctive graph.
 //
 // A model is cheap (O(n+e) plus cache lookups) and single-use-or-many:
 // all methods are safe to call repeatedly and concurrently, since they
@@ -277,14 +275,18 @@ func (m *EvalModel) Schedule() *schedule.Schedule { return m.sched }
 
 // Classic runs the classical algorithm — numeric densities propagated
 // through the disjunctive order, convolution along arcs, CDF products
-// at joins — and returns the makespan distribution. The result is
-// bit-for-bit identical to ReferenceEvaluateClassic at the cache's
-// grid size (the equivalence harness enforces this across all workload
-// families): every operator gets the reference's operands, in the
-// reference's adjacency and sink order, with the densities flowing
-// through a recycling workspace instead of fresh allocations. A task's
-// communication-arc arrivals are computed before the max chain that
-// consumes them, two at a time (see arrivals).
+// at joins — and returns the makespan distribution. In disjunctive
+// topological order, each task's start is the maximum, over its
+// predecessors in sorted adjacency order, of their completions plus
+// the arc's communication (skipped when zeroCommArc), and its
+// completion adds its own duration; the makespan is the maximum over
+// the sinks. All intermediate variables are treated as independent —
+// exact for in-trees, an approximation otherwise (§II). The densities
+// flow through a recycling workspace instead of fresh allocations, and
+// a task's communication-arc arrivals are computed before the max
+// chain that consumes them, two at a time (see arrivals). The
+// equivalence harness pins the result's bits across all workload
+// families.
 //
 // A task's density depends only on its predecessors' densities, so
 // tasks that do not precede one another are evaluated from a ready
@@ -594,11 +596,10 @@ func (m *EvalModel) Spelde() SpeldeResult {
 }
 
 // Slacks returns the per-task slack vector of §IV on the disjunctive
-// overlay with every duration and communication at its mean — the
-// quantity robustness.fillSlack computed by rebuilding the disjunctive
-// graph and re-deriving every mean per call. Values are identical to
-// that path: top/bottom levels are pure float maxima, which are
-// accumulation-order independent.
+// overlay with every duration and communication at its mean:
+// s_i = M − Bl(i) − Tl(i), where Tl(i) is the longest path from an
+// entry task to i without i's duration, Bl(i) the longest path from i
+// to an exit task with it, and M the longest entry-to-exit path.
 func (m *EvalModel) Slacks() []float64 {
 	d := m.d
 	n := d.N
@@ -642,7 +643,7 @@ func (m *EvalModel) Slacks() []float64 {
 }
 
 // Metrics evaluates the full eight-metric robustness vector of the
-// model's schedule: the five distribution metrics from the classical
+// model's schedule: the six distribution metrics from the classical
 // makespan density and the slack metrics from the compiled slack
 // vector. This is the per-schedule unit of work of the paper's core
 // experiment, and the call RunCaseOn fans out over its worker pool.

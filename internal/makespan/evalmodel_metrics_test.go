@@ -1,12 +1,13 @@
 package makespan_test
 
-// Equivalence tests for the model-holding metric entry points: Metrics
-// must reproduce the retained robustness reference path exactly (same
-// slack vector, same distribution metrics) without the per-call
-// disjunctive rebuild, and the slack vector must satisfy the paper's
+// Tests of the model-holding metric entry points: Metrics must
+// reproduce the metric vector the uncompiled robustness path computed
+// (frozen as a digest), and the slack vector must satisfy the paper's
 // §V identity.
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/makespan"
 	"repro/internal/robustness"
 	"repro/internal/schedule"
+	"repro/internal/testdigest"
 )
 
 func metricsScenario(t *testing.T) (*makespan.EvalCache, *schedule.Schedule) {
@@ -31,23 +33,17 @@ func metricsScenario(t *testing.T) (*makespan.EvalCache, *schedule.Schedule) {
 
 func TestMetricsMatchesReference(t *testing.T) {
 	cache, s := metricsScenario(t)
-	scen := cache.Scenario()
 	m, err := cache.Model(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv, err := makespan.ReferenceEvaluateClassic(scen, s, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := robustness.Params{Delta: 0.1, Gamma: 1.0003, GridSize: 64}
-	want, err := robustness.FromDistribution(scen, s, rv, p)
-	if err != nil {
-		t.Fatal(err)
+	v := m.Metrics(p).Vector()
+	var buf []byte
+	for _, x := range v {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 	}
-	if got := m.Metrics(p); got != want {
-		t.Errorf("Metrics differs from reference:\n  got  %+v\n  want %+v", got, want)
-	}
+	testdigest.Load(t).Check(t, "metrics", testdigest.Sum(buf))
 }
 
 // TestSlackIdentityMatchesReference runs the paper's §V consistency

@@ -208,22 +208,13 @@ func convolveOverlapAddInto(out, signal, kernel []float64, ws *ConvScratch) []fl
 // dozen, sits far below it.
 const directKernelMax = 96
 
-// Convolve picks a convolution strategy based on operand sizes: direct
-// when either operand is short or the product is small (the direct sum
-// is both faster and exact there), overlap-add when one operand is much
-// shorter than the other, plain FFT otherwise.
-func Convolve(a, b []float64) []float64 {
-	la, lb := len(a), len(b)
-	if la == 0 || lb == 0 {
-		return nil
-	}
-	return ConvolveInto(make([]float64, la+lb-1), a, b, &ConvScratch{})
-}
-
-// ConvolveInto is Convolve writing into out, which must have length
-// len(a)+len(b)-1; ws carries the scratch. The strategy choice and
-// the arithmetic are identical to Convolve, so the results agree
-// bit-for-bit.
+// ConvolveInto writes the full linear convolution of a and b into out,
+// which must have length len(a)+len(b)-1, with ws carrying the scratch.
+// It picks a strategy by operand sizes: direct when either operand is
+// short or the product is small (the direct sum is both faster and
+// exact there), overlap-add when one operand is much shorter than the
+// other, plain FFT otherwise. The result does not depend on what ws
+// held before.
 func ConvolveInto(out, a, b []float64, ws *ConvScratch) []float64 {
 	la, lb := len(a), len(b)
 	switch {

@@ -142,7 +142,7 @@ func TestConvolveEmpty(t *testing.T) {
 	if ConvolveOverlapAdd(nil, []float64{1}) != nil {
 		t.Error("overlap-add: expected nil for empty input")
 	}
-	if Convolve([]float64{1}, nil) != nil {
+	if ConvolveInto(nil, []float64{1}, nil, &ConvScratch{}) != nil {
 		t.Error("auto: expected nil for empty input")
 	}
 }
@@ -165,7 +165,7 @@ func TestConvolveImplementationsAgree(t *testing.T) {
 		for name, got := range map[string][]float64{
 			"fft":         ConvolveFFT(a, b),
 			"overlap-add": ConvolveOverlapAdd(a, b),
-			"auto":        Convolve(a, b),
+			"auto":        convolve(a, b),
 		} {
 			if len(got) != len(ref) {
 				t.Fatalf("%s: length %d, want %d", name, len(got), len(ref))
@@ -195,7 +195,7 @@ func TestConvolveMassProperty(t *testing.T) {
 			b[i] = rngB.Float64()
 			sb += b[i]
 		}
-		c := Convolve(a, b)
+		c := convolve(a, b)
 		return almostEqual(KahanSum(c), sa*sb, 1e-6*(1+sa*sb))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

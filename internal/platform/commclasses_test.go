@@ -65,9 +65,9 @@ func TestCommClassesHeterogeneous(t *testing.T) {
 	}
 }
 
-// BatchCommCosts with the mean statistic must reproduce MeanComm
-// exactly (bitwise) for every pair and edge — the compiled heuristics
-// rely on it.
+// BatchCommCosts with the mean statistic must reproduce the mean of
+// CommDist exactly (bitwise) for every pair and edge — the compiled
+// heuristics rely on it.
 func TestBatchCommMeansMatchesMeanComm(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n, m := 12, 3
@@ -94,13 +94,13 @@ func TestBatchCommMeansMatchesMeanComm(t *testing.T) {
 	for ei, e := range edges {
 		for pi := 0; pi < m; pi++ {
 			for pj := 0; pj < m; pj++ {
-				want := scen.MeanComm(e.from, e.to, pi, pj)
+				want := scen.CommDist(e.from, e.to, pi, pj).Mean()
 				var got float64
 				if c := cc.Class[pi*m+pj]; c >= 0 {
 					got = means[c][ei]
 				}
 				if got != want {
-					t.Fatalf("edge %d pair (%d,%d): batch mean %v, MeanComm %v",
+					t.Fatalf("edge %d pair (%d,%d): batch mean %v, CommDist mean %v",
 						ei, pi, pj, got, want)
 				}
 			}

@@ -232,10 +232,10 @@ func TestScenarioDists(t *testing.T) {
 	if s.CommDist(0, 1, 1, 1).Sample(rng) != 0 {
 		t.Error("co-located comm sample must be 0")
 	}
-	if s.MeanComm(0, 1, 0, 1) <= 5 {
+	if s.CommDist(0, 1, 0, 1).Mean() <= 5 {
 		t.Error("cross-proc mean comm should exceed the minimum")
 	}
-	if s.MeanTask(0, 0) <= p.ETC[0][0] {
+	if s.TaskDist(0, 0).Mean() <= p.ETC[0][0] {
 		t.Error("mean task duration should exceed the minimum under UL>1")
 	}
 }
@@ -360,7 +360,7 @@ func TestZeroMinCommUnderCustomDurFn(t *testing.T) {
 	if u.Lo != 0 || u.Hi != 0.5 {
 		t.Errorf("zero-min comm support [%g,%g], want [0,0.5]", u.Lo, u.Hi)
 	}
-	if m := s.MeanComm(0, 2, 0, 1); m <= 0 {
+	if m := s.CommDist(0, 2, 0, 1).Mean(); m <= 0 {
 		t.Errorf("zero-min cross-proc mean comm = %g, want > 0", m)
 	}
 

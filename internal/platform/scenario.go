@@ -145,17 +145,6 @@ func (s *Scenario) CommDist(from, to dag.Task, pi, pj int) stochastic.Dist {
 	return s.durDist(min, s.UL)
 }
 
-// MeanTask returns the mean duration of task t on processor proc.
-func (s *Scenario) MeanTask(t dag.Task, proc int) float64 {
-	return s.TaskDist(t, proc).Mean()
-}
-
-// MeanComm returns the mean communication time of edge from→to between
-// processors pi and pj.
-func (s *Scenario) MeanComm(from, to dag.Task, pi, pj int) float64 {
-	return s.CommDist(from, to, pi, pj).Mean()
-}
-
 // CheckUL rejects an uncertainty level outside [1, +Inf), NaN
 // included. Durations range over [min, min·UL], so a level below 1
 // would silently run deterministic durations, and a NaN or infinite

@@ -2,23 +2,20 @@
 // by the paper (§IV): expected makespan, makespan standard deviation,
 // makespan differential entropy, average slack, slack standard
 // deviation, average lateness, and the absolute and relative
-// probabilistic metrics. The five distribution metrics are computed
+// probabilistic metrics. The six distribution metrics are computed
 // from an analytic makespan distribution (stochastic.Numeric), the two
-// slack metrics from the schedule's mean-duration disjunctive graph.
+// slack metrics from the schedule's per-task slack vector on its
+// mean-duration disjunctive graph, which the caller supplies
+// (makespan.EvalModel.Slacks).
 package robustness
 
 import (
 	"fmt"
+	"math"
 
-	"repro/internal/dag"
 	"repro/internal/numeric"
-	"repro/internal/platform"
-	"repro/internal/schedule"
 	"repro/internal/stochastic"
 )
-
-// dagTask keeps the signatures below readable.
-type dagTask = dag.Task
 
 // Params holds the metric hyper-parameters of §V.
 type Params struct {
@@ -29,6 +26,19 @@ type Params struct {
 
 // DefaultParams returns the paper's δ = 0.1, γ = 1.0003.
 func DefaultParams() Params { return Params{Delta: 0.1, Gamma: 1.0003} }
+
+// Check rejects the hyper-parameters the probabilistic metrics are
+// undefined for: a δ or γ that is not finite, a negative δ, or a γ
+// below 1, which would read A = 0 or R = 0 for every schedule.
+func (p Params) Check() error {
+	if !(p.Delta >= 0) || math.IsInf(p.Delta, 1) {
+		return fmt.Errorf("robustness: δ = %v: want 0 <= δ < +Inf", p.Delta)
+	}
+	if !(p.Gamma >= 1) || math.IsInf(p.Gamma, 1) {
+		return fmt.Errorf("robustness: γ = %v: want 1 <= γ < +Inf", p.Gamma)
+	}
+	return nil
+}
 
 // Metrics is the paper's metric vector for one schedule. All metrics
 // are reported raw (not inverted); the experiment layer flips the
@@ -85,26 +95,9 @@ func (m Metrics) String() string {
 		m.Makespan, m.StdDev, m.Entropy, m.AvgSlack, m.SlackStdDev, m.Lateness, m.AbsProb, m.RelProb)
 }
 
-// FromDistribution computes the five distribution-based metrics from an
-// analytic makespan distribution and fills the slack metrics from the
-// schedule's mean-value disjunctive graph, which it rebuilds per call.
-// This is the retained reference path: its only callers are tests and
-// the reference leg of the EvalCase benchmark that CI's ratio guard
-// times. Every pipeline compiles a makespan.EvalModel and calls
-// FromDistributionSlacks with the model's slack vector instead, which
-// is identical without the rebuild.
-func FromDistribution(scen *platform.Scenario, s *schedule.Schedule, rv *stochastic.Numeric, p Params) (Metrics, error) {
-	var m Metrics
-	fillDistribution(&m, rv, p)
-	if err := fillSlack(scen, s, &m); err != nil {
-		return m, err
-	}
-	return m, nil
-}
-
 // FromDistributionSlacks computes the metric vector from an analytic
-// makespan distribution and a precomputed per-task slack vector (§IV,
-// mean durations) — the compiled-evaluation form of FromDistribution.
+// makespan distribution and the schedule's per-task slack vector (§IV,
+// mean durations), as makespan.EvalModel.Slacks computes it.
 func FromDistributionSlacks(rv *stochastic.Numeric, slacks []float64, p Params) Metrics {
 	var m Metrics
 	fillDistribution(&m, rv, p)
@@ -112,7 +105,7 @@ func FromDistributionSlacks(rv *stochastic.Numeric, slacks []float64, p Params) 
 	return m
 }
 
-// fillDistribution fills the five distribution-based metrics.
+// fillDistribution fills the six distribution-based metrics.
 func fillDistribution(m *Metrics, rv *stochastic.Numeric, p Params) {
 	m.Makespan = rv.Mean()
 	m.StdDev = rv.StdDev()
@@ -124,7 +117,10 @@ func fillDistribution(m *Metrics, rv *stochastic.Numeric, p Params) {
 	}
 }
 
-// applySlacks fills the two slack metrics from a per-task slack vector.
+// applySlacks fills the two slack metrics from a per-task slack vector:
+// S = Σ_i s_i, and σ_S the population standard deviation of the s_i.
+// (The paper's printed σ_S formula omits the 1/n; any affine rescaling
+// is invisible to the Pearson correlations the metric is used in.)
 func applySlacks(m *Metrics, slacks []float64) {
 	m.AvgSlack = numeric.KahanSum(slacks)
 	m.SlackStdDev = numeric.StdDev(slacks)
@@ -166,34 +162,4 @@ func probWithin(rv *stochastic.Numeric, lo, hi float64) float64 {
 	cdf := rv.CDFTable()
 	v := cdf.CDFAt(hi) - cdf.CDFAt(lo)
 	return numeric.Clamp(v, 0, 1)
-}
-
-// fillSlack computes the slack metrics of §IV on the schedule's
-// disjunctive graph with all durations replaced by their means (the
-// paper's approximation of the average slack): S = Σ_i s_i with
-// s_i = M − Bl(i) − Tl(i), and σ_S the population standard deviation
-// of the s_i. (The paper's printed σ_S formula omits the 1/n; any
-// affine rescaling is invisible to the Pearson correlations the metric
-// is used in.)
-func fillSlack(scen *platform.Scenario, s *schedule.Schedule, m *Metrics) error {
-	dg, err := s.Disjunctive(scen.G)
-	if err != nil {
-		return err
-	}
-	n := scen.G.N()
-	nodeW := make([]float64, n)
-	for i := 0; i < n; i++ {
-		nodeW[i] = scen.MeanTask(dagTask(i), s.Proc[i])
-	}
-	edgeW := func(from, to dagTask) float64 {
-		// Serialization edges carry volume 0 and join same-processor
-		// tasks, so their mean communication time is 0.
-		return scen.MeanComm(from, to, s.Proc[from], s.Proc[to])
-	}
-	slacks, err := dg.Slacks(nodeW, edgeW)
-	if err != nil {
-		return err
-	}
-	applySlacks(m, slacks)
-	return nil
 }

@@ -32,16 +32,23 @@ func simpleScenario(ul float64) (*platform.Scenario, *schedule.Schedule) {
 	return scen, s
 }
 
-func TestMetricsOnNormalDistribution(t *testing.T) {
-	// Closed forms for N(µ=100, σ=5): lateness = σ·sqrt(2/π),
-	// entropy = ½ln(2πeσ²), A(δ) = 2Φ(δ/σ)−1.
-	scen, s := simpleScenario(1.1)
-	rv := stochastic.FromDist(stochastic.Normal{Mu: 100, Sigma: 5}, 256)
-	p := Params{Delta: 2, Gamma: 1.02}
-	m, err := FromDistribution(scen, s, rv, p)
+// modelMetrics is the metric vector of s through the compiled
+// evaluation model: the classical density and the model's slacks.
+func modelMetrics(t *testing.T, scen *platform.Scenario, s *schedule.Schedule) Metrics {
+	t.Helper()
+	m, err := makespan.NewEvalCache(scen, 64).Model(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m.Metrics(DefaultParams())
+}
+
+func TestMetricsOnNormalDistribution(t *testing.T) {
+	// Closed forms for N(µ=100, σ=5): lateness = σ·sqrt(2/π),
+	// entropy = ½ln(2πeσ²), A(δ) = 2Φ(δ/σ)−1.
+	rv := stochastic.FromDist(stochastic.Normal{Mu: 100, Sigma: 5}, 256)
+	p := Params{Delta: 2, Gamma: 1.02}
+	m := FromDistributionSlacks(rv, nil, p)
 	if !almostEqual(m.Makespan, 100, 0.05) {
 		t.Errorf("mean = %g, want 100", m.Makespan)
 	}
@@ -69,14 +76,7 @@ func TestMetricsOnNormalDistribution(t *testing.T) {
 func TestSlackChainIsZero(t *testing.T) {
 	// A chain on one processor has no slack anywhere.
 	scen, s := simpleScenario(1.2)
-	rv, err := makespan.EvaluateClassic(scen, s, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := FromDistribution(scen, s, rv, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := modelMetrics(t, scen, s)
 	if !almostEqual(m.AvgSlack, 0, 1e-9) {
 		t.Errorf("chain slack = %g, want 0", m.AvgSlack)
 	}
@@ -99,14 +99,7 @@ func TestSlackParallelTasks(t *testing.T) {
 	s := schedule.New(2, 2)
 	s.Assign(0, 0)
 	s.Assign(1, 1)
-	rv, err := makespan.EvaluateClassic(scen, s, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := FromDistribution(scen, s, rv, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := modelMetrics(t, scen, s)
 	if !almostEqual(m.AvgSlack, 6, 1e-9) {
 		t.Errorf("S = %g, want 6", m.AvgSlack)
 	}
@@ -152,18 +145,11 @@ func TestRelProbByMakespan(t *testing.T) {
 }
 
 func TestLatenessMonotoneInSpread(t *testing.T) {
-	scen, s := simpleScenario(1.1)
 	narrow := stochastic.FromDist(stochastic.Normal{Mu: 50, Sigma: 1}, 128)
 	wide := stochastic.FromDist(stochastic.Normal{Mu: 50, Sigma: 5}, 128)
 	p := DefaultParams()
-	mn, err := FromDistribution(scen, s, narrow, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mw, err := FromDistribution(scen, s, wide, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mn := FromDistributionSlacks(narrow, nil, p)
+	mw := FromDistributionSlacks(wide, nil, p)
 	if mn.Lateness >= mw.Lateness {
 		t.Errorf("lateness should grow with spread: %g vs %g", mn.Lateness, mw.Lateness)
 	}

@@ -318,14 +318,17 @@ func TestRealizationAboveCriticalPathProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Critical path with min durations on assigned procs, ignoring comm.
-		nodeW := make([]float64, n)
-		for i := range nodeW {
-			nodeW[i] = p.ETC[i][s.Proc[i]]
-		}
-		cp, err := g.CriticalPathLength(nodeW, nil)
-		if err != nil {
-			t.Fatal(err)
+		// Critical path with min durations on assigned procs, ignoring
+		// comm and processor contention.
+		finish := make([]float64, n)
+		var cp float64
+		for _, task := range order {
+			var start float64
+			for _, pred := range g.Pred(task) {
+				start = max(start, finish[pred])
+			}
+			finish[task] = start + p.ETC[task][s.Proc[task]]
+			cp = max(cp, finish[task])
 		}
 		for _, ms := range sim.Compile(stochastic.SamplerExact).Realizations(50, int64(trial), KernelOptions{}) {
 			if ms < cp-1e-9 {

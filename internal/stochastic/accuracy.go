@@ -12,9 +12,10 @@ import (
 // first at 64 spline-interpolated points; the second was an implicit
 // 8192-point cap. Making both explicit turns the work-grid cost of Add
 // into a measured speed/accuracy trade-off instead of a hard-coded
-// constant: on the 10k-task Cholesky benchmark case at the reference
-// contract, the work-grid spline fits take ~35% of evaluation time, the
-// resamples ~33% and the direct convolution ~21%.
+// constant: a CPU profile of the reference contract on the 10k-task
+// Cholesky benchmark case (BenchmarkEvalAccuracyFastReference, 2-vCPU
+// Intel Xeon VM) puts the work-grid spline fits at ~39% of samples, the
+// resamples at ~38% and the direct convolution (SSE2 on amd64) at ~10%.
 //
 // The zero value means "the paper's contract": Canon resolves it to
 // AccuracyReference, and every consumer canonicalizes before use, so
@@ -96,8 +97,8 @@ func (a EvalAccuracy) String() string {
 // ParseEvalAccuracy parses an accuracy spelling: empty or a preset name
 // ("reference", "fast", "coarse"), or explicit "grid=G", "work=W",
 // "grid=G,work=W" fields (any order; omitted fields take the reference
-// defaults). Unknown names and malformed fields are errors — never a
-// silent fallback.
+// defaults). Unknown names, malformed fields and a field given twice
+// are errors — never a silent fallback.
 func ParseEvalAccuracy(s string) (EvalAccuracy, error) {
 	s = strings.TrimSpace(s)
 	if acc, ok := AccuracyByName(s); ok {
@@ -118,14 +119,19 @@ func ParseEvalAccuracy(s string) (EvalAccuracy, error) {
 		if err != nil || n < 2 {
 			return EvalAccuracy{}, fmt.Errorf("stochastic: accuracy field %q needs an integer >= 2 in %q", k, s)
 		}
+		var dst *int
 		switch strings.TrimSpace(k) {
 		case "grid":
-			acc.GridSize = n
+			dst = &acc.GridSize
 		case "work":
-			acc.WorkGrid = n
+			dst = &acc.WorkGrid
 		default:
 			return EvalAccuracy{}, fmt.Errorf("stochastic: unknown accuracy field %q in %q (want grid or work)", k, s)
 		}
+		if *dst != 0 { // every accepted value is >= 2
+			return EvalAccuracy{}, fmt.Errorf("stochastic: accuracy field %q given twice in %q", k, s)
+		}
+		*dst = n
 	}
 	return acc.Canon(), nil
 }

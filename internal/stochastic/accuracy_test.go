@@ -64,6 +64,7 @@ func TestAccuracyStringParseRoundTrip(t *testing.T) {
 	for _, bad := range []string{
 		"speedy", "grid", "grid=", "grid=abc", "grid=1", "work=-8",
 		"grid=64;work=256", "step=4", "grid=64,work",
+		"grid=64,grid=32", "work=256,work=8192",
 	} {
 		if acc, err := ParseEvalAccuracy(bad); err == nil {
 			t.Errorf("ParseEvalAccuracy(%q) = %+v, want error", bad, acc)

@@ -122,14 +122,6 @@ func (rv *Numeric) Clone() *Numeric {
 	return &c
 }
 
-// Shift returns the variable translated by c.
-func (rv *Numeric) Shift(c float64) *Numeric {
-	out := rv.Clone()
-	out.lo += c
-	out.hi += c
-	return out
-}
-
 func (rv *Numeric) clampNormalize() {
 	for i, v := range rv.pdf {
 		if v < 0 || math.IsNaN(v) {
@@ -174,6 +166,15 @@ func (rv *Numeric) CDFAt(x float64) float64 {
 	return rv.CDFTable().CDFAt(x)
 }
 
+// below is the CDF left of the support: 0, or NaN for a NaN x, which
+// fails every comparison and so reaches the same branch.
+func below(x float64) float64 {
+	if math.IsNaN(x) {
+		return x
+	}
+	return 0
+}
+
 // CDFTable is the CDF of a Numeric tabulated once: the cumulative
 // trapezoidal integral of its density on its grid, so each CDFAt is an
 // interpolation without re-integrating.
@@ -195,16 +196,17 @@ func (rv *Numeric) cdfTableInto(cum []float64) CDFTable {
 	return CDFTable{lo: rv.lo, hi: rv.hi, h: h, cum: numeric.CumTrapezoidInto(cum, rv.pdf, h), point: rv.point}
 }
 
-// CDFAt evaluates the tabulated CDF at x by linear interpolation.
+// CDFAt evaluates the tabulated CDF at x by linear interpolation. A
+// NaN x reads NaN.
 func (t CDFTable) CDFAt(x float64) float64 {
 	if t.point {
-		if x < t.lo {
-			return 0
+		if !(x >= t.lo) {
+			return below(x)
 		}
 		return 1
 	}
-	if x <= t.lo {
-		return 0
+	if !(x > t.lo) {
+		return below(x)
 	}
 	if x >= t.hi {
 		return 1
@@ -218,44 +220,6 @@ func (t CDFTable) CDFAt(x float64) float64 {
 	frac := pos - float64(i)
 	v := cum[i] + frac*(cum[i+1]-cum[i])
 	return numeric.Clamp(v, 0, 1)
-}
-
-// CDFOnGrid evaluates the CDF at each point of xs.
-func (rv *Numeric) CDFOnGrid(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	if rv.point {
-		for i, x := range xs {
-			if x >= rv.lo {
-				out[i] = 1
-			}
-		}
-		return out
-	}
-	h := rv.Step()
-	cum := numeric.CumTrapezoid(rv.pdf, h)
-	total := cum[len(cum)-1]
-	for i, x := range xs {
-		switch {
-		case x <= rv.lo:
-			out[i] = 0
-		case x >= rv.hi:
-			out[i] = 1
-		default:
-			pos := (x - rv.lo) / h
-			j := int(pos)
-			if j >= len(cum)-1 {
-				out[i] = 1
-				continue
-			}
-			frac := pos - float64(j)
-			v := cum[j] + frac*(cum[j+1]-cum[j])
-			if total > 0 {
-				v /= total
-			}
-			out[i] = numeric.Clamp(v, 0, 1)
-		}
-	}
-	return out
 }
 
 // Mean returns E[X] via Simpson integration of x·f(x), normalized by
@@ -325,8 +289,11 @@ func (rv *Numeric) Entropy() float64 {
 }
 
 // Quantile returns the smallest x with CDF(x) >= p (p clamped to
-// [0,1]).
+// [0,1]), and NaN for a NaN p.
 func (rv *Numeric) Quantile(p float64) float64 {
+	if math.IsNaN(p) {
+		return p
+	}
 	p = numeric.Clamp(p, 0, 1)
 	if rv.point {
 		return rv.lo
@@ -369,147 +336,32 @@ func (rv *Numeric) Resample(n int) *Numeric {
 	return out
 }
 
-// resampleStep resamples rv to the given step size, returning the grid
-// values; guarantees at least 2 points.
-func (rv *Numeric) resampleStep(h float64) []float64 {
-	n := int(math.Round((rv.hi-rv.lo)/h)) + 1
-	if n < 2 {
-		n = 2
-	}
-	sp, err := numeric.NewSpline(rv.XGrid(), rv.pdf)
-	if err != nil {
-		return []float64{0, 0}
-	}
-	out := sp.Resample(rv.lo, rv.hi, n)
-	for i, v := range out {
-		if v < 0 {
-			out[i] = 0
-		}
-	}
-	return out
-}
-
 // Add returns the distribution of X+Y assuming independence, by
-// convolving the densities (FFT / overlap-add) and resampling the result
-// to gridSize points. gridSize <= 0 selects DefaultGridSize. The
-// intermediate grid uses the reference work-grid cap; AddAcc exposes
-// the cap as part of an EvalAccuracy.
+// convolving the densities and resampling the result to gridSize
+// points. gridSize <= 0 selects DefaultGridSize. The intermediate grid
+// uses the reference work-grid cap; AddAcc exposes the cap as part of
+// an EvalAccuracy.
 func (rv *Numeric) Add(other *Numeric, gridSize int) *Numeric {
 	return rv.AddAcc(other, EvalAccuracy{GridSize: gridSize})
 }
 
-// AddAcc is Add under an explicit accuracy contract: the result density
-// has acc.GridSize samples and the intermediate convolution grid is
-// capped at acc.WorkGrid points. AddAcc with a reference accuracy is
-// bit-identical to Add.
+// AddAcc is Add under an explicit accuracy contract, computed by
+// Ops.AddAcc in a fresh workspace.
 func (rv *Numeric) AddAcc(other *Numeric, acc EvalAccuracy) *Numeric {
-	acc = acc.Canon()
-	gridSize := acc.GridSize
-	if rv.point {
-		return other.Shift(rv.lo)
-	}
-	if other.point {
-		return rv.Shift(other.lo)
-	}
-	lo := rv.lo + other.lo
-	hi := rv.hi + other.hi
-	h := math.Min(rv.Step(), other.Step())
-	if w, wcap := hi-lo, float64(acc.WorkGrid); w/h > wcap {
-		h = w / wcap
-	}
-	pa := rv.resampleStep(h)
-	pb := other.resampleStep(h)
-	conv := numeric.Convolve(pa, pb)
-	for i := range conv {
-		conv[i] *= h
-		if conv[i] < 0 {
-			conv[i] = 0
-		}
-	}
-	// The convolution grid spans [lo, lo+(len-1)h]; resample onto the
-	// requested grid over the exact support.
-	convHi := lo + float64(len(conv)-1)*h
-	xs := numeric.Linspace(lo, convHi, len(conv))
-	sp, err := numeric.NewSpline(xs, conv)
-	if err != nil {
-		return NewPoint((lo + hi) / 2)
-	}
-	out := &Numeric{lo: lo, hi: hi, pdf: sp.Resample(lo, hi, gridSize)}
-	out.clampNormalize()
-	return out
+	return new(Ops).AddAcc(rv, other, acc)
 }
 
-// MaxAcc is MaxWith under an explicit accuracy contract. The maximum
-// never builds an intermediate grid, so only acc.GridSize matters;
-// MaxAcc with a reference accuracy is bit-identical to MaxWith.
+// MaxAcc is MaxWith under an explicit accuracy contract, computed by
+// Ops.MaxAcc in a fresh workspace. Only acc.GridSize matters.
 func (rv *Numeric) MaxAcc(other *Numeric, acc EvalAccuracy) *Numeric {
-	return rv.MaxWith(other, acc.Canon().GridSize)
+	return new(Ops).MaxAcc(rv, other, acc)
 }
 
-// MaxWith returns the distribution of max(X, Y) assuming independence:
-// F(x) = F_X(x)·F_Y(x), densified by f = f_X·F_Y + F_X·f_Y on a
-// gridSize-point grid. gridSize <= 0 selects DefaultGridSize.
+// MaxWith returns the distribution of max(X, Y) assuming independence
+// on a gridSize-point grid (<= 0 selects DefaultGridSize), computed by
+// Ops.MaxAcc in a fresh workspace.
 func (rv *Numeric) MaxWith(other *Numeric, gridSize int) *Numeric {
-	if gridSize <= 0 {
-		gridSize = DefaultGridSize
-	}
-	a, b := rv, other
-	// Point cases.
-	if a.point && b.point {
-		return NewPoint(math.Max(a.lo, b.lo))
-	}
-	if a.point {
-		a, b = b, a
-	}
-	if b.point {
-		c := b.lo
-		switch {
-		case c <= a.lo:
-			return a.Clone()
-		case c >= a.hi:
-			return NewPoint(c)
-		default:
-			// Truncate below c; the atom P(X<=c) is folded into the
-			// first grid cell (a documented approximation — in the
-			// scheduling pipeline constants only arise at 0, below any
-			// duration support).
-			atom := a.CDFAt(c)
-			n := gridSize
-			xs := numeric.Linspace(c, a.hi, n)
-			pdf := make([]float64, n)
-			for i, x := range xs {
-				pdf[i] = a.PDFAt(x)
-			}
-			h := (a.hi - c) / float64(n-1)
-			if h > 0 && atom > 0 {
-				pdf[0] += 2 * atom / h // triangle of mass `atom` at the left edge
-			}
-			out := &Numeric{lo: c, hi: a.hi, pdf: pdf}
-			out.clampNormalize()
-			return out
-		}
-	}
-	// Disjoint supports: one variable dominates.
-	if a.hi <= b.lo {
-		return b.Clone()
-	}
-	if b.hi <= a.lo {
-		return a.Clone()
-	}
-	lo := math.Max(a.lo, b.lo)
-	hi := math.Max(a.hi, b.hi)
-	xs := numeric.Linspace(lo, hi, gridSize)
-	fa := a.pdfOnGrid(xs)
-	fb := b.pdfOnGrid(xs)
-	Fa := a.CDFOnGrid(xs)
-	Fb := b.CDFOnGrid(xs)
-	pdf := make([]float64, gridSize)
-	for i := range xs {
-		pdf[i] = fa[i]*Fb[i] + Fa[i]*fb[i]
-	}
-	out := &Numeric{lo: lo, hi: hi, pdf: pdf}
-	out.clampNormalize()
-	return out
+	return rv.MaxAcc(other, EvalAccuracy{GridSize: gridSize})
 }
 
 // PDFOnGrid evaluates the density at each point of xs with a single

@@ -296,3 +296,31 @@ func TestCLTSelfSum(t *testing.T) {
 		}
 	}
 }
+
+// A NaN read of a CDF or a quantile is NaN. CDFTable.CDFAt used to
+// index its table at the minimum int for a NaN x, and Quantile
+// returned the upper end of the support for a NaN p.
+func TestNaNReadsAreNaN(t *testing.T) {
+	nan := math.NaN()
+	rv := FromDist(NewBetaUL(10, 1.3), 64)
+	point := NewPoint(3)
+	for name, v := range map[string]float64{
+		"CDFTable.CDFAt":       rv.CDFTable().CDFAt(nan),
+		"Numeric.CDFAt":        rv.CDFAt(nan),
+		"point CDFTable.CDFAt": point.CDFTable().CDFAt(nan),
+		"Quantile":             rv.Quantile(nan),
+		"point Quantile":       point.Quantile(nan),
+	} {
+		if !math.IsNaN(v) {
+			t.Errorf("%s(NaN) = %v, want NaN", name, v)
+		}
+	}
+	// Reads at and beyond the ends keep their values.
+	cdf := rv.CDFTable()
+	if cdf.CDFAt(rv.Lo()) != 0 || cdf.CDFAt(math.Inf(-1)) != 0 || cdf.CDFAt(rv.Hi()) != 1 {
+		t.Error("CDF at or beyond the support's ends changed")
+	}
+	if point.CDFAt(2) != 0 || point.CDFAt(3) != 1 {
+		t.Error("point CDF changed")
+	}
+}

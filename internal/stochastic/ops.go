@@ -6,13 +6,15 @@ import (
 	"repro/internal/numeric"
 )
 
-// Ops is a workspace for the two hot Numeric operators of the makespan
-// evaluation: AddAcc (convolution) and MaxAcc (CDF product). The
-// methods produce results bit-for-bit identical to Numeric.AddAcc and
-// Numeric.MaxAcc — they mirror the same floating-point operations in
-// the same order — but draw every intermediate grid from reusable
-// scratch and every result density from a free list fed by Recycle, so
-// a steady-state evaluation loop performs no per-operation allocations.
+// Ops implements the two operators of the makespan evaluation: AddAcc
+// (the sum of independent variables, by convolution) and MaxAcc (their
+// maximum, by CDF product). It is a workspace: every intermediate grid
+// comes from reusable scratch and every result density from a free list
+// fed by Recycle, so a steady-state evaluation loop performs no
+// per-operation allocations. No result depends on what the scratch or
+// the free list held before. Numeric's Add, AddAcc, MaxWith and MaxAcc
+// run it in a fresh workspace; ops_test.go keeps the allocating
+// statement of the same arithmetic as its oracle.
 //
 // An Ops value is not safe for concurrent use; evaluation pipelines
 // keep one per worker. Input variables are never mutated, so cached
@@ -83,13 +85,13 @@ func (o *Ops) Recycle(rv *Numeric) {
 	rv.pdf = nil
 }
 
-// Copy mirrors Numeric.Clone with the copy's density drawn from the
-// free list: the result is owned by the caller and may be Recycled.
+// Copy is Numeric.Clone with the copy's density drawn from the free
+// list: the result is owned by the caller and may be Recycled.
 // Dodin's cone duplication clones shared sub-structures through it so
 // the copies stay inside the workspace's buffer discipline.
 func (o *Ops) Copy(rv *Numeric) *Numeric { return o.copyOf(rv) }
 
-// copyOf mirrors Numeric.Clone with the copy drawn from the free list.
+// copyOf is Numeric.Clone with the copy drawn from the free list.
 func (o *Ops) copyOf(rv *Numeric) *Numeric {
 	out := &Numeric{lo: rv.lo, hi: rv.hi, point: rv.point}
 	if rv.pdf != nil {
@@ -99,7 +101,7 @@ func (o *Ops) copyOf(rv *Numeric) *Numeric {
 	return out
 }
 
-// shiftCopy mirrors Numeric.Shift (a clone translated by c).
+// shiftCopy is a copy of rv translated by c.
 func (o *Ops) shiftCopy(rv *Numeric, c float64) *Numeric {
 	out := o.copyOf(rv)
 	out.lo += c
@@ -107,16 +109,16 @@ func (o *Ops) shiftCopy(rv *Numeric, c float64) *Numeric {
 	return out
 }
 
-// fitOperand builds the workspace spline over rv's knot grid, mirroring
-// the spline every Numeric method constructs from XGrid()/pdf.
+// fitOperand builds the workspace spline over rv's knot grid, the
+// spline every Numeric method constructs from XGrid()/pdf.
 func (o *Ops) fitOperand(rv *Numeric) error {
 	xs := linspaceInto(grow(&o.knotXs, len(rv.pdf)), rv.lo, rv.hi)
 	return o.sp.Fit(xs, rv.pdf, &o.spline)
 }
 
-// resampleStepPair mirrors Numeric.resampleStep of a and of b at the
-// work step h into s.pa and s.pb, fitting the two operand splines as a
-// pair.
+// resampleStepPair resamples a and b by spline at the work step h into
+// s.pa and s.pb (at least 2 points each, negatives clamped to 0),
+// fitting the two operand splines as a pair.
 func (o *Ops) resampleStepPair(s *addScratch, a, b *Numeric, h float64) (pa, pb []float64) {
 	xa := linspaceInto(grow(&o.knotXs, len(a.pdf)), a.lo, a.hi)
 	xb := linspaceInto(grow(&o.knotXs2, len(b.pdf)), b.lo, b.hi)
@@ -124,8 +126,8 @@ func (o *Ops) resampleStepPair(s *addScratch, a, b *Numeric, h float64) (pa, pb 
 	return resampleFitted(&s.pa, &o.sp, errA, a, h), resampleFitted(&s.pb, &o.sp2, errB, b, h)
 }
 
-// resampleFitted finishes Numeric.resampleStep of rv into dst from sp,
-// already fitted over rv's knots with error err.
+// resampleFitted finishes the work-step resample of rv into dst from
+// sp, already fitted over rv's knots with error err.
 func resampleFitted(dst *[]float64, sp *numeric.Spline, err error, rv *Numeric, h float64) []float64 {
 	n := int(math.Round((rv.hi-rv.lo)/h)) + 1
 	if n < 2 {
@@ -145,8 +147,10 @@ func resampleFitted(dst *[]float64, sp *numeric.Spline, err error, rv *Numeric, 
 	return out
 }
 
-// addPlan is the support and work step of one non-point sum, as
-// Numeric.AddAcc derives them.
+// addPlan is the support and work step of one non-point sum: the
+// support is the sum of the operands' supports, and the step the finer
+// of their grid steps, coarsened until the support spans at most
+// acc.WorkGrid steps.
 type addPlan struct{ lo, hi, h float64 }
 
 func planAdd(a, b *Numeric, acc EvalAccuracy) addPlan {
@@ -187,10 +191,12 @@ func (o *Ops) addResult(sp *numeric.Spline, err error, p addPlan, gridSize int) 
 	return out
 }
 
-// AddAcc returns the distribution of a+b, bit-identical to
-// a.AddAcc(b, acc), with all intermediates drawn from the workspace: the
-// result density has acc.GridSize samples and the intermediate
-// convolution grid is capped at acc.WorkGrid points.
+// AddAcc returns the distribution of a+b assuming independence. A point
+// operand shifts the other; otherwise both densities are resampled onto
+// the common work step, convolved (numeric.ConvolveInto), and the
+// convolution is spline-resampled onto acc.GridSize samples over the
+// exact support. The intermediate convolution grid is capped at
+// acc.WorkGrid points.
 func (o *Ops) AddAcc(a, b *Numeric, acc EvalAccuracy) *Numeric {
 	acc = acc.Canon()
 	if a.point {
@@ -227,7 +233,7 @@ func (o *Ops) AddPairAcc(a1, b1, a2, b2 *Numeric, acc EvalAccuracy) (*Numeric, *
 	return o.addResult(&o.sp, err1, p1, acc.GridSize), o.addResult(&o.sp2, err2, p2, acc.GridSize)
 }
 
-// pdfOnGridInto mirrors Numeric.pdfOnGrid into dst.
+// pdfOnGridInto is Numeric.PDFOnGrid into dst.
 func (o *Ops) pdfOnGridInto(dst *[]float64, rv *Numeric, xs []float64) []float64 {
 	out := grow(dst, len(xs))
 	for i := range out {
@@ -251,7 +257,9 @@ func (o *Ops) pdfOnGridInto(dst *[]float64, rv *Numeric, xs []float64) []float64
 	return out
 }
 
-// cdfOnGridInto mirrors Numeric.CDFOnGrid into dst.
+// cdfOnGridInto evaluates rv's CDF at each point of xs into dst: the
+// cumulative trapezoidal integral of its density, interpolated linearly
+// and normalized by its total.
 func (o *Ops) cdfOnGridInto(dst *[]float64, rv *Numeric, xs []float64) []float64 {
 	out := grow(dst, len(xs))
 	if rv.point {
@@ -291,10 +299,12 @@ func (o *Ops) cdfOnGridInto(dst *[]float64, rv *Numeric, xs []float64) []float64
 	return out
 }
 
-// MaxAcc returns the distribution of max(x, y), bit-identical to
-// x.MaxAcc(y, acc), with all intermediates drawn from the workspace. The
-// maximum never builds an intermediate grid, so only acc.GridSize
-// matters.
+// MaxAcc returns the distribution of max(x, y) assuming independence:
+// F(x) = F_X(x)·F_Y(x), densified by f = f_X·F_Y + F_X·f_Y on an
+// acc.GridSize-point grid. The maximum never builds an intermediate
+// grid, so only acc.GridSize matters. A constant inside the other
+// operand's support truncates it, and disjoint supports return a copy
+// of the dominating operand.
 func (o *Ops) MaxAcc(x, y *Numeric, acc EvalAccuracy) *Numeric {
 	gridSize := acc.Canon().GridSize
 	a, b := x, y
@@ -314,9 +324,10 @@ func (o *Ops) MaxAcc(x, y *Numeric, acc EvalAccuracy) *Numeric {
 			return NewPoint(c)
 		default:
 			// Truncate below c; the atom P(X<=c) is folded into the
-			// first grid cell. The reference path evaluates PDFAt per
-			// grid point, rebuilding the same spline each time; one
-			// fit yields the same per-point values.
+			// first grid cell (a documented approximation — in the
+			// scheduling pipeline constants only arise at 0, below any
+			// duration support). One spline fit gives every grid
+			// point's PDFAt value.
 			atom := a.cdfTableInto(grow(&o.cum, len(a.pdf))).CDFAt(c)
 			n := gridSize
 			xs := linspaceInto(grow(&o.gridXs, n), c, a.hi)

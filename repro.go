@@ -227,10 +227,14 @@ func ComputeMetrics(scen *Scenario, s *Schedule) (Metrics, error) {
 }
 
 // ComputeMetricsWith is ComputeMetrics with explicit parameters and a
-// pre-computed distribution. The slack metrics come from the compiled
+// pre-computed distribution. The parameters must pass
+// MetricParams.Check. The slack metrics come from the compiled
 // evaluation model, so the schedule and the scenario's uncertainty
 // levels are checked as in ComputeMetrics.
 func ComputeMetricsWith(scen *Scenario, s *Schedule, rv *MakespanRV, p MetricParams) (Metrics, error) {
+	if err := p.Check(); err != nil {
+		return Metrics{}, err
+	}
 	m, err := makespan.NewEvalCache(scen, p.GridSize).Model(s)
 	if err != nil {
 		return Metrics{}, err

@@ -135,6 +135,35 @@ func TestComputeMetricsWithChecksLevels(t *testing.T) {
 	}
 }
 
+// ComputeMetricsWith must reject the δ and γ the probabilistic metrics
+// are undefined for. On Fig. 3's Cholesky case a NaN δ panicked in the
+// CDF lookup, δ = -1 silently gave A = 0, and γ = 0.5 or NaN silently
+// gave R = 0.
+func TestComputeMetricsWithRejectsBadParams(t *testing.T) {
+	scen, err := NewCholeskyScenario(3, 3, 1.1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := RandomSchedule(scen, 1)
+	rv, err := MakespanDistribution(scen, s, makespan.Classic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []MetricParams{
+		{Delta: nan, Gamma: 1.0003}, {Delta: -1, Gamma: 1.0003}, {Delta: inf, Gamma: 1.0003},
+		{Delta: 0.1, Gamma: 0.5}, {Delta: 0.1, Gamma: nan}, {Delta: 0.1, Gamma: inf},
+		{Delta: 0.1, Gamma: 0},
+	} {
+		if m, err := ComputeMetricsWith(scen, s, rv, p); err == nil {
+			t.Errorf("δ = %v, γ = %v accepted: A = %v, R = %v", p.Delta, p.Gamma, m.AbsProb, m.RelProb)
+		}
+	}
+	if _, err := ComputeMetricsWith(scen, s, rv, MetricParams{Delta: 0, Gamma: 1}); err != nil {
+		t.Errorf("δ = 0, γ = 1 rejected: %v", err)
+	}
+}
+
 func TestFacadeMethodsAgree(t *testing.T) {
 	scen, err := NewRandomScenario(15, 3, 1.1, 7)
 	if err != nil {
