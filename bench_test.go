@@ -118,42 +118,6 @@ func BenchmarkFFT1024(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationConvolution contrasts the three convolution
-// strategies on the 64-point densities the evaluation uses.
-func BenchmarkAblationConvolution(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	a64 := make([]float64, 64)
-	c64 := make([]float64, 64)
-	long := make([]float64, 2048)
-	for i := range a64 {
-		a64[i] = rng.Float64()
-		c64[i] = rng.Float64()
-	}
-	for i := range long {
-		long[i] = rng.Float64()
-	}
-	b.Run("direct-64x64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			numeric.ConvolveDirect(a64, c64)
-		}
-	})
-	b.Run("fft-64x64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			numeric.ConvolveFFT(a64, c64)
-		}
-	})
-	b.Run("fft-2048x64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			numeric.ConvolveFFT(long, a64)
-		}
-	})
-	b.Run("overlapadd-2048x64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			numeric.ConvolveOverlapAdd(long, a64)
-		}
-	})
-}
-
 // BenchmarkAblationGridSize sweeps the density grid resolution (the
 // paper settled on 64 points).
 func BenchmarkAblationGridSize(b *testing.B) {
@@ -162,7 +126,7 @@ func BenchmarkAblationGridSize(b *testing.B) {
 	for _, grid := range []int{32, 64, 128, 256} {
 		b.Run(itoa(grid), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := makespan.EvaluateClassic(scen, s, grid); err != nil {
+				if _, err := makespan.Evaluate(scen, s, makespan.Classic, grid); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -184,9 +148,11 @@ func BenchmarkAblationMaxMethod(b *testing.B) {
 	s := RandomSchedule(scen, 3)
 	b.Run("clark-spelde-full-dag", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := makespan.EvaluateSpelde(scen, s); err != nil {
+			m, err := makespan.NewEvalCache(scen, 0).Model(s)
+			if err != nil {
 				b.Fatal(err)
 			}
+			m.Spelde()
 		}
 	})
 }
@@ -483,7 +449,7 @@ func BenchmarkEvaluateClassic(b *testing.B) {
 	s := RandomSchedule(scen, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := makespan.EvaluateClassic(scen, s, 64); err != nil {
+		if _, err := makespan.Evaluate(scen, s, makespan.Classic, 64); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -494,7 +460,7 @@ func BenchmarkEvaluateDodin(b *testing.B) {
 	s := RandomSchedule(scen, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := makespan.EvaluateDodin(scen, s, 64); err != nil {
+		if _, err := makespan.Evaluate(scen, s, makespan.Dodin, 64); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -505,7 +471,7 @@ func BenchmarkEvaluateSpelde(b *testing.B) {
 	s := RandomSchedule(scen, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := makespan.EvaluateSpelde(scen, s); err != nil {
+		if _, err := makespan.Evaluate(scen, s, makespan.Spelde, 64); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -556,7 +522,7 @@ func BenchmarkKernelTable(b *testing.B) { benchKernel(b, stochastic.SamplerTable
 // and 100 000 table-mode realizations of it.
 func BenchmarkKSAgainstEmpirical(b *testing.B) {
 	sim := benchSim(b)
-	rv, err := makespan.EvaluateClassic(sim.Scenario(), sim.Schedule(), stochastic.DefaultGridSize)
+	rv, err := makespan.Evaluate(sim.Scenario(), sim.Schedule(), makespan.Classic, stochastic.DefaultGridSize)
 	if err != nil {
 		b.Fatal(err)
 	}

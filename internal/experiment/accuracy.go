@@ -132,6 +132,9 @@ func AccuracyStudyRun(cfg Config) (*AccuracyStudy, error) {
 	if err := cfg.ValidateEval(); err != nil {
 		return nil, err
 	}
+	if err := cfg.params().Check(); err != nil {
+		return nil, err
+	}
 	families := FamilyNames()
 	schedulesPerFamily := studySchedulesPerFamily(cfg)
 
@@ -168,14 +171,14 @@ func AccuracyStudyRun(cfg Config) (*AccuracyStudy, error) {
 			if err != nil {
 				return err
 			}
-			refVec := refModel.Metrics(cfg.params(stochastic.AccuracyReference)).Vector()
+			refVec := refModel.Metrics(cfg.params()).Vector()
 			into.samples++
-			for i, acc := range accs {
-				m, err := caches[i].Model(s)
+			for i, cache := range caches {
+				m, err := cache.Model(s)
 				if err != nil {
 					return err
 				}
-				vec := m.Metrics(cfg.params(acc)).Vector()
+				vec := m.Metrics(cfg.params()).Vector()
 				into.add(i, vec[:], refVec[:])
 			}
 			return nil

@@ -13,7 +13,7 @@ func TestConfigEvalAccuracyValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !acc.IsReference() {
+	if acc != stochastic.AccuracyReference {
 		t.Errorf("default config accuracy %+v, want reference", acc)
 	}
 	cfg.EvalAccuracy = "grid=48"

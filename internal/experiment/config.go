@@ -89,10 +89,11 @@ func BenchConfig() Config {
 	return c
 }
 
-// params converts the config into metric parameters on the density
-// grid of the resolved accuracy acc.
-func (c Config) params(acc stochastic.EvalAccuracy) robustness.Params {
-	return robustness.Params{Delta: c.Delta, Gamma: c.Gamma, GridSize: acc.GridSize}
+// params converts the config into metric parameters. Every driver that
+// computes metrics checks them (robustness.Params.Check) once, before
+// any schedule is evaluated or any cached case is served.
+func (c Config) params() robustness.Params {
+	return robustness.Params{Delta: c.Delta, Gamma: c.Gamma}
 }
 
 // EvalAccuracyValue resolves the EvalAccuracy spelling into its

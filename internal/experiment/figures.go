@@ -246,6 +246,9 @@ type Fig9Row struct {
 // i.i.d.) schedule is the most robust with no slack, while the
 // imbalanced schedule has ample slack and poor robustness.
 func Fig9(cfg Config, n int) ([]Fig9Row, error) {
+	if err := cfg.params().Check(); err != nil {
+		return nil, err
+	}
 	acc, err := cfg.EvalAccuracyValue()
 	if err != nil {
 		return nil, err
@@ -278,7 +281,7 @@ func Fig9(cfg Config, n int) ([]Fig9Row, error) {
 		if err != nil {
 			return Fig9Row{}, fmt.Errorf("experiment: fig9 %s: %w", name, err)
 		}
-		m := model.Metrics(cfg.params(acc))
+		m := model.Metrics(cfg.params())
 		return Fig9Row{Name: name, Slack: m.AvgSlack, StdDev: m.StdDev, Makespan: m.Makespan}, nil
 	}
 

@@ -1,0 +1,98 @@
+package experiment
+
+import (
+	"context"
+	"encoding/json"
+	"math"
+	"testing"
+
+	"repro/internal/runner"
+)
+
+// Every driver that computes metrics rejects a δ or γ the probabilistic
+// metrics are undefined for, before it evaluates a schedule or serves a
+// cached case. Unchecked, δ = −1 read A = 0 and γ = 0.5 read R = 0 for
+// every schedule, δ NaN read A = NaN and γ +Inf read R = 1.
+func TestDriversRejectBadMetricParams(t *testing.T) {
+	spec := Fig3Case(1)
+	ctx := context.Background()
+	drivers := []struct {
+		name string
+		run  func(*testing.T, Config) error
+	}{
+		{"RunCase", func(t *testing.T, cfg Config) error {
+			_, err := RunCase(spec, cfg)
+			return err
+		}},
+		{"RunCaseOn", func(t *testing.T, cfg Config) error {
+			pool := runner.NewPool(1)
+			defer pool.Close()
+			_, err := RunCaseOn(ctx, spec, cfg, pool)
+			return err
+		}},
+		{"RunCases", func(t *testing.T, cfg Config) error {
+			_, err := RunCases(ctx, []CaseSpec{spec}, cfg, RunOptions{})
+			return err
+		}},
+		// A cached result of the case must not be served, and the
+		// rejection must not be recorded as a failed case and skipped.
+		{"RunCases cached, keep going", func(t *testing.T, cfg Config) error {
+			cache, err := runner.OpenCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A non-finite δ or γ has no cache key, so no entry.
+			if key, err := CaseCacheKey(spec, cfg); err == nil {
+				data, err := json.Marshal(&CaseResult{Spec: spec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cache.Put(key, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err = RunCases(ctx, []CaseSpec{spec}, cfg, RunOptions{Cache: cache, KeepGoing: true})
+			return err
+		}},
+		{"AggregateCases", func(t *testing.T, cfg Config) error {
+			_, err := AggregateCases(ctx, []CaseSpec{spec}, cfg, RunOptions{})
+			return err
+		}},
+		{"Fig6Run", func(t *testing.T, cfg Config) error {
+			_, err := Fig6Run(ctx, cfg, RunOptions{})
+			return err
+		}},
+		{"Fig9", func(t *testing.T, cfg Config) error {
+			_, err := Fig9(cfg, 0)
+			return err
+		}},
+		{"VariableUL", func(t *testing.T, cfg Config) error {
+			_, err := VariableUL(cfg, 1)
+			return err
+		}},
+		{"OscillatingDurationsCase", func(t *testing.T, cfg Config) error {
+			_, err := OscillatingDurationsCase(cfg)
+			return err
+		}},
+		{"AccuracyStudyRun", func(t *testing.T, cfg Config) error {
+			_, err := AccuracyStudyRun(cfg)
+			return err
+		}},
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			for _, bad := range []struct{ delta, gamma float64 }{
+				{-1, 1.0003}, {nan, 1.0003}, {inf, 1.0003},
+				{0.1, 0.5}, {0.1, nan}, {0.1, inf},
+			} {
+				cfg := DefaultConfig()
+				cfg.Schedules = 5
+				cfg.Delta, cfg.Gamma = bad.delta, bad.gamma
+				if err := d.run(t, cfg); err == nil {
+					t.Errorf("accepted δ = %v, γ = %v", bad.delta, bad.gamma)
+				}
+			}
+		})
+	}
+}

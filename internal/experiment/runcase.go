@@ -76,7 +76,7 @@ func evaluateOne(cache *makespan.EvalCache, s *schedule.Schedule, cfg Config) (r
 	if err != nil {
 		return robustness.Metrics{}, err
 	}
-	return m.Metrics(cfg.params(cache.Accuracy())), nil
+	return m.Metrics(cfg.params()), nil
 }
 
 // RunCase executes one correlation case: it generates the scenario,
@@ -96,6 +96,9 @@ func RunCase(spec CaseSpec, cfg Config) (*CaseResult, error) {
 // written into index-addressed slots, so they are identical for every
 // worker count.
 func RunCaseOn(ctx context.Context, spec CaseSpec, cfg Config, pool *runner.Pool) (*CaseResult, error) {
+	if err := cfg.params().Check(); err != nil {
+		return nil, err
+	}
 	acc, err := cfg.EvalAccuracyValue()
 	if err != nil {
 		return nil, err

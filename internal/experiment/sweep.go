@@ -105,6 +105,9 @@ func CaseCacheKey(spec CaseSpec, cfg Config) (string, error) {
 // RunCase always agree); ad-hoc sweeps that don't want to
 // hand-number their cases can seed them with WithDerivedSeed first.
 func RunCases(ctx context.Context, specs []CaseSpec, cfg Config, opts RunOptions) ([]*CaseResult, error) {
+	if err := cfg.params().Check(); err != nil {
+		return nil, err
+	}
 	pool := opts.Pool
 	if pool == nil {
 		pool = runner.NewPool(cfg.workers())

@@ -85,6 +85,9 @@ func VariableUL(cfg Config, lambda float64) (*VariableULResult, error) {
 	if err := heuristics.CheckLambda(lambda); err != nil {
 		return nil, err
 	}
+	if err := cfg.params().Check(); err != nil {
+		return nil, err
+	}
 	acc, err := cfg.EvalAccuracyValue()
 	if err != nil {
 		return nil, err
@@ -187,6 +190,9 @@ func VariableUL(cfg Config, lambda float64) (*VariableULResult, error) {
 // matrix over the random schedules so callers can verify the metric
 // equivalences survive the distribution swap.
 func OscillatingDurationsCase(cfg Config) (*CaseResult, error) {
+	if err := cfg.params().Check(); err != nil {
+		return nil, err
+	}
 	acc, err := cfg.EvalAccuracyValue()
 	if err != nil {
 		return nil, err

@@ -38,7 +38,7 @@ func TestEvalModelDegenerateAtEveryPreset(t *testing.T) {
 	s2.Assign(1, 0)
 	s2.Assign(2, 1)
 	s2.Assign(3, 0)
-	refDet, err := makespan.EvaluateClassic(det, s2, 64)
+	refDet, err := makespan.Evaluate(det, s2, makespan.Classic, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,9 @@
 // independence assumption — the method the paper's results were
 // produced with), Dodin's series-parallel reduction, and Spelde's
 // central-limit approximation (realized with Clark's moment formulas
-// for the maximum of normals). The Monte-Carlo ground truth lives in
-// the schedule package; this package wraps it for convenience.
+// for the maximum of normals). The Monte-Carlo ground truth is the
+// schedule package's RealizationKernel, which MonteCarloWith runs on a
+// scenario and schedule.
 //
 // Evaluation is compiled: EvalCache/EvalModel hold everything shared
 // per scenario and per schedule, so the paper's core experiment —
@@ -54,42 +55,31 @@ func (m Method) String() string {
 }
 
 // Evaluate computes the makespan distribution of schedule s under
-// scenario scen with the chosen method. gridSize <= 0 selects the
-// paper's 64-point densities.
+// scenario scen with the chosen method: the model's Classic or Dodin
+// density, or for Spelde the normal law of its moments (the CLT
+// justification of the method; a point when σ = 0). gridSize <= 0
+// selects the paper's 64-point densities. A Dodin reduction that cannot
+// finish returns its *ReductionError. One-shot entry: callers
+// evaluating many schedules of one scenario should build an EvalCache
+// once and request a Model per schedule, which amortizes the per-case
+// tables.
 func Evaluate(scen *platform.Scenario, s *schedule.Schedule, m Method, gridSize int) (*stochastic.Numeric, error) {
-	switch m {
-	case Classic:
-		return EvaluateClassic(scen, s, gridSize)
-	case Dodin:
-		return EvaluateDodin(scen, s, gridSize)
-	case Spelde:
-		res, err := EvaluateSpelde(scen, s)
-		if err != nil {
-			return nil, err
-		}
-		return res.RV(gridSize), nil
-	default:
+	if m < Classic || m > Spelde {
 		return nil, fmt.Errorf("makespan: unknown method %v", m)
 	}
-}
-
-// EvaluateClassic runs the classical algorithm through the compiled
-// evaluation model. One-shot convenience: callers evaluating many
-// schedules of one scenario should build an EvalCache once and request
-// a Model per schedule, which amortizes the per-case tables.
-func EvaluateClassic(scen *platform.Scenario, s *schedule.Schedule, gridSize int) (*stochastic.Numeric, error) {
-	m, err := NewEvalCache(scen, gridSize).Model(s)
+	model, err := NewEvalCache(scen, gridSize).Model(s)
 	if err != nil {
 		return nil, err
 	}
-	return m.Classic(), nil
-}
-
-// MonteCarlo draws count realizations of the schedule and returns the
-// empirical makespan distribution (the paper's ground truth with
-// count = 100 000). It runs the compiled batch kernel in exact mode,
-// which draws every variate with its distribution's own Sample; use
-// MonteCarloWith to select the faster table samplers.
-func MonteCarlo(scen *platform.Scenario, s *schedule.Schedule, count int, seed int64) (*stochastic.Empirical, error) {
-	return MonteCarloWith(scen, s, count, seed, MCOptions{})
+	switch m {
+	case Classic:
+		return model.Classic(), nil
+	case Dodin:
+		return model.Dodin()
+	}
+	sp := model.Spelde()
+	if sp.Std <= 0 {
+		return stochastic.NewPoint(sp.Mean), nil
+	}
+	return stochastic.FromDist(stochastic.Normal{Mu: sp.Mean, Sigma: sp.Std}, gridSize), nil
 }

@@ -3,10 +3,6 @@ package makespan
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/platform"
-	"repro/internal/schedule"
-	"repro/internal/stochastic"
 )
 
 // ReductionError is the typed failure of a series-parallel reduction:
@@ -34,20 +30,4 @@ func (e *ReductionError) Error() string {
 func IsReductionError(err error) bool {
 	var re *ReductionError
 	return errors.As(err, &re)
-}
-
-// EvaluateDodin evaluates the makespan distribution by Dodin's method
-// through the compiled evaluation model (EvalModel.Dodin): the
-// disjunctive graph is reduced by series convolutions and parallel
-// maxima, and non-series-parallel remainders are unlocked by
-// duplicating shared predecessors. A reduction that cannot finish
-// returns its *ReductionError; an invalid schedule returns a structural
-// error. One-shot convenience: callers evaluating many schedules of one
-// scenario should hold an EvalCache and call Model(s).Dodin() directly.
-func EvaluateDodin(scen *platform.Scenario, s *schedule.Schedule, gridSize int) (*stochastic.Numeric, error) {
-	m, err := NewEvalCache(scen, gridSize).Model(s)
-	if err != nil {
-		return nil, err
-	}
-	return m.Dodin()
 }

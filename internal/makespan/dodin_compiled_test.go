@@ -186,15 +186,15 @@ func TestReductionErrorTyped(t *testing.T) {
 	}
 }
 
-// EvaluateDodin must propagate non-reduction errors (invalid schedule)
-// instead of silently falling back to the classical method.
+// Evaluate(Dodin) must propagate non-reduction errors (invalid
+// schedule) instead of silently falling back to the classical method.
 func TestEvaluateDodinPropagatesStructuralErrors(t *testing.T) {
 	g := graphgen.Chain(3, 1)
 	scen := uniformScenario(g, 2, 10, 1.1)
 	incomplete := schedule.New(3, 2)
-	_, err := EvaluateDodin(scen, incomplete, 64)
+	_, err := Evaluate(scen, incomplete, Dodin, 64)
 	if err == nil {
-		t.Fatal("EvaluateDodin accepted an incomplete schedule")
+		t.Fatal("Evaluate(Dodin) accepted an incomplete schedule")
 	}
 	if IsReductionError(err) {
 		t.Errorf("invalid-schedule error misclassified as ReductionError: %v", err)

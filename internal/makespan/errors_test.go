@@ -11,30 +11,30 @@ import (
 	"repro/internal/stochastic"
 )
 
-// All three evaluators must reject schedules that do not fit the
-// scenario.
+// Every evaluation method and the Monte-Carlo engine must reject
+// schedules that do not fit the scenario.
 func TestEvaluatorsRejectBadInput(t *testing.T) {
 	g := graphgen.Chain(3, 1)
 	scen := uniformScenario(g, 2, 10, 1.1)
 
 	incomplete := schedule.New(3, 2) // nothing assigned
-	if _, err := EvaluateClassic(scen, incomplete, 64); err == nil {
+	if _, err := Evaluate(scen, incomplete, Classic, 64); err == nil {
 		t.Error("classic accepted incomplete schedule")
 	}
-	if _, err := EvaluateDodin(scen, incomplete, 64); err == nil {
+	if _, err := Evaluate(scen, incomplete, Dodin, 64); err == nil {
 		t.Error("dodin accepted incomplete schedule")
 	}
-	if _, err := EvaluateSpelde(scen, incomplete); err == nil {
+	if _, err := Evaluate(scen, incomplete, Spelde, 64); err == nil {
 		t.Error("spelde accepted incomplete schedule")
 	}
-	if _, err := MonteCarlo(scen, incomplete, 10, 1); err == nil {
+	if _, err := MonteCarloWith(scen, incomplete, 10, 1, MCOptions{}); err == nil {
 		t.Error("monte carlo accepted incomplete schedule")
 	}
 
 	wrongSize := schedule.New(2, 2)
 	wrongSize.Assign(0, 0)
 	wrongSize.Assign(1, 1)
-	if _, err := EvaluateClassic(scen, wrongSize, 64); err == nil {
+	if _, err := Evaluate(scen, wrongSize, Classic, 64); err == nil {
 		t.Error("classic accepted wrong-size schedule")
 	}
 }
@@ -55,15 +55,9 @@ func TestEvaluatorsWithProcUL(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := heuristics.RandomSchedule(noisy, rng)
-	cls, err := EvaluateClassic(noisy, s, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := EvaluateSpelde(noisy, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emp, err := MonteCarlo(noisy, s, 30000, 7)
+	model := modelFor(t, noisy, s)
+	cls, sp := model.Classic(), model.Spelde()
+	emp, err := MonteCarloWith(noisy, s, 30000, 7, MCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +81,11 @@ func TestClassicWithCustomDurFn(t *testing.T) {
 		}
 	}
 	s := allOnProc(t, g, 1, 0)
-	rv, err := EvaluateClassic(scen, s, 128)
+	rv, err := Evaluate(scen, s, Classic, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emp, err := MonteCarlo(scen, s, 50000, 9)
+	emp, err := MonteCarloWith(scen, s, 50000, 9, MCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +105,7 @@ func TestDodinStrictOnSPStructures(t *testing.T) {
 	g := graphgen.Chain(4, 0)
 	scen := uniformScenario(g, 1, 10, 1.3)
 	s := allOnProc(t, g, 1, 0)
-	rv, err := EvaluateDodin(scen, s, 64)
+	rv, err := Evaluate(scen, s, Dodin, 64)
 	if err != nil {
 		t.Fatalf("strict Dodin failed on a chain: %v", err)
 	}
@@ -127,7 +121,7 @@ func TestDodinStrictOnSPStructures(t *testing.T) {
 	s2.Assign(2, 1)
 	s2.Assign(3, 2)
 	s2.Assign(4, 0)
-	if _, err := EvaluateDodin(scen2, s2, 64); err != nil {
+	if _, err := Evaluate(scen2, s2, Dodin, 64); err != nil {
 		t.Fatalf("strict Dodin failed on fork-join: %v", err)
 	}
 }
@@ -149,7 +143,7 @@ func TestDodinStrictOnRandomSchedules(t *testing.T) {
 			UL: 1.1,
 		}
 		s := heuristics.RandomSchedule(scen, rng)
-		rv, err := EvaluateDodin(scen, s, 64)
+		rv, err := Evaluate(scen, s, Dodin, 64)
 		if IsReductionError(err) {
 			continue
 		}
@@ -158,7 +152,7 @@ func TestDodinStrictOnRandomSchedules(t *testing.T) {
 		}
 		succeeded++
 		// When it succeeds it must agree with classic within tolerance.
-		cls, err := EvaluateClassic(scen, s, 64)
+		cls, err := Evaluate(scen, s, Classic, 64)
 		if err != nil {
 			t.Fatal(err)
 		}

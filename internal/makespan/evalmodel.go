@@ -551,9 +551,9 @@ func (m *EvalModel) arrivals(ops *stochastic.Ops, arr []*stochastic.Numeric, lo,
 	}
 }
 
-// Spelde propagates (µ, σ²) through the disjunctive order with Clark's
-// formulas, equal to the propagation on the rebuilt map-based
-// disjunctive graph (same moment values, same accumulation order).
+// Spelde propagates (µ, σ²) through the disjunctive order: sums add
+// moments, maxima use Clark's normal approximation. This is the fast
+// method of Ludwig, Möhring & Stork's study that the paper evaluates.
 func (m *EvalModel) Spelde() SpeldeResult {
 	d := m.d
 	n := d.N

@@ -364,7 +364,7 @@ func TestEvalModelDegenerateInputs(t *testing.T) {
 	s1 := schedule.New(1, 2)
 	s1.Assign(0, 1)
 	checkModelAgainstReferences(t, frozen, "single-task", makespan.NewEvalCache(single, 64), s1, 64)
-	rv, err := makespan.EvaluateClassic(single, s1, 64)
+	rv, err := makespan.Evaluate(single, s1, makespan.Classic, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestEvalModelDegenerateInputs(t *testing.T) {
 	s2.Assign(2, 1)
 	s2.Assign(3, 0)
 	checkModelAgainstReferences(t, frozen, "all-dirac", makespan.NewEvalCache(det, 64), s2, 64)
-	rv, err = makespan.EvaluateClassic(det, s2, 64)
+	rv, err = makespan.Evaluate(det, s2, makespan.Classic, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestEvalModelDegenerateInputs(t *testing.T) {
 	s3.Assign(1, 1)
 	s3.Assign(2, 0)
 	checkModelAgainstReferences(t, frozen, "zero-chain", makespan.NewEvalCache(zero, 64), s3, 64)
-	rv, err = makespan.EvaluateClassic(zero, s3, 64)
+	rv, err = makespan.Evaluate(zero, s3, makespan.Classic, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,11 +502,12 @@ func TestZeroMinCommMatchesMonteCarlo(t *testing.T) {
 	// cross-processor links (0.25 each) = 31.25.
 	const want = 3*10.25 + 2*0.25
 
-	rv, err := makespan.EvaluateClassic(scen, s, 64)
+	model, err := makespan.NewEvalCache(scen, 64).Model(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emp, err := makespan.MonteCarlo(scen, s, 100000, 17)
+	rv := model.Classic()
+	emp, err := makespan.MonteCarloWith(scen, s, 100000, 17, makespan.MCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,12 +519,74 @@ func TestZeroMinCommMatchesMonteCarlo(t *testing.T) {
 	if math.Abs(rv.Mean()-emp.Mean()) > 0.05 {
 		t.Errorf("classic mean %g diverges from MC %g: zero-min comm arcs dropped", rv.Mean(), emp.Mean())
 	}
-	sp, err := makespan.EvaluateSpelde(scen, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sp.Mean-want) > 1e-9 {
+	if sp := model.Spelde(); math.Abs(sp.Mean-want) > 1e-9 {
 		t.Errorf("Spelde mean %g, want exactly %g on a chain", sp.Mean, want)
+	}
+}
+
+// Evaluate is the one-shot entry over EvalModel: on Fig. 3's Cholesky
+// case it returns the model's Classic density and Dodin's density or
+// error bit for bit, and for Spelde the normal law of the model's
+// moments on the same grid, a point when UL is 1. An unknown method is
+// an error.
+func TestEvaluateDispatch(t *testing.T) {
+	const grid = 64
+	for _, ul := range []float64{1.01, 1} {
+		spec := experiment.Fig3Case(1)
+		spec.UL = ul
+		scen, err := spec.BuildScenario()
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := "UL " + ftoa(ul)
+		for seed := int64(0); seed < 4; seed++ {
+			s := heuristics.RandomSchedule(scen, rand.New(rand.NewSource(seed)))
+			model, err := makespan.NewEvalCache(scen, grid).Model(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := makespan.Evaluate(scen, s, makespan.Classic, grid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameRV(t, label+" classic", got, model.Classic())
+
+			got, err = makespan.Evaluate(scen, s, makespan.Dodin, grid)
+			want, wantErr := model.Dodin()
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("%s: Evaluate(Dodin) error %v, want %v", label, err, wantErr)
+			}
+			if err == nil {
+				assertSameRV(t, label+" dodin", got, want)
+			}
+
+			got, err = makespan.Evaluate(scen, s, makespan.Spelde, grid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := model.Spelde()
+			if ul == 1 {
+				if sp.Std != 0 || !got.IsPoint() || got.Lo() != sp.Mean {
+					t.Fatalf("%s: Evaluate(Spelde) = point %v at %v, want a point at %v (σ %v)", label, got.IsPoint(), got.Lo(), sp.Mean, sp.Std)
+				}
+				continue
+			}
+			assertSameRV(t, label+" spelde", got, stochastic.FromDist(stochastic.Normal{Mu: sp.Mean, Sigma: sp.Std}, grid))
+		}
+	}
+
+	// An unknown method is rejected before anything is built, so no
+	// scenario is needed.
+	for _, m := range []makespan.Method{-1, 99} {
+		if _, err := makespan.Evaluate(nil, nil, m, grid); err == nil {
+			t.Errorf("unknown method %v accepted", m)
+		}
+	}
+	if makespan.Classic.String() != "classic" || makespan.Dodin.String() != "dodin" || makespan.Spelde.String() != "spelde" {
+		t.Error("method names wrong")
+	}
+	if makespan.Method(99).String() == "" {
+		t.Error("unknown method should still print")
 	}
 }
 

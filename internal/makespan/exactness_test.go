@@ -53,7 +53,7 @@ func assertExact(t *testing.T, family string, seeds []int64, eval func(*makespan
 				if err != nil {
 					t.Fatalf("n=%d UL=%g seed %d: %v", n, ul, seed, err)
 				}
-				emp, err := makespan.MonteCarlo(scen, s, exactMCCount, 100)
+				emp, err := makespan.MonteCarloWith(scen, s, exactMCCount, 100, makespan.MCOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -57,11 +57,11 @@ func TestClassicChainMatchesMonteCarlo(t *testing.T) {
 	scen := uniformScenario(g, 1, 10, 1.3)
 	s := allOnProc(t, g, 1, 0)
 
-	rv, err := EvaluateClassic(scen, s, 64)
+	rv, err := Evaluate(scen, s, Classic, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emp, err := MonteCarlo(scen, s, 100000, 1)
+	emp, err := MonteCarloWith(scen, s, 100000, 1, MCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestClassicJoinMatchesMonteCarlo(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Assign(dag.Task(i), i)
 	}
-	rv, err := EvaluateClassic(scen, s, 64)
+	rv, err := Evaluate(scen, s, Classic, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emp, err := MonteCarlo(scen, s, 100000, 2)
+	emp, err := MonteCarloWith(scen, s, 100000, 2, MCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestClassicDeterministicCase(t *testing.T) {
 	s.Assign(0, 0)
 	s.Assign(1, 1)
 	s.Assign(2, 0)
-	rv, err := EvaluateClassic(scen, s, 64)
+	rv, err := Evaluate(scen, s, Classic, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestClassicDeterministicCase(t *testing.T) {
 func TestClassicRejectsInvalidSchedule(t *testing.T) {
 	g := graphgen.Chain(3, 1)
 	scen := uniformScenario(g, 2, 10, 1.1)
-	if _, err := EvaluateClassic(scen, schedule.New(3, 2), 64); err == nil {
+	if _, err := Evaluate(scen, schedule.New(3, 2), Classic, 64); err == nil {
 		t.Error("accepted incomplete schedule")
 	}
 }
@@ -163,17 +163,17 @@ func TestSpeldeChainMoments(t *testing.T) {
 
 func checkSpeldeMoments(t *testing.T, scen *platform.Scenario, s *schedule.Schedule, wantMean, wantStd float64) {
 	t.Helper()
-	res, err := EvaluateSpelde(scen, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := modelFor(t, scen, s).Spelde()
 	if !almostEqual(res.Mean, wantMean, 1e-9) {
 		t.Errorf("Spelde mean = %g, want %g", res.Mean, wantMean)
 	}
 	if !almostEqual(res.Std, wantStd, 1e-9) {
 		t.Errorf("Spelde std = %g, want %g", res.Std, wantStd)
 	}
-	rv := res.RV(64)
+	rv, err := Evaluate(scen, s, Spelde, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !almostEqual(rv.Mean(), wantMean, 0.1) {
 		t.Errorf("Spelde RV mean = %g, want %g", rv.Mean(), wantMean)
 	}
@@ -213,11 +213,8 @@ func TestSpeldeAgreesWithMonteCarloOnRealCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := EvaluateSpelde(scen, res.Schedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emp, err := MonteCarlo(scen, res.Schedule, 50000, 4)
+	sp := modelFor(t, scen, res.Schedule).Spelde()
+	emp, err := MonteCarloWith(scen, res.Schedule, 50000, 4, MCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +231,11 @@ func TestDodinChainEqualsClassic(t *testing.T) {
 	g := graphgen.Chain(4, 0)
 	scen := uniformScenario(g, 1, 10, 1.3)
 	s := allOnProc(t, g, 1, 0)
-	dod, err := EvaluateDodin(scen, s, 64)
+	dod, err := Evaluate(scen, s, Dodin, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cls, err := EvaluateClassic(scen, s, 64)
+	cls, err := Evaluate(scen, s, Classic, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +258,11 @@ func TestDodinForkJoin(t *testing.T) {
 	s.Assign(2, 1)
 	s.Assign(3, 2)
 	s.Assign(4, 0)
-	dod, err := EvaluateDodin(scen, s, 64)
+	dod, err := Evaluate(scen, s, Dodin, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emp, err := MonteCarlo(scen, s, 50000, 5)
+	emp, err := MonteCarloWith(scen, s, 50000, 5, MCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,40 +287,16 @@ func TestDodinGeneralGraphCloseToClassic(t *testing.T) {
 		UL: 1.1,
 	}
 	s := heuristics.RandomSchedule(scen, rng)
-	dod, err := EvaluateDodin(scen, s, 64)
+	dod, err := Evaluate(scen, s, Dodin, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cls, err := EvaluateClassic(scen, s, 64)
+	cls, err := Evaluate(scen, s, Classic, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(dod.Mean(), cls.Mean(), 0.05*cls.Mean()) {
 		t.Errorf("Dodin mean %g vs classic %g", dod.Mean(), cls.Mean())
-	}
-}
-
-func TestEvaluateDispatch(t *testing.T) {
-	g := graphgen.Chain(3, 0)
-	scen := uniformScenario(g, 1, 10, 1.2)
-	s := allOnProc(t, g, 1, 0)
-	for _, m := range []Method{Classic, Dodin, Spelde} {
-		rv, err := Evaluate(scen, s, m, 64)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if !almostEqual(rv.Mean(), 3*scen.TaskDist(0, 0).Mean(), 0.2) {
-			t.Errorf("%v mean = %g", m, rv.Mean())
-		}
-	}
-	if _, err := Evaluate(scen, s, Method(99), 64); err == nil {
-		t.Error("unknown method accepted")
-	}
-	if Classic.String() != "classic" || Dodin.String() != "dodin" || Spelde.String() != "spelde" {
-		t.Error("method names wrong")
-	}
-	if Method(99).String() == "" {
-		t.Error("unknown method should still print")
 	}
 }
 
@@ -339,11 +312,11 @@ func TestClassicOnRandomScheduleAgainstMC(t *testing.T) {
 		UL: 1.1,
 	}
 	s := heuristics.RandomSchedule(scen, rng)
-	rv, err := EvaluateClassic(scen, s, 64)
+	rv, err := Evaluate(scen, s, Classic, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emp, err := MonteCarlo(scen, s, 50000, 8)
+	emp, err := MonteCarloWith(scen, s, 50000, 8, MCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +347,7 @@ func TestMonteCarloKernelModes(t *testing.T) {
 	}
 	want := sim.Compile(stochastic.SamplerExact).Realizations(4000, 11, schedule.KernelOptions{})
 	sort.Float64s(want)
-	emp, err := MonteCarlo(scen, s, 4000, 11)
+	emp, err := MonteCarloWith(scen, s, 4000, 11, MCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

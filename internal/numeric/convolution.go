@@ -2,19 +2,6 @@ package numeric
 
 import "slices"
 
-// ConvolveDirect computes the full linear convolution of a and b by the
-// naive O(len(a)·len(b)) algorithm. The result has length
-// len(a)+len(b)-1. It is exact up to floating-point rounding and is the
-// reference implementation for the FFT-based variants. Every element of
-// a and b must be finite: the kernel also forms products with zeros that
-// the plain double loop skips or never reaches, and 0·Inf is NaN.
-func ConvolveDirect(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	return convolveDirectInto(make([]float64, len(a)+len(b)-1), a, b, &ConvScratch{})
-}
-
 // dotBlock is the number of outputs one dotBlocks pass computes: six
 // two-lane accumulators in dot_amd64.s, which hardcodes it.
 const dotBlock = 12
@@ -102,19 +89,9 @@ func (ws *ConvScratch) grow(n int) (are, aim, bre, bim []float64) {
 	return ws.are[:n], ws.aim[:n], ws.bre[:n], ws.bim[:n]
 }
 
-// ConvolveFFT computes the full linear convolution of a and b using a
-// single zero-padded FFT of size NextPow2(len(a)+len(b)-1).
-func ConvolveFFT(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	outLen := len(a) + len(b) - 1
-	return convolveFFTInto(make([]float64, outLen), a, b, &ConvScratch{})
-}
-
-// convolveFFTInto is ConvolveFFT writing into out (length
-// len(a)+len(b)-1) using ws for the transforms. Bit-identical to
-// ConvolveFFT.
+// convolveFFTInto writes the full linear convolution of a and b into
+// out (length len(a)+len(b)-1) by a single zero-padded FFT of size
+// NextPow2(len(a)+len(b)-1), using ws for the transforms.
 func convolveFFTInto(out, a, b []float64, ws *ConvScratch) []float64 {
 	outLen := len(a) + len(b) - 1
 	n := NextPow2(outLen)
@@ -137,23 +114,14 @@ func convolveFFTInto(out, a, b []float64, ws *ConvScratch) []float64 {
 	return out
 }
 
-// ConvolveOverlapAdd computes the full linear convolution of signal with
-// kernel using the overlap-add method: the signal is cut into blocks,
-// each block is convolved with the kernel by FFT, and the partial results
-// are summed with the proper offsets. This is the optimization the paper
-// names for convolving long densities with short kernels. A block is 4x
-// the kernel length, rounded up to a power of two.
-func ConvolveOverlapAdd(signal, kernel []float64) []float64 {
-	if len(signal) == 0 || len(kernel) == 0 {
-		return nil
-	}
-	out := make([]float64, len(signal)+len(kernel)-1)
-	return convolveOverlapAddInto(out, signal, kernel, &ConvScratch{})
-}
-
-// convolveOverlapAddInto is ConvolveOverlapAdd writing into out (length
-// len(signal)+len(kernel)-1) using ws for the transforms. Bit-identical
-// to ConvolveOverlapAdd.
+// convolveOverlapAddInto writes the full linear convolution of signal
+// with kernel into out (length len(signal)+len(kernel)-1) by the
+// overlap-add method, using ws for the transforms: the signal is cut
+// into blocks, each block is convolved with the kernel by FFT, and the
+// partial results are summed with the proper offsets. This is the
+// optimization the paper names for convolving long densities with
+// short kernels. A block is 4x the kernel length, rounded up to a power
+// of two.
 func convolveOverlapAddInto(out, signal, kernel []float64, ws *ConvScratch) []float64 {
 	if len(kernel) > len(signal) {
 		signal, kernel = kernel, signal

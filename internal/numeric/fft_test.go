@@ -120,7 +120,7 @@ func TestFFTParseval(t *testing.T) {
 }
 
 func TestConvolveDirectKnown(t *testing.T) {
-	got := ConvolveDirect([]float64{1, 2, 3}, []float64{4, 5})
+	got := fresh(convolveDirectInto, []float64{1, 2, 3}, []float64{4, 5})
 	want := []float64{4, 13, 22, 15}
 	if len(got) != len(want) {
 		t.Fatalf("length %d, want %d", len(got), len(want))
@@ -133,15 +133,6 @@ func TestConvolveDirectKnown(t *testing.T) {
 }
 
 func TestConvolveEmpty(t *testing.T) {
-	if ConvolveDirect(nil, []float64{1}) != nil {
-		t.Error("direct: expected nil for empty input")
-	}
-	if ConvolveFFT(nil, []float64{1}) != nil {
-		t.Error("fft: expected nil for empty input")
-	}
-	if ConvolveOverlapAdd(nil, []float64{1}) != nil {
-		t.Error("overlap-add: expected nil for empty input")
-	}
 	if ConvolveInto(nil, []float64{1}, nil, &ConvScratch{}) != nil {
 		t.Error("auto: expected nil for empty input")
 	}
@@ -161,10 +152,10 @@ func TestConvolveImplementationsAgree(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		ref := ConvolveDirect(a, b)
+		ref := fresh(convolveDirectInto, a, b)
 		for name, got := range map[string][]float64{
-			"fft":         ConvolveFFT(a, b),
-			"overlap-add": ConvolveOverlapAdd(a, b),
+			"fft":         fresh(convolveFFTInto, a, b),
+			"overlap-add": fresh(convolveOverlapAddInto, a, b),
 			"auto":        convolve(a, b),
 		} {
 			if len(got) != len(ref) {
@@ -218,8 +209,8 @@ func TestConvolveOverlapAddBlockSizes(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		ref := ConvolveDirect(a, b)
-		got := ConvolveOverlapAdd(a, b)
+		ref := fresh(convolveDirectInto, a, b)
+		got := fresh(convolveOverlapAddInto, a, b)
 		for i := range ref {
 			if !almostEqual(got[i], ref[i], 1e-8) {
 				t.Fatalf("kernel length %d: conv[%d] = %g, want %g", kl, i, got[i], ref[i])
@@ -231,8 +222,8 @@ func TestConvolveOverlapAddBlockSizes(t *testing.T) {
 func TestConvolveKernelLongerThanSignal(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 4, 5, 6, 7}
-	ref := ConvolveDirect(a, b)
-	got := ConvolveOverlapAdd(a, b)
+	ref := fresh(convolveDirectInto, a, b)
+	got := fresh(convolveOverlapAddInto, a, b)
 	for i := range ref {
 		if !almostEqual(got[i], ref[i], 1e-9) {
 			t.Fatalf("conv[%d] = %g, want %g", i, got[i], ref[i])

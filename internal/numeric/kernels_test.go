@@ -190,7 +190,7 @@ func FuzzConvolveDirect(f *testing.F) {
 		a := finiteVector(rng, 1+int(la)%600)
 		b := finiteVector(rng, 1+int(lb)%600)
 		want := oracleConvolveDirect(make([]float64, len(a)+len(b)-1), a, b)
-		sameBits(t, fmt.Sprint(len(a), len(b)), ConvolveDirect(a, b), want)
+		sameBits(t, fmt.Sprint(len(a), len(b)), fresh(convolveDirectInto, a, b), want)
 	})
 }
 
@@ -274,6 +274,39 @@ func BenchmarkConvolveDirect(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(b *testing.B) {
 			for b.Loop() {
 				sinkFloats = convolveDirectInto(out, x, y, ws)
+			}
+		})
+	}
+}
+
+// BenchmarkConvolveStrategies contrasts the three convolution
+// strategies on the 64-point densities the evaluation uses and on a
+// long signal with a 64-point kernel, the overlap-add regime.
+func BenchmarkConvolveStrategies(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	vec := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.Float64()
+		}
+		return v
+	}
+	a64, c64, long := vec(64), vec(64), vec(2048)
+	for _, bc := range []struct {
+		name string
+		into func(out, a, b []float64, ws *ConvScratch) []float64
+		x, y []float64
+	}{
+		{"direct-64x64", convolveDirectInto, a64, c64},
+		{"fft-64x64", convolveFFTInto, a64, c64},
+		{"fft-2048x64", convolveFFTInto, long, a64},
+		{"overlapadd-2048x64", convolveOverlapAddInto, long, a64},
+	} {
+		out := make([]float64, len(bc.x)+len(bc.y)-1)
+		ws := &ConvScratch{}
+		b.Run(bc.name, func(b *testing.B) {
+			for b.Loop() {
+				sinkFloats = bc.into(out, bc.x, bc.y, ws)
 			}
 		})
 	}

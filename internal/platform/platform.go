@@ -136,42 +136,11 @@ func NewUniformNetwork(m int, tau, lat float64) (tauM, latM [][]float64) {
 	return uniformMatrix(m, tau), uniformMatrix(m, lat)
 }
 
-// ETCParams parameterize the coefficient-of-variation-based ETC
-// generation of Ali et al. (the method the paper cites): first a task
-// vector q_i ~ Gamma(mean=MuTask, CV=VTask), then each row
-// ETC[i][j] ~ Gamma(mean=q_i, CV=VMach).
-type ETCParams struct {
-	MuTask float64 // average computation cost (paper: 20)
-	VTask  float64 // task heterogeneity (paper: 0.5)
-	VMach  float64 // machine heterogeneity (paper: 0.5)
-}
-
-// GenerateETC builds an n×m unrelated ETC matrix by the CV method.
-func GenerateETC(n, m int, p ETCParams, rng *rand.Rand) [][]float64 {
-	taskDist := stochastic.GammaFromMeanCV(p.MuTask, p.VTask)
-	etc := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		q := taskDist.Sample(rng)
-		if q < 1e-3 {
-			q = 1e-3
-		}
-		row := make([]float64, m)
-		machDist := stochastic.GammaFromMeanCV(q, p.VMach)
-		for j := 0; j < m; j++ {
-			v := machDist.Sample(rng)
-			if v < 1e-3 {
-				v = 1e-3
-			}
-			row[j] = v
-		}
-		etc[i] = row
-	}
-	return etc
-}
-
 // GenerateETCFromWeights builds the ETC matrix used for the random
-// graphs: the graph generator supplies per-task average costs, and each
-// processor draws Gamma(mean=weight_i, CV=VMach).
+// graphs by the coefficient-of-variation method of Ali et al. (the
+// method the paper cites): the graph generator supplies per-task
+// average costs, and each processor draws Gamma(mean=weight_i,
+// CV=vMach).
 func GenerateETCFromWeights(weights []float64, m int, vMach float64, rng *rand.Rand) [][]float64 {
 	etc := make([][]float64, len(weights))
 	for i, w := range weights {

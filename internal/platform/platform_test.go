@@ -10,12 +10,24 @@ import (
 	"repro/internal/stochastic"
 )
 
+// cvETC builds an n×m ETC by the coefficient-of-variation method of
+// the random graphs: n task weights from a Gamma of mean 20 and CV 0.5,
+// then each row from GenerateETCFromWeights at machine CV 0.5.
+func cvETC(n, m int, rng *rand.Rand) [][]float64 {
+	weights := make([]float64, n)
+	taskDist := stochastic.GammaFromMeanCV(20, 0.5)
+	for i := range weights {
+		weights[i] = taskDist.Sample(rng)
+	}
+	return GenerateETCFromWeights(weights, m, 0.5, rng)
+}
+
 func testPlatform(n, m int, seed int64) *Platform {
 	rng := rand.New(rand.NewSource(seed))
 	tau, lat := NewUniformNetwork(m, 1, 0)
 	return &Platform{
 		M:   m,
-		ETC: GenerateETC(n, m, ETCParams{MuTask: 20, VTask: 0.5, VMach: 0.5}, rng),
+		ETC: cvETC(n, m, rng),
 		Tau: tau,
 		Lat: lat,
 	}
@@ -95,7 +107,7 @@ func TestAverages(t *testing.T) {
 func TestGenerateETCStatistics(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n, m := 3000, 4
-	etc := GenerateETC(n, m, ETCParams{MuTask: 20, VTask: 0.5, VMach: 0.5}, rng)
+	etc := cvETC(n, m, rng)
 	var all []float64
 	for i := 0; i < n; i++ {
 		if len(etc[i]) != m {

@@ -19,9 +19,11 @@ import (
 
 // Params holds the metric hyper-parameters of §V.
 type Params struct {
-	Delta    float64 // absolute probabilistic half-width (paper: 0.1)
-	Gamma    float64 // relative probabilistic factor (paper: 1.0003)
-	GridSize int     // density grid (paper: 64); <= 0 selects the default
+	Delta float64 // absolute probabilistic half-width (paper: 0.1)
+	Gamma float64 // relative probabilistic factor (paper: 1.0003)
+	// GridSize is read by no metric: each metric reads the density it
+	// is given on that density's own grid, and the slacks need none.
+	GridSize int
 }
 
 // DefaultParams returns the paper's δ = 0.1, γ = 1.0003.

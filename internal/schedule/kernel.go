@@ -166,9 +166,6 @@ func (sim *Simulator) Compile(mode stochastic.SamplerMode) *RealizationKernel {
 	return k
 }
 
-// Mode returns the sampler mode the kernel was compiled with.
-func (k *RealizationKernel) Mode() stochastic.SamplerMode { return k.mode }
-
 // Slots returns the number of stochastic sample slots per realization
 // (zero for a fully deterministic schedule).
 func (k *RealizationKernel) Slots() int { return len(k.samplers) }

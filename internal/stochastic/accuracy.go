@@ -73,11 +73,6 @@ func (a EvalAccuracy) Canon() EvalAccuracy {
 	return a
 }
 
-// IsReference reports whether the accuracy (canonicalized) is the
-// paper's reference contract — the setting whose output is bit-identical
-// to the pre-EvalAccuracy evaluators.
-func (a EvalAccuracy) IsReference() bool { return a.Canon() == AccuracyReference }
-
 // String renders the canonical spelling: a preset name when the value
 // matches one, otherwise the explicit "grid=G,work=W" form. The output
 // round-trips through ParseEvalAccuracy.

@@ -10,12 +10,6 @@ func TestAccuracyCanonAndPresets(t *testing.T) {
 	if got := (EvalAccuracy{}).Canon(); got != AccuracyReference {
 		t.Errorf("Canon(zero) = %+v, want AccuracyReference %+v", got, AccuracyReference)
 	}
-	if !(EvalAccuracy{}).IsReference() {
-		t.Error("zero value must report IsReference")
-	}
-	if !AccuracyReference.IsReference() || AccuracyFast.IsReference() || AccuracyCoarse.IsReference() {
-		t.Error("IsReference must single out the reference preset")
-	}
 	if AccuracyReference.GridSize != DefaultGridSize || AccuracyReference.WorkGrid != DefaultMaxWorkGrid {
 		t.Errorf("AccuracyReference %+v does not match the package defaults", AccuracyReference)
 	}

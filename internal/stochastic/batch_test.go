@@ -14,8 +14,6 @@ func TestExactSamplersBitIdentical(t *testing.T) {
 		Dirac{Value: 3.5},
 		Uniform{Lo: 2, Hi: 5},
 		Normal{Mu: 10, Sigma: 2},
-		Exponential{Rate: 0.5},
-		LogNormal{Mu: 0.5, Sigma: 0.25},
 		NewBetaUL(10, 1.4),
 		Shifted{D: Uniform{Lo: 0, Hi: 1}, Off: 7},
 		NewSpecial(), // generic fallback

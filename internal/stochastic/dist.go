@@ -1,9 +1,10 @@
 // Package stochastic implements the random-variable substrate of the
-// study: parametric distributions (Beta, Gamma, Normal, Uniform, Dirac,
-// Exponential, LogNormal), numerically represented random variables on a
-// uniform PDF grid with sum (convolution) and maximum (CDF product)
-// operators, empirical distributions built from Monte-Carlo samples, and
-// the "special" concatenated-Beta distribution of Figure 7.
+// study: parametric distributions (Beta, Normal, Uniform, Dirac,
+// Shifted and the "special" concatenated-Beta distribution of
+// Figure 7), numerically represented random variables on a uniform PDF
+// grid with sum (convolution) and maximum (CDF product) operators,
+// empirical distributions built from Monte-Carlo samples, and the Gamma
+// sampler that draws the random graphs' task and machine weights.
 //
 // The paper models every uncertain duration as a right-skewed Beta(2,5)
 // random variable stretched over [min, min·UL], where UL is the
@@ -12,7 +13,6 @@
 package stochastic
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -145,80 +145,6 @@ func (n Normal) Support() (float64, float64) {
 	return n.Mu - 8*n.Sigma, n.Mu + 8*n.Sigma
 }
 
-// Exponential is the exponential distribution with the given Rate (> 0).
-type Exponential struct{ Rate float64 }
-
-// Sample draws an exponential variate by inversion.
-func (e Exponential) Sample(rng *rand.Rand) float64 {
-	return rng.ExpFloat64() / e.Rate
-}
-
-// Mean returns 1/Rate.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
-// Variance returns 1/Rate².
-func (e Exponential) Variance() float64 { return 1 / (e.Rate * e.Rate) }
-
-// PDF returns the exponential density.
-func (e Exponential) PDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return e.Rate * math.Exp(-e.Rate*x)
-}
-
-// CDF returns 1 - exp(-Rate x).
-func (e Exponential) CDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return 1 - math.Exp(-e.Rate*x)
-}
-
-// Support truncates where the CDF reaches 1-1e-12.
-func (e Exponential) Support() (float64, float64) {
-	return 0, -math.Log(1e-12) / e.Rate
-}
-
-// LogNormal is the distribution of exp(N(Mu, Sigma²)).
-type LogNormal struct{ Mu, Sigma float64 }
-
-// Sample draws a log-normal variate.
-func (l LogNormal) Sample(rng *rand.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
-}
-
-// Mean returns exp(Mu + Sigma²/2).
-func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// Variance returns (exp(Sigma²)-1)·exp(2Mu+Sigma²).
-func (l LogNormal) Variance() float64 {
-	s2 := l.Sigma * l.Sigma
-	return (math.Exp(s2) - 1) * math.Exp(2*l.Mu+s2)
-}
-
-// PDF returns the log-normal density.
-func (l LogNormal) PDF(x float64) float64 {
-	if x <= 0 || l.Sigma <= 0 {
-		return 0
-	}
-	z := (math.Log(x) - l.Mu) / l.Sigma
-	return math.Exp(-z*z/2) / (x * l.Sigma * math.Sqrt(2*math.Pi))
-}
-
-// CDF returns the log-normal CDF.
-func (l LogNormal) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return Normal{l.Mu, l.Sigma}.CDF(math.Log(x))
-}
-
-// Support truncates at exp(Mu ± 8 Sigma).
-func (l LogNormal) Support() (float64, float64) {
-	return math.Exp(l.Mu - 8*l.Sigma), math.Exp(l.Mu + 8*l.Sigma)
-}
-
 // Shifted translates a distribution by Off: the law of D + Off. It is
 // used to move zero-based families (like the oscillating Special
 // distribution) onto a duration interval [min, min·UL].
@@ -246,20 +172,4 @@ func (s Shifted) CDF(x float64) float64 { return s.D.CDF(x - s.Off) }
 func (s Shifted) Support() (float64, float64) {
 	lo, hi := s.D.Support()
 	return lo + s.Off, hi + s.Off
-}
-
-// Validate sanity-checks common distribution invariants and is used by
-// property tests: CDF monotone in [0,1], support ordered.
-func Validate(d Dist) error {
-	lo, hi := d.Support()
-	if lo > hi {
-		return fmt.Errorf("stochastic: support [%g,%g] inverted", lo, hi)
-	}
-	if math.IsNaN(d.Mean()) {
-		return fmt.Errorf("stochastic: NaN mean")
-	}
-	if d.Variance() < 0 {
-		return fmt.Errorf("stochastic: negative variance %g", d.Variance())
-	}
-	return nil
 }

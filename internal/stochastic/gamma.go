@@ -9,7 +9,8 @@ import (
 // mean Alpha·Theta. The experimental setup of the paper draws the
 // deterministic task and communication weights from a gamma distribution
 // parameterized by a mean and a coefficient of variation (Ali et al.),
-// see FromMeanCV.
+// see GammaFromMeanCV. It is only ever sampled, so it carries no
+// density and does not implement Dist.
 type Gamma struct {
 	Alpha float64 // shape, > 0
 	Theta float64 // scale, > 0
@@ -21,45 +22,6 @@ type Gamma struct {
 func GammaFromMeanCV(mean, v float64) Gamma {
 	alpha := 1 / (v * v)
 	return Gamma{Alpha: alpha, Theta: mean / alpha}
-}
-
-// Mean returns Alpha·Theta.
-func (g Gamma) Mean() float64 { return g.Alpha * g.Theta }
-
-// Variance returns Alpha·Theta².
-func (g Gamma) Variance() float64 { return g.Alpha * g.Theta * g.Theta }
-
-// PDF returns the gamma density.
-func (g Gamma) PDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x == 0 { //reprovet:allow floateq density special case at the exact support endpoint
-		if g.Alpha < 1 {
-			return math.Inf(1)
-		}
-		if g.Alpha == 1 { //reprovet:allow floateq Alpha is a configured parameter compared to its exact special-case value
-			return 1 / g.Theta
-		}
-		return 0
-	}
-	lg, _ := math.Lgamma(g.Alpha)
-	return math.Exp((g.Alpha-1)*math.Log(x) - x/g.Theta - lg - g.Alpha*math.Log(g.Theta))
-}
-
-// CDF returns the regularized lower incomplete gamma P(Alpha, x/Theta).
-func (g Gamma) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return RegIncGammaP(g.Alpha, x/g.Theta)
-}
-
-// Support truncates at the ~1e-12 upper quantile estimated from the
-// mean and standard deviation (mean + 12σ is ample for the shapes used
-// here).
-func (g Gamma) Support() (float64, float64) {
-	return 0, g.Mean() + 12*math.Sqrt(g.Variance())
 }
 
 // Sample draws a gamma variate using the Marsaglia–Tsang squeeze method

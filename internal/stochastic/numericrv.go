@@ -1,7 +1,6 @@
 package stochastic
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/numeric"
@@ -37,23 +36,6 @@ type Numeric struct {
 // NewPoint returns the degenerate variable concentrated at v.
 func NewPoint(v float64) *Numeric {
 	return &Numeric{lo: v, hi: v, point: true}
-}
-
-// FromPDF builds a numeric variable from density samples on a uniform
-// grid over [lo, hi]. The density is clamped at 0 and renormalized.
-func FromPDF(lo, hi float64, pdf []float64) (*Numeric, error) {
-	if hi < lo {
-		return nil, fmt.Errorf("stochastic: inverted support [%g,%g]", lo, hi)
-	}
-	if hi == lo { //reprovet:allow floateq exactly-degenerate support collapses to a point mass; any wider support discretizes
-		return NewPoint(lo), nil
-	}
-	if len(pdf) < 2 {
-		return nil, fmt.Errorf("stochastic: need at least 2 density samples, got %d", len(pdf))
-	}
-	rv := &Numeric{lo: lo, hi: hi, pdf: append([]float64(nil), pdf...)}
-	rv.clampNormalize()
-	return rv, nil
 }
 
 // FromDist discretizes d on an n-point grid over its support. Dirac
@@ -318,24 +300,6 @@ func (rv *Numeric) Quantile(p float64) float64 {
 	return rv.hi
 }
 
-// Resample returns the variable re-gridded to n points via cubic
-// splines.
-func (rv *Numeric) Resample(n int) *Numeric {
-	if rv.point {
-		return rv.Clone()
-	}
-	if n <= 1 {
-		n = 2
-	}
-	sp, err := numeric.NewSpline(rv.XGrid(), rv.pdf)
-	if err != nil {
-		return rv.Clone()
-	}
-	out := &Numeric{lo: rv.lo, hi: rv.hi, pdf: sp.Resample(rv.lo, rv.hi, n)}
-	out.clampNormalize()
-	return out
-}
-
 // Add returns the distribution of X+Y assuming independence, by
 // convolving the densities and resampling the result to gridSize
 // points. gridSize <= 0 selects DefaultGridSize. The intermediate grid
@@ -365,26 +329,9 @@ func (rv *Numeric) MaxWith(other *Numeric, gridSize int) *Numeric {
 }
 
 // PDFOnGrid evaluates the density at each point of xs with a single
-// spline construction (0 outside the support).
-func (rv *Numeric) PDFOnGrid(xs []float64) []float64 { return rv.pdfOnGrid(xs) }
-
-func (rv *Numeric) pdfOnGrid(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	if rv.point {
-		return out
-	}
-	sp, err := numeric.NewSpline(rv.XGrid(), rv.pdf)
-	if err != nil {
-		return out
-	}
-	for i, x := range xs {
-		if x < rv.lo || x > rv.hi {
-			continue
-		}
-		v := sp.At(x)
-		if v > 0 {
-			out[i] = v
-		}
-	}
-	return out
+// spline construction (0 outside the support), computed by Ops in a
+// fresh workspace.
+func (rv *Numeric) PDFOnGrid(xs []float64) []float64 {
+	var out []float64
+	return new(Ops).pdfOnGridInto(&out, rv, xs)
 }

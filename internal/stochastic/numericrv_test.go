@@ -222,52 +222,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	rv := FromDist(NewBetaUL(10, 1.5), 64)
-	re := rv.Resample(128)
-	if re.GridSize() != 128 {
-		t.Fatalf("resampled grid = %d, want 128", re.GridSize())
-	}
-	if !almostEqual(re.Mean(), rv.Mean(), 0.01) {
-		t.Errorf("resample changed mean: %g vs %g", re.Mean(), rv.Mean())
-	}
-	if !almostEqual(re.StdDev(), rv.StdDev(), 0.01) {
-		t.Errorf("resample changed stddev: %g vs %g", re.StdDev(), rv.StdDev())
-	}
-}
-
-func TestFromPDFValidation(t *testing.T) {
-	if _, err := FromPDF(1, 0, []float64{1, 1}); err == nil {
-		t.Error("accepted inverted support")
-	}
-	if _, err := FromPDF(0, 1, []float64{1}); err == nil {
-		t.Error("accepted single sample")
-	}
-	rv, err := FromPDF(0, 0, nil)
-	if err != nil || !rv.IsPoint() {
-		t.Error("zero-width support should be a point")
-	}
-	// Negative densities are clamped and the result normalized.
-	rv, err = FromPDF(0, 1, []float64{-5, 1, 1, -5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mass float64
-	grid := rv.PDFGrid()
-	h := rv.Step()
-	for i, v := range grid {
-		if v < 0 {
-			t.Error("negative density survived clamp")
-		}
-		if i > 0 {
-			mass += h * (grid[i-1] + grid[i]) / 2
-		}
-	}
-	if !almostEqual(mass, 1, 1e-9) {
-		t.Errorf("normalized mass = %g, want 1", mass)
-	}
-}
-
 func TestShift(t *testing.T) {
 	rv := FromDist(Uniform{0, 2}, 64)
 	sh := rv.Shift(10)
@@ -298,18 +252,22 @@ func TestCLTSelfSum(t *testing.T) {
 }
 
 // A NaN read of a CDF or a quantile is NaN. CDFTable.CDFAt used to
-// index its table at the minimum int for a NaN x, and Quantile
-// returned the upper end of the support for a NaN p.
+// index its table at the minimum int for a NaN x, Numeric.Quantile
+// returned the upper end of the support for a NaN p, Empirical.Quantile
+// the largest sample and Empirical.CDFAt 1.
 func TestNaNReadsAreNaN(t *testing.T) {
 	nan := math.NaN()
 	rv := FromDist(NewBetaUL(10, 1.3), 64)
 	point := NewPoint(3)
+	emp := NewEmpirical([]float64{3, 1, 2})
 	for name, v := range map[string]float64{
 		"CDFTable.CDFAt":       rv.CDFTable().CDFAt(nan),
 		"Numeric.CDFAt":        rv.CDFAt(nan),
 		"point CDFTable.CDFAt": point.CDFTable().CDFAt(nan),
 		"Quantile":             rv.Quantile(nan),
 		"point Quantile":       point.Quantile(nan),
+		"Empirical.CDFAt":      emp.CDFAt(nan),
+		"Empirical.Quantile":   emp.Quantile(nan),
 	} {
 		if !math.IsNaN(v) {
 			t.Errorf("%s(NaN) = %v, want NaN", name, v)
@@ -322,5 +280,8 @@ func TestNaNReadsAreNaN(t *testing.T) {
 	}
 	if point.CDFAt(2) != 0 || point.CDFAt(3) != 1 {
 		t.Error("point CDF changed")
+	}
+	if emp.CDFAt(math.Inf(-1)) != 0 || emp.CDFAt(3) != 1 || emp.Quantile(0) != 1 || emp.Quantile(1) != 3 {
+		t.Error("Empirical reads at or beyond the sample range changed")
 	}
 }

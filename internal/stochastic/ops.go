@@ -12,9 +12,9 @@ import (
 // comes from reusable scratch and every result density from a free list
 // fed by Recycle, so a steady-state evaluation loop performs no
 // per-operation allocations. No result depends on what the scratch or
-// the free list held before. Numeric's Add, AddAcc, MaxWith and MaxAcc
-// run it in a fresh workspace; ops_test.go keeps the allocating
-// statement of the same arithmetic as its oracle.
+// the free list held before. Numeric's Add, AddAcc, MaxWith, MaxAcc and
+// PDFOnGrid run it in a fresh workspace; ops_test.go keeps the
+// allocating statement of the same arithmetic as its oracle.
 //
 // An Ops value is not safe for concurrent use; evaluation pipelines
 // keep one per worker. Input variables are never mutated, so cached

@@ -10,8 +10,8 @@ import (
 
 // The oracle of Ops: the allocating Numeric operators that Ops mirrors
 // op for op, kept here verbatim but for the convolution call. Numeric's
-// Add and MaxWith now run Ops, so these are the one other statement of
-// the arithmetic.
+// Add, MaxWith and PDFOnGrid now run Ops, so these are the one other
+// statement of the arithmetic.
 
 // oracleAddAcc returns the distribution of rv+other assuming
 // independence: the result density has acc.GridSize samples and the
@@ -140,6 +140,29 @@ func (rv *Numeric) resampleStep(h float64) []float64 {
 	return out
 }
 
+// pdfOnGrid evaluates the density at each point of xs with a single
+// spline construction (0 outside the support).
+func (rv *Numeric) pdfOnGrid(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	if rv.point {
+		return out
+	}
+	sp, err := numeric.NewSpline(rv.XGrid(), rv.pdf)
+	if err != nil {
+		return out
+	}
+	for i, x := range xs {
+		if x < rv.lo || x > rv.hi {
+			continue
+		}
+		v := sp.At(x)
+		if v > 0 {
+			out[i] = v
+		}
+	}
+	return out
+}
+
 // cdfOnGrid evaluates the CDF at each point of xs.
 func (rv *Numeric) cdfOnGrid(xs []float64) []float64 {
 	out := make([]float64, len(xs))
@@ -255,6 +278,17 @@ func TestOpsBitIdenticalToNumeric(t *testing.T) {
 		q := NewPoint(rng.Float64() * 50)
 		sameRV(t, "max-pp", ops.MaxAcc(p, q, acc), p.oracleMaxWith(q, grid))
 		sameRV(t, "add-pp", ops.AddAcc(p, q, acc), p.oracleAddAcc(q, acc))
+
+		// PDFOnGrid, read past both ends of the support.
+		xs := numeric.Linspace(a.Lo()-1, a.Hi()+1, 1025)
+		for _, rv := range []*Numeric{a, p, ops.MaxAcc(a, b, acc)} {
+			got, want := rv.PDFOnGrid(xs), rv.pdfOnGrid(xs)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("PDFOnGrid(%v) = %v, want %v", xs[i], got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

@@ -93,18 +93,21 @@ func TestShiftedDistribution(t *testing.T) {
 			t.Fatalf("sample %g outside support", x)
 		}
 	}
-	if err := Validate(sh); err != nil {
-		t.Error(err)
-	}
 }
+
+// badDensity is a Uniform with its density replaced by f, to feed
+// FromDist a malformed density.
+type badDensity struct {
+	Uniform
+	f func(x float64) float64
+}
+
+func (d badDensity) PDF(x float64) float64 { return d.f(x) }
 
 // Failure injection: a density of all-zeros collapses to a point
 // rather than dividing by zero.
 func TestZeroMassCollapse(t *testing.T) {
-	rv, err := FromPDF(0, 1, []float64{0, 0, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rv := FromDist(badDensity{Uniform{Lo: 0, Hi: 1}, func(float64) float64 { return 0 }}, 4)
 	if !rv.IsPoint() {
 		t.Error("zero-mass density should collapse to a point")
 	}
@@ -113,18 +116,32 @@ func TestZeroMassCollapse(t *testing.T) {
 	}
 }
 
-// Failure injection: NaN densities are sanitized.
+// Failure injection: NaN and negative density samples are set to 0 and
+// the rest renormalized to unit mass.
 func TestNaNDensitySanitized(t *testing.T) {
-	rv, err := FromPDF(0, 1, []float64{math.NaN(), 1, 1, math.NaN()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range rv.PDFGrid() {
-		if math.IsNaN(v) {
-			t.Fatal("NaN survived sanitization")
+	for _, end := range []float64{math.NaN(), -5} {
+		rv := FromDist(badDensity{Uniform{Lo: 0, Hi: 1}, func(x float64) float64 {
+			if x <= 0 || x >= 1 {
+				return end
+			}
+			return 1
+		}}, 4)
+		grid := rv.PDFGrid()
+		h := rv.Step()
+		var mass float64
+		for i, v := range grid {
+			if math.IsNaN(v) || v < 0 {
+				t.Fatalf("density sample %v survived sanitization (ends %v)", v, end)
+			}
+			if i > 0 {
+				mass += h * (grid[i-1] + grid[i]) / 2
+			}
 		}
-	}
-	if math.IsNaN(rv.Mean()) || math.IsNaN(rv.Variance()) {
-		t.Error("NaN moments")
+		if !almostEqual(mass, 1, 1e-9) {
+			t.Errorf("normalized mass = %g, want 1 (ends %v)", mass, end)
+		}
+		if math.IsNaN(rv.Mean()) || math.IsNaN(rv.Variance()) {
+			t.Errorf("NaN moments (ends %v)", end)
+		}
 	}
 }

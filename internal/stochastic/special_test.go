@@ -26,7 +26,7 @@ func TestSpecialIsProperDistribution(t *testing.T) {
 	if s.CDF(-1) != 0 || s.CDF(41) != 1 {
 		t.Error("special CDF endpoints wrong")
 	}
-	checkMoments(t, "special", s, 200000, 0.1, 2.0)
+	checkMoments(t, "special", s.Sample, s.Mean(), s.Variance(), 200000, 0.1, 2.0)
 }
 
 func TestSpecialIsMultimodal(t *testing.T) {

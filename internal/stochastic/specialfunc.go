@@ -2,77 +2,16 @@ package stochastic
 
 import "math"
 
-// Special functions needed for the Gamma and Beta CDFs: the regularized
-// lower incomplete gamma P(a,x) and the regularized incomplete beta
-// I_x(a,b). Classic series/continued-fraction evaluations (Numerical
-// Recipes style), accurate to ~1e-12 over the ranges used here.
+// The special function behind the Beta CDF: the regularized incomplete
+// beta I_x(a,b), by the classic continued-fraction evaluation
+// (Numerical Recipes style), accurate to ~1e-12 over the ranges used
+// here.
 
 const (
 	sfMaxIter = 500
 	sfEps     = 3e-14
 	sfFPMin   = 1e-300
 )
-
-// RegIncGammaP returns the regularized lower incomplete gamma function
-// P(a, x) = γ(a,x)/Γ(a) for a > 0, x >= 0.
-func RegIncGammaP(a, x float64) float64 {
-	switch {
-	case x <= 0:
-		return 0
-	case math.IsInf(x, 1):
-		return 1
-	case x < a+1:
-		return gammaSeries(a, x)
-	default:
-		return 1 - gammaContinuedFraction(a, x)
-	}
-}
-
-// gammaSeries evaluates P(a,x) by its power series (x < a+1).
-func gammaSeries(a, x float64) float64 {
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < sfMaxIter; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*sfEps {
-			break
-		}
-	}
-	lg, _ := math.Lgamma(a)
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-// gammaContinuedFraction evaluates Q(a,x) = 1-P(a,x) by its continued
-// fraction (x >= a+1), using the modified Lentz algorithm.
-func gammaContinuedFraction(a, x float64) float64 {
-	b := x + 1 - a
-	c := 1 / sfFPMin
-	d := 1 / b
-	h := d
-	for i := 1; i <= sfMaxIter; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < sfFPMin {
-			d = sfFPMin
-		}
-		c = b + an/c
-		if math.Abs(c) < sfFPMin {
-			c = sfFPMin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < sfEps {
-			break
-		}
-	}
-	lg, _ := math.Lgamma(a)
-	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
 
 // RegIncBeta returns the regularized incomplete beta function
 // I_x(a, b) for a, b > 0 and x in [0,1].

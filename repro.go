@@ -187,7 +187,7 @@ func MakespanDistribution(scen *Scenario, s *Schedule, method makespan.Method) (
 // MonteCarlo draws count makespan realizations of s through the
 // compiled kernel in exact mode (SamplerExact).
 func MonteCarlo(scen *Scenario, s *Schedule, count int, seed int64) (*EmpiricalRV, error) {
-	return makespan.MonteCarlo(scen, s, count, seed)
+	return makespan.MonteCarloWith(scen, s, count, seed, MCOptions{})
 }
 
 // MonteCarloWith is MonteCarlo with explicit kernel options (e.g.
@@ -235,7 +235,7 @@ func ComputeMetricsWith(scen *Scenario, s *Schedule, rv *MakespanRV, p MetricPar
 	if err := p.Check(); err != nil {
 		return Metrics{}, err
 	}
-	m, err := makespan.NewEvalCache(scen, p.GridSize).Model(s)
+	m, err := makespan.NewEvalCache(scen, 0).Model(s)
 	if err != nil {
 		return Metrics{}, err
 	}
