@@ -1,6 +1,8 @@
 package schedule
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/graphgen"
 	"repro/internal/platform"
 	"repro/internal/stochastic"
+	"repro/internal/testdigest"
 )
 
 // randomSimulator builds a moderately sized random-scenario simulator
@@ -103,20 +106,60 @@ func requireExactMatchesOracle(t *testing.T, label string, sim *Simulator, count
 	}
 }
 
-// The kernel's exact mode at the default block size must reproduce the
-// per-sample oracle bit for bit, with sampled and constant durations.
-func TestKernelExactBitIdenticalToLegacy(t *testing.T) {
-	sims := []struct {
-		name string
-		sim  *Simulator
-	}{
+type namedSimulator struct {
+	name string
+	sim  *Simulator
+}
+
+// bitIdentitySimulators are the schedules the kernel's frozen results
+// are checked on: two random ones, and one that mixes constant and
+// sampled durations.
+func bitIdentitySimulators(t *testing.T) []namedSimulator {
+	t.Helper()
+	return []namedSimulator{
 		{"random-25x4", randomSimulator(t, 25, 4, 1.3, 3)},
 		{"random-40x6", randomSimulator(t, 40, 6, 2.5, 19)},
 		{"dirac-durations", randomSimulatorDur(t, 25, 3, 1.3, 31, diracEveryThird)},
 	}
-	for _, tc := range sims {
+}
+
+// The kernel's exact mode at the default block size must reproduce the
+// per-sample oracle bit for bit, with sampled and constant durations.
+func TestKernelExactBitIdenticalToLegacy(t *testing.T) {
+	for _, tc := range bitIdentitySimulators(t) {
 		for _, count := range []int{1, 100, DefaultBlockSize, 3000} {
 			requireExactMatchesOracle(t, tc.name, tc.sim, count, 42)
+		}
+	}
+}
+
+// floatsDigest hashes the bits of xs in order.
+func floatsDigest(xs []float64) string {
+	buf := make([]byte, 0, 8*len(xs))
+	for _, x := range xs {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+	}
+	return testdigest.Sum(buf)
+}
+
+// Table mode has no in-tree oracle, so its realizations and their
+// sorted empirical summary are frozen as digests: the sampler, its
+// random source and the sort may change only if every byte stays. The
+// block sizes do and do not divide the counts; the worker counts must
+// not matter.
+func TestKernelTableDigests(t *testing.T) {
+	digests := testdigest.Load(t)
+	for _, tc := range bitIdentitySimulators(t) {
+		k := tc.sim.Compile(stochastic.SamplerTable)
+		for _, block := range []int{64, DefaultBlockSize, 1024} {
+			for _, count := range []int{1, 100, DefaultBlockSize, 3000} {
+				for _, workers := range []int{1, 2} {
+					opt := KernelOptions{BlockSize: block, Workers: workers}
+					label := fmt.Sprintf("%s/b%d/n%d/w%d", tc.name, block, count, workers)
+					digests.Check(t, label+"/realizations", floatsDigest(k.Realizations(count, 42, opt)))
+					digests.Check(t, label+"/sorted", floatsDigest(k.Empirical(count, 42, opt).Sorted()))
+				}
+			}
 		}
 	}
 }
