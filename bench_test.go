@@ -3,9 +3,9 @@ package repro
 // One benchmark per table/figure of the paper (BenchmarkFig1..9), plus
 // micro-benchmarks, ablation benches for the numeric substrate, the
 // Monte-Carlo kernel in each sampler mode (BenchmarkKernel*), Fig. 1's
-// Monte-Carlo distance
-// (BenchmarkKSAgainstEmpirical) and BIL on wide FFTs
-// (BenchmarkBILWide). Run: go test -bench=. -benchmem
+// Monte-Carlo distance (BenchmarkKSAgainstEmpirical) and sort
+// (BenchmarkNewEmpirical), and BIL on wide FFTs (BenchmarkBILWide).
+// Run: go test -bench=. -benchmem
 
 import (
 	"context"
@@ -535,6 +535,23 @@ func BenchmarkKSAgainstEmpirical(b *testing.B) {
 
 // ksSink keeps BenchmarkKSAgainstEmpirical's result live.
 var ksSink float64
+
+// BenchmarkNewEmpirical times the sort that turns Fig. 1's Monte-Carlo
+// samples into an empirical distribution: NewEmpirical on 100 000
+// table-mode realizations of the Fig. 3 Cholesky schedule, copied into
+// the work slice (about 1% of the time) before each sort.
+func BenchmarkNewEmpirical(b *testing.B) {
+	samples := benchSim(b).Compile(stochastic.SamplerTable).Realizations(100000, 1, schedule.KernelOptions{})
+	work := make([]float64, len(samples))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, samples)
+		empSink = stochastic.NewEmpirical(work)
+	}
+}
+
+// empSink keeps BenchmarkNewEmpirical's result live.
+var empSink *stochastic.Empirical
 
 // BenchmarkMetrics times EvalModel.Metrics on a Fig. 3 Cholesky
 // schedule: the classical density, the slack vector and the metric

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/runner"
@@ -92,6 +93,39 @@ func TestDriversRejectBadMetricParams(t *testing.T) {
 				if err := d.run(t, cfg); err == nil {
 					t.Errorf("accepted δ = %v, γ = %v", bad.delta, bad.gamma)
 				}
+			}
+		})
+	}
+}
+
+// RunCases rejects an invalid EvalAccuracy or MCSampler once, before
+// any case runs. Checked per case instead, under KeepGoing each case
+// ran every retry with backoff and was recorded as failed, and RunCases
+// returned nil slots and a nil error, which AggregateCases then turned
+// into "stats: no matrices".
+func TestRunCasesRejectsBadConfigUpFront(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"EvalAccuracy", func(c *Config) { c.EvalAccuracy = "typo" }},
+		{"MCSampler", func(c *Config) { c.MCSampler = "typo" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Schedules = 5
+			cfg.MaxRetries = 2
+			tc.set(&cfg)
+			progress := 0
+			results, err := RunCases(context.Background(), []CaseSpec{Fig3Case(1), Fig3Case(2)}, cfg, RunOptions{
+				KeepGoing: true,
+				Progress:  func(done, total int, name string) { progress++ },
+			})
+			if err == nil || !strings.Contains(err.Error(), `"typo"`) {
+				t.Fatalf("RunCases = %d results, error %v; want the %s error", len(results), err, tc.name)
+			}
+			if progress != 0 {
+				t.Fatalf("%d cases reported progress before the error", progress)
 			}
 		})
 	}

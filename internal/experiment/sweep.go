@@ -105,7 +105,16 @@ func CaseCacheKey(spec CaseSpec, cfg Config) (string, error) {
 // RunCase always agree); ad-hoc sweeps that don't want to
 // hand-number their cases can seed them with WithDerivedSeed first.
 func RunCases(ctx context.Context, specs []CaseSpec, cfg Config, opts RunOptions) ([]*CaseResult, error) {
+	// Every case shares the configuration, so an error in it fails the
+	// sweep once, before any case runs, retries or is recorded as
+	// failed.
 	if err := cfg.params().Check(); err != nil {
+		return nil, err
+	}
+	if err := cfg.ValidateEval(); err != nil {
+		return nil, err
+	}
+	if err := cfg.ValidateMC(); err != nil {
 		return nil, err
 	}
 	pool := opts.Pool

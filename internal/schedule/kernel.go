@@ -1,7 +1,6 @@
 package schedule
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -170,14 +169,14 @@ func (sim *Simulator) Compile(mode stochastic.SamplerMode) *RealizationKernel {
 // (zero for a fully deterministic schedule).
 func (k *RealizationKernel) Slots() int { return len(k.samplers) }
 
-// kernelWorker is the reusable per-goroutine state of a run: one RNG
-// (reseeded per block), the structure-of-arrays sample block (one row
-// of block realizations per slot), and the finish rows of the timing
-// pass (one row of block realizations per task). Workers are pooled on
-// the kernel, so steady-state runs do not allocate per realization or
-// per call.
+// kernelWorker is the reusable per-goroutine state of a run: one
+// random source (reseeded per block), the structure-of-arrays sample
+// block (one row of block realizations per slot), and the finish rows
+// of the timing pass (one row of block realizations per task). Workers
+// are pooled on the kernel, so steady-state runs do not allocate per
+// realization or per call.
 type kernelWorker struct {
-	rng    *rand.Rand
+	src    *stochastic.Source
 	block  []float64
 	finish []float64
 }
@@ -187,7 +186,7 @@ type kernelWorker struct {
 func (k *RealizationKernel) getWorker(blockLen int) *kernelWorker {
 	w, _ := k.workerPool.Get().(*kernelWorker)
 	if w == nil {
-		w = &kernelWorker{rng: rand.New(rand.NewSource(0))}
+		w = &kernelWorker{src: stochastic.NewSource(0)}
 	}
 	if need := len(k.samplers) * blockLen; cap(w.block) < need {
 		w.block = make([]float64, need)
@@ -208,13 +207,13 @@ func (k *RealizationKernel) sampleBlock(w *kernelWorker, m int) {
 		for r := 0; r < m; r++ {
 			for s := range k.samplers {
 				off := s*m + r
-				k.samplers[s].SampleN(buf[off:off+1], w.rng)
+				k.samplers[s].SampleN(buf[off:off+1], w.src)
 			}
 		}
 		return
 	}
 	for s := range k.samplers {
-		k.samplers[s].SampleN(buf[s*m:(s+1)*m], w.rng)
+		k.samplers[s].SampleN(buf[s*m:(s+1)*m], w.src)
 	}
 }
 
@@ -319,7 +318,7 @@ func (k *RealizationKernel) RealizationsInto(out []float64, seed int64, opt Kern
 			}
 			lo := kb * block
 			ms := out[lo:min(lo+block, count)]
-			w.rng.Seed(bs[kb])
+			w.src.Seed(bs[kb])
 			k.sampleBlock(w, len(ms))
 			k.passBlock(w, ms)
 		}

@@ -226,14 +226,14 @@ func (k *RealizationKernel) legacyPass(w *kernelWorker, r, m int) float64 {
 func (k *RealizationKernel) legacyRealizations(count int, seed int64, block int) []float64 {
 	out := make([]float64, count)
 	w := &kernelWorker{
-		rng:    rand.New(rand.NewSource(0)),
+		src:    stochastic.NewSource(0),
 		block:  make([]float64, k.Slots()*min(block, count)),
 		finish: make([]float64, k.n),
 	}
 	for kb, bs := range blockSeeds(count, block, seed) {
 		lo := kb * block
 		m := min(block, count-lo)
-		w.rng.Seed(bs)
+		w.src.Seed(bs)
 		k.sampleBlock(w, m)
 		for r := 0; r < m; r++ {
 			out[lo+r] = k.legacyPass(w, r, m)

@@ -2,7 +2,6 @@ package stochastic
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 )
 
@@ -13,17 +12,17 @@ import (
 // table-driven samplers amortize their setup over a whole block of
 // realizations.
 type BatchSampler interface {
-	// SampleN fills dst with independent variates drawn from rng.
-	SampleN(dst []float64, rng *rand.Rand)
+	// SampleN fills dst with independent variates drawn from src.
+	SampleN(dst []float64, src *Source)
 }
 
 // SamplerMode selects how NewBatchSampler realizes a distribution.
 type SamplerMode int
 
 const (
-	// SamplerExact draws through the distribution's own Sample method,
-	// so the stream is bit-compatible with per-sample Dist.Sample
-	// calls on the same rng.
+	// SamplerExact draws through the distribution's own Sample method
+	// on src.Rand(), so the stream is bit-compatible with per-sample
+	// Dist.Sample calls on a math/rand source with the same seed.
 	SamplerExact SamplerMode = iota
 	// SamplerTable replaces the Beta rejection/ratio sampler with a
 	// precomputed inverse-CDF lookup table: one uniform draw and one
@@ -59,10 +58,10 @@ func ParseSamplerMode(s string) (SamplerMode, error) {
 }
 
 // NewBatchSampler returns a batch sampler for d under the given mode.
-// Exact-mode streams are bit-identical to looping d.Sample on the same
-// rng. Beta, the duration law of the paper's model, calls its concrete
-// Sample directly (devirtualized); distributions other than Dirac,
-// Beta and Shifted pay one interface call per variate.
+// Exact-mode streams are bit-identical to looping d.Sample on
+// src.Rand(). Beta, the duration law of the paper's model, calls its
+// concrete Sample directly (devirtualized); distributions other than
+// Dirac, Beta and Shifted pay one interface call per variate.
 func NewBatchSampler(d Dist, mode SamplerMode) BatchSampler {
 	switch v := d.(type) {
 	case Dirac:
@@ -81,7 +80,7 @@ func NewBatchSampler(d Dist, mode SamplerMode) BatchSampler {
 
 type constSampler struct{ v float64 }
 
-func (s constSampler) SampleN(dst []float64, _ *rand.Rand) {
+func (s constSampler) SampleN(dst []float64, _ *Source) {
 	for i := range dst {
 		dst[i] = s.v
 	}
@@ -89,7 +88,8 @@ func (s constSampler) SampleN(dst []float64, _ *rand.Rand) {
 
 type betaSampler struct{ d Beta }
 
-func (s betaSampler) SampleN(dst []float64, rng *rand.Rand) {
+func (s betaSampler) SampleN(dst []float64, src *Source) {
+	rng := src.Rand()
 	for i := range dst {
 		dst[i] = s.d.Sample(rng)
 	}
@@ -100,8 +100,8 @@ type shiftedSampler struct {
 	off   float64
 }
 
-func (s shiftedSampler) SampleN(dst []float64, rng *rand.Rand) {
-	s.inner.SampleN(dst, rng)
+func (s shiftedSampler) SampleN(dst []float64, src *Source) {
+	s.inner.SampleN(dst, src)
 	for i := range dst {
 		dst[i] += s.off
 	}
@@ -111,7 +111,8 @@ func (s shiftedSampler) SampleN(dst []float64, rng *rand.Rand) {
 // it pays the interface call per sample.
 type genericSampler struct{ d Dist }
 
-func (s genericSampler) SampleN(dst []float64, rng *rand.Rand) {
+func (s genericSampler) SampleN(dst []float64, src *Source) {
+	rng := src.Rand()
 	for i := range dst {
 		dst[i] = s.d.Sample(rng)
 	}
@@ -132,17 +133,40 @@ func newBetaTableSampler(b Beta) betaTableSampler {
 	return betaTableSampler{lo: b.Lo, width: b.Hi - b.Lo, q: unitBetaQuantiles()}
 }
 
-func (s betaTableSampler) SampleN(dst []float64, rng *rand.Rand) {
+// SampleN draws each variate from one uniform, the value
+// rand.New(src).Float64() returns, with src's generator run inline:
+// its indices stay in registers and no interface call is made.
+func (s betaTableSampler) SampleN(dst []float64, src *Source) {
 	q := s.q
+	tap, feed, vec := src.tap, src.feed, &src.vec
 	for i := range dst {
-		// rng.Float64() < 1, so cell < BetaTableSize and cell+1 is in
-		// range.
-		u := rng.Float64() * BetaTableSize
+		var f float64
+		for {
+			tap--
+			if tap < 0 {
+				tap += srcLen
+			}
+			feed--
+			if feed < 0 {
+				feed += srcLen
+			}
+			x := vec[feed] + vec[tap]
+			vec[feed] = x
+			// rand.Rand.Float64 redraws when the division rounds up
+			// to 1; it never exceeds 1.
+			f = float64(int64(x&srcMask)) / (1 << 63)
+			if f < 1 {
+				break
+			}
+		}
+		// f < 1, so cell < BetaTableSize and cell+1 is in range.
+		u := f * BetaTableSize
 		cell := int(u)
 		frac := u - float64(cell)
 		lo := q[cell]
 		dst[i] = s.lo + s.width*(lo+(q[cell+1]-lo)*frac)
 	}
+	src.tap, src.feed = tap, feed
 }
 
 // unitBetaQuantiles returns the quantiles of the unit Beta(2, 5) at

@@ -27,7 +27,7 @@ func TestExactSamplersBitIdentical(t *testing.T) {
 			want[i] = d.Sample(rngA)
 		}
 		got := make([]float64, n)
-		s.SampleN(got, rand.New(rand.NewSource(11)))
+		s.SampleN(got, NewSource(11))
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%T: sample %d = %v, want %v (not bit-identical)", d, i, got[i], want[i])
@@ -46,7 +46,7 @@ func TestBetaTableSamplerKS(t *testing.T) {
 	}
 	const n = 200000
 	samples := make([]float64, n)
-	s.SampleN(samples, rand.New(rand.NewSource(5)))
+	s.SampleN(samples, NewSource(5))
 	sort.Float64s(samples)
 	var ks float64
 	for i, x := range samples {
@@ -108,7 +108,7 @@ func TestShiftedTableSampler(t *testing.T) {
 	sh := Shifted{D: base, Off: 100}
 	s := NewBatchSampler(sh, SamplerTable)
 	dst := make([]float64, 1000)
-	s.SampleN(dst, rand.New(rand.NewSource(1)))
+	s.SampleN(dst, NewSource(1))
 	for _, x := range dst {
 		if x < base.Lo+100 || x > base.Hi+100 {
 			t.Fatalf("shifted sample %g outside [%g,%g]", x, base.Lo+100, base.Hi+100)
