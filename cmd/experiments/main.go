@@ -185,10 +185,7 @@ func main() {
 	if *evalAcc != "" {
 		cfg.EvalAccuracy = *evalAcc
 	}
-	if err := cfg.ValidateMC(); err != nil {
-		fatalf("%v", err)
-	}
-	if err := cfg.ValidateEval(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		fatalf("%v", err)
 	}
 	if *workers > 0 {

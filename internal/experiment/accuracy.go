@@ -129,10 +129,7 @@ func (a *errAccumulator) mean(i int) []float64 {
 // "Evaluation accuracy" numbers come from this report (cmd/experiments
 // -fig accuracy).
 func AccuracyStudyRun(cfg Config) (*AccuracyStudy, error) {
-	if err := cfg.ValidateEval(); err != nil {
-		return nil, err
-	}
-	if err := cfg.params().Check(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	families := FamilyNames()

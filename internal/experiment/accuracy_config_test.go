@@ -28,8 +28,8 @@ func TestConfigEvalAccuracyValue(t *testing.T) {
 	if _, err = cfg.EvalAccuracyValue(); err == nil {
 		t.Error("invalid accuracy spelling must be an error")
 	}
-	if cfg.ValidateEval() == nil {
-		t.Error("ValidateEval must reject an invalid spelling")
+	if cfg.Validate() == nil {
+		t.Error("Validate must reject an invalid spelling")
 	}
 }
 

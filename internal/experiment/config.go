@@ -6,10 +6,9 @@
 package experiment
 
 import (
-	"runtime"
+	"fmt"
 	"time"
 
-	"repro/internal/makespan"
 	"repro/internal/robustness"
 	"repro/internal/stochastic"
 )
@@ -19,7 +18,7 @@ import (
 type Config struct {
 	Schedules      int     // random schedules per case (paper: 10000, 2000 for n=100)
 	MCRealizations int     // Monte-Carlo realizations (paper: 100000)
-	Workers        int     // parallel workers; <= 0 selects GOMAXPROCS
+	Workers        int     // worker-pool size; <= 0 selects GOMAXPROCS
 	Seed           int64   // base RNG seed
 	Delta          float64 // absolute probabilistic half-width (paper: 0.1)
 	Gamma          float64 // relative probabilistic factor (paper: 1.0003)
@@ -63,7 +62,6 @@ func DefaultConfig() Config {
 	return Config{
 		Schedules:      150,
 		MCRealizations: 20000,
-		Workers:        runtime.GOMAXPROCS(0),
 		Seed:           1,
 		Delta:          0.1,
 		Gamma:          1.0003,
@@ -89,49 +87,49 @@ func BenchConfig() Config {
 	return c
 }
 
-// params converts the config into metric parameters. Every driver that
-// computes metrics checks them (robustness.Params.Check) once, before
-// any schedule is evaluated or any cached case is served.
+// params converts the config into metric parameters.
 func (c Config) params() robustness.Params {
 	return robustness.Params{Delta: c.Delta, Gamma: c.Gamma}
+}
+
+// Validate checks the fields every driver shares: δ and γ
+// (robustness.Params.Check), the EvalAccuracy and MCSampler spellings,
+// at least two random schedules per case (a correlation needs two) and
+// at least one Monte-Carlo realization. Every driver runs it before any
+// schedule is evaluated or any cached case is served, so one
+// configuration fails the same way in all of them.
+func (c Config) Validate() error {
+	_, _, err := c.validate()
+	return err
+}
+
+// validate is Validate returning the accuracy contract and the sampler
+// mode it parsed.
+func (c Config) validate() (stochastic.EvalAccuracy, stochastic.SamplerMode, error) {
+	if err := c.params().Check(); err != nil {
+		return stochastic.EvalAccuracy{}, 0, err
+	}
+	acc, err := c.EvalAccuracyValue()
+	if err != nil {
+		return acc, 0, err
+	}
+	mode, err := stochastic.ParseSamplerMode(c.MCSampler)
+	if err != nil {
+		return acc, mode, err
+	}
+	if c.Schedules < 2 {
+		return acc, mode, fmt.Errorf("experiment: %d random schedules per case, want at least 2", c.Schedules)
+	}
+	if c.MCRealizations < 1 {
+		return acc, mode, fmt.Errorf("experiment: %d Monte-Carlo realizations, want at least 1", c.MCRealizations)
+	}
+	return acc, mode, nil
 }
 
 // EvalAccuracyValue resolves the EvalAccuracy spelling into its
 // canonical contract (empty is the reference contract).
 func (c Config) EvalAccuracyValue() (stochastic.EvalAccuracy, error) {
 	return stochastic.ParseEvalAccuracy(c.EvalAccuracy)
-}
-
-// ValidateEval checks the EvalAccuracy spelling.
-func (c Config) ValidateEval() error {
-	_, err := c.EvalAccuracyValue()
-	return err
-}
-
-// mcOptions converts the config into Monte-Carlo kernel options. An
-// invalid MCSampler spelling is an error, never a silent fallback —
-// library callers get the same diagnostic the CLI's ValidateMC gives.
-func (c Config) mcOptions() (makespan.MCOptions, error) {
-	mode, err := stochastic.ParseSamplerMode(c.MCSampler)
-	if err != nil {
-		return makespan.MCOptions{}, err
-	}
-	return makespan.MCOptions{Sampler: mode, BlockSize: c.MCBlockSize, Workers: c.Workers}, nil
-}
-
-// ValidateMC checks the Monte-Carlo fields (currently the sampler-mode
-// spelling).
-func (c Config) ValidateMC() error {
-	_, err := stochastic.ParseSamplerMode(c.MCSampler)
-	return err
-}
-
-// workers returns the effective worker count.
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // schedulesFor scales the per-case schedule count the way the paper

@@ -89,7 +89,7 @@ func TestSweepCase10k(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Schedules = 40 // schedulesFor(n >= 100) divides by 5 → 8 evaluations
 	spec := CaseSpec{Name: "sweep-10k", Family: CholeskyFamily, N: 10000, M: 16, UL: 1.1, Seed: 42}
-	pool := runner.NewPool(cfg.workers())
+	pool := runner.NewPool(cfg.Workers)
 	defer pool.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Minute)
 	defer cancel()

@@ -334,9 +334,6 @@ func TestReportsRender(t *testing.T) {
 
 func TestConfigHelpers(t *testing.T) {
 	c := DefaultConfig()
-	if c.workers() < 1 {
-		t.Error("workers must be positive")
-	}
 	if c.schedulesFor(10) != c.Schedules {
 		t.Error("small graphs get the full budget")
 	}

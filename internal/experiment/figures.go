@@ -35,14 +35,11 @@ type Fig1Row struct {
 // schedules of random graphs are evaluated both analytically and by
 // Monte Carlo, and the CDF distances are averaged.
 func Fig1(cfg Config, sizes []int, schedulesPerSize int) ([]Fig1Row, error) {
-	mcOpts, err := cfg.mcOptions()
+	acc, mode, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
-	acc, err := cfg.EvalAccuracyValue()
-	if err != nil {
-		return nil, err
-	}
+	mcOpts := makespan.MCOptions{Sampler: mode, BlockSize: cfg.MCBlockSize}
 	if len(sizes) == 0 {
 		sizes = []int{10, 30, 100}
 	}
@@ -118,14 +115,11 @@ type Fig2Result struct {
 // experimental distributions on a large case). The paper shows a
 // ~100-task graph where KS ≈ 0.17 yet the curves nearly coincide.
 func Fig2(cfg Config) (*Fig2Result, error) {
-	mcOpts, err := cfg.mcOptions()
+	acc, mode, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
-	acc, err := cfg.EvalAccuracyValue()
-	if err != nil {
-		return nil, err
-	}
+	mcOpts := makespan.MCOptions{Sampler: mode, BlockSize: cfg.MCBlockSize}
 	spec := Fig5Case(cfg.Seed + 999)
 	scen, err := spec.BuildScenario()
 	if err != nil {
@@ -246,10 +240,7 @@ type Fig9Row struct {
 // i.i.d.) schedule is the most robust with no slack, while the
 // imbalanced schedule has ample slack and poor robustness.
 func Fig9(cfg Config, n int) ([]Fig9Row, error) {
-	if err := cfg.params().Check(); err != nil {
-		return nil, err
-	}
-	acc, err := cfg.EvalAccuracyValue()
+	acc, _, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}

@@ -10,10 +10,13 @@ import (
 	"repro/internal/runner"
 )
 
-// Every driver that computes metrics rejects a δ or γ the probabilistic
-// metrics are undefined for, before it evaluates a schedule or serves a
-// cached case. Unchecked, δ = −1 read A = 0 and γ = 0.5 read R = 0 for
-// every schedule, δ NaN read A = NaN and γ +Inf read R = 1.
+// Every driver rejects a configuration it cannot run (Config.Validate)
+// before it evaluates a schedule or serves a cached case. Unchecked,
+// δ = −1 read A = 0 and γ = 0.5 read R = 0 for every schedule, δ NaN
+// read A = NaN and γ +Inf read R = 1; RunCase ran a misspelled sampler
+// to completion; fewer than two schedules read NaN correlations; Fig. 1
+// read KS 0, a perfect match, against zero realizations, and panicked
+// on a negative count.
 func TestDriversRejectBadMetricParams(t *testing.T) {
 	spec := Fig3Case(1)
 	ctx := context.Background()
@@ -63,6 +66,14 @@ func TestDriversRejectBadMetricParams(t *testing.T) {
 			_, err := Fig6Run(ctx, cfg, RunOptions{})
 			return err
 		}},
+		{"Fig1", func(t *testing.T, cfg Config) error {
+			_, err := Fig1(cfg, []int{10}, 1)
+			return err
+		}},
+		{"Fig2", func(t *testing.T, cfg Config) error {
+			_, err := Fig2(cfg)
+			return err
+		}},
 		{"Fig9", func(t *testing.T, cfg Config) error {
 			_, err := Fig9(cfg, 0)
 			return err
@@ -81,17 +92,31 @@ func TestDriversRejectBadMetricParams(t *testing.T) {
 		}},
 	}
 	nan, inf := math.NaN(), math.Inf(1)
+	bads := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"δ = -1", func(c *Config) { c.Delta = -1 }},
+		{"δ = NaN", func(c *Config) { c.Delta = nan }},
+		{"δ = +Inf", func(c *Config) { c.Delta = inf }},
+		{"γ = 0.5", func(c *Config) { c.Gamma = 0.5 }},
+		{"γ = NaN", func(c *Config) { c.Gamma = nan }},
+		{"γ = +Inf", func(c *Config) { c.Gamma = inf }},
+		{"EvalAccuracy typo", func(c *Config) { c.EvalAccuracy = "typo" }},
+		{"MCSampler typo", func(c *Config) { c.MCSampler = "typo" }},
+		{"0 schedules", func(c *Config) { c.Schedules = 0 }},
+		{"1 schedule", func(c *Config) { c.Schedules = 1 }},
+		{"0 realizations", func(c *Config) { c.MCRealizations = 0 }},
+		{"-5 realizations", func(c *Config) { c.MCRealizations = -5 }},
+	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
-			for _, bad := range []struct{ delta, gamma float64 }{
-				{-1, 1.0003}, {nan, 1.0003}, {inf, 1.0003},
-				{0.1, 0.5}, {0.1, nan}, {0.1, inf},
-			} {
+			for _, bad := range bads {
 				cfg := DefaultConfig()
 				cfg.Schedules = 5
-				cfg.Delta, cfg.Gamma = bad.delta, bad.gamma
+				bad.set(&cfg)
 				if err := d.run(t, cfg); err == nil {
-					t.Errorf("accepted δ = %v, γ = %v", bad.delta, bad.gamma)
+					t.Errorf("accepted %s", bad.name)
 				}
 			}
 		})

@@ -84,7 +84,7 @@ func evaluateOne(cache *makespan.EvalCache, s *schedule.Schedule, cfg Config) (r
 // metrics for each (in parallel on a private pool), evaluates the
 // three heuristics, and assembles the Pearson matrix.
 func RunCase(spec CaseSpec, cfg Config) (*CaseResult, error) {
-	pool := runner.NewPool(cfg.workers())
+	pool := runner.NewPool(cfg.Workers)
 	defer pool.Close()
 	return RunCaseOn(context.Background(), spec, cfg, pool)
 }
@@ -96,10 +96,7 @@ func RunCase(spec CaseSpec, cfg Config) (*CaseResult, error) {
 // written into index-addressed slots, so they are identical for every
 // worker count.
 func RunCaseOn(ctx context.Context, spec CaseSpec, cfg Config, pool *runner.Pool) (*CaseResult, error) {
-	if err := cfg.params().Check(); err != nil {
-		return nil, err
-	}
-	acc, err := cfg.EvalAccuracyValue()
+	acc, _, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -177,30 +174,32 @@ func RunCaseOn(ctx context.Context, spec CaseSpec, cfg Config, pool *runner.Pool
 	}
 	res.Heuristics = hres
 
-	err = pool.Batch(ctx, 1, func(int) error {
-		cols := InvertedColumns(metrics)
-		corr, err := stats.CorrMatrix(cols)
-		if err != nil {
-			return err
-		}
-		res.Corr = corr
-
-		// §VII: the relative probabilistic metric divided by the
-		// makespan (then inverted like the other probabilistic metrics)
-		// against σ_M.
-		relBy := make([]float64, nSched)
-		stds := make([]float64, nSched)
-		for i, m := range metrics {
-			relBy[i] = 1 - m.RelProbByMakespan()
-			stds[i] = m.StdDev
-		}
-		res.RelByMakespanVsStd = stats.Pearson(relBy, stds)
-		return nil
-	})
+	err = pool.Batch(ctx, 1, func(int) error { return correlate(res) })
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// correlate fills the case's correlations from its random schedules'
+// metric vectors: the Pearson matrix over the inverted columns and the
+// §VII side result, the relative probabilistic metric divided by the
+// makespan (then inverted like the other probabilistic metrics)
+// against σ_M.
+func correlate(res *CaseResult) error {
+	corr, err := stats.CorrMatrix(InvertedColumns(res.Metrics))
+	if err != nil {
+		return err
+	}
+	res.Corr = corr
+	relBy := make([]float64, len(res.Metrics))
+	stds := make([]float64, len(res.Metrics))
+	for i, m := range res.Metrics {
+		relBy[i] = 1 - m.RelProbByMakespan()
+		stds[i] = m.StdDev
+	}
+	res.RelByMakespanVsStd = stats.Pearson(relBy, stds)
+	return nil
 }
 
 // BestRandomMakespan returns the smallest expected makespan among the

@@ -16,7 +16,7 @@ import (
 // RunOptions configures orchestrated case execution.
 type RunOptions struct {
 	// Pool is the shared worker pool carrying the per-schedule
-	// evaluation jobs; nil creates a temporary pool of cfg.workers()
+	// evaluation jobs; nil creates a temporary pool of cfg.Workers
 	// workers for the duration of the call.
 	Pool *runner.Pool
 	// Cache, when non-nil, is consulted before computing a case and
@@ -108,18 +108,12 @@ func RunCases(ctx context.Context, specs []CaseSpec, cfg Config, opts RunOptions
 	// Every case shares the configuration, so an error in it fails the
 	// sweep once, before any case runs, retries or is recorded as
 	// failed.
-	if err := cfg.params().Check(); err != nil {
-		return nil, err
-	}
-	if err := cfg.ValidateEval(); err != nil {
-		return nil, err
-	}
-	if err := cfg.ValidateMC(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	pool := opts.Pool
 	if pool == nil {
-		pool = runner.NewPool(cfg.workers())
+		pool = runner.NewPool(cfg.Workers)
 		defer pool.Close()
 	}
 	ctx, cancel := context.WithCancel(ctx)

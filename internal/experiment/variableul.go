@@ -85,10 +85,7 @@ func VariableUL(cfg Config, lambda float64) (*VariableULResult, error) {
 	if err := heuristics.CheckLambda(lambda); err != nil {
 		return nil, err
 	}
-	if err := cfg.params().Check(); err != nil {
-		return nil, err
-	}
-	acc, err := cfg.EvalAccuracyValue()
+	acc, _, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -190,10 +187,7 @@ func VariableUL(cfg Config, lambda float64) (*VariableULResult, error) {
 // matrix over the random schedules so callers can verify the metric
 // equivalences survive the distribution swap.
 func OscillatingDurationsCase(cfg Config) (*CaseResult, error) {
-	if err := cfg.params().Check(); err != nil {
-		return nil, err
-	}
-	acc, err := cfg.EvalAccuracyValue()
+	acc, _, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -223,21 +217,11 @@ func OscillatingDurationsCase(cfg Config) (*CaseResult, error) {
 		}
 		metrics[i] = m
 	}
-	cols := InvertedColumns(metrics)
-	corr, err := stats.CorrMatrix(cols)
-	if err != nil {
+	res := &CaseResult{Spec: spec, Metrics: metrics}
+	if err := correlate(res); err != nil {
 		return nil, err
 	}
-	relBy := make([]float64, nSched)
-	stds := make([]float64, nSched)
-	for i, m := range metrics {
-		relBy[i] = 1 - m.RelProbByMakespan()
-		stds[i] = m.StdDev
-	}
-	return &CaseResult{
-		Spec: spec, Metrics: metrics, Corr: corr,
-		RelByMakespanVsStd: stats.Pearson(relBy, stds),
-	}, nil
+	return res, nil
 }
 
 // WriteVariableUL renders the variable-UL report.

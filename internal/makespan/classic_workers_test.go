@@ -1,6 +1,7 @@
 package makespan_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/heuristics"
 	"repro/internal/makespan"
+	"repro/internal/runner"
 	"repro/internal/schedule"
 	"repro/internal/stochastic"
 )
@@ -128,5 +130,86 @@ func TestClassicIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if n := classicAcrossWorkers(t, "chain", m); n != 0 {
 		t.Errorf("chain: %d helpers started, want 0", n)
+	}
+}
+
+// TestClassicAndKernelShareThePoolBudget holds every worker of a
+// runner.Pool of GOMAXPROCS workers inside a job while each runs
+// Classic, at a worker cap of 8, and the Monte-Carlo kernel on 300
+// blocks. No processor is idle, so Classic may start no helper, and
+// both must return their serial bits. Once one worker's job returns,
+// Classic on a held worker must start a helper again.
+func TestClassicAndKernelShareThePoolBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	procs := runtime.GOMAXPROCS(0)
+	spec := experiment.CaseSpec{Name: "budget", Family: experiment.JoinFamily, N: 30, M: 8, UL: 1.2, Seed: 3}
+	scen, err := spec.BuildScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := heuristics.RandomSchedule(scen, rand.New(rand.NewSource(7)))
+	m, err := makespan.NewEvalCacheAccuracy(scen, stochastic.AccuracyFast).Model(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := m.ClassicWorkers(1)
+	sim, err := schedule.NewSimulator(scen, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := sim.Compile(stochastic.SamplerTable)
+	const block, count = 16, 300 * 16
+	wantMC := kernel.Realizations(count, 5, schedule.KernelOptions{BlockSize: block, Workers: 1})
+
+	pool := runner.NewPool(procs)
+	defer pool.Close()
+	var inside, done sync.WaitGroup
+	inside.Add(procs)
+	done.Add(procs)
+	released, hold := make(chan struct{}), make(chan struct{})
+	err = pool.Batch(context.Background(), procs, func(i int) error {
+		inside.Done()
+		inside.Wait()
+		rv, helpers := m.ClassicWorkers(8)
+		if helpers != 0 {
+			t.Errorf("job %d: Classic started %d helpers with every processor held", i, helpers)
+		}
+		if !sameBits(rv, want) {
+			t.Errorf("job %d: Classic differs from its serial bits", i)
+		}
+		ms := kernel.Realizations(count, 5, schedule.KernelOptions{BlockSize: block})
+		for j := range ms {
+			if math.Float64bits(ms[j]) != math.Float64bits(wantMC[j]) {
+				t.Errorf("job %d: realization %d differs from its serial bits", i, j)
+				break
+			}
+		}
+		done.Done()
+		done.Wait()
+		switch i {
+		case 0:
+			<-released
+			defer close(hold)
+			// The pool counts a worker out just after its job returns,
+			// so Classic is retried until the processor shows idle.
+			for attempt := 0; attempt < 1000; attempt++ {
+				rv, helpers := m.ClassicWorkers(8)
+				if !sameBits(rv, want) {
+					t.Errorf("one worker released: Classic differs from its serial bits")
+				}
+				if helpers > 0 {
+					return nil
+				}
+			}
+			t.Errorf("one worker released: Classic started no helper in 1000 calls")
+		case 1:
+			close(released)
+		default:
+			<-hold
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

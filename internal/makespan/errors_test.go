@@ -39,6 +39,23 @@ func TestEvaluatorsRejectBadInput(t *testing.T) {
 	}
 }
 
+// Monte Carlo rejects a realization count below 1. Zero realizations
+// made an empty sample that a KS distance then read as a perfect match,
+// and a negative count panicked.
+func TestMonteCarloRejectsCountBelowOne(t *testing.T) {
+	g := graphgen.Chain(3, 1)
+	scen := uniformScenario(g, 2, 10, 1.1)
+	s := allOnProc(t, g, 2, 0)
+	for _, count := range []int{0, -5} {
+		if _, err := MonteCarloWith(scen, s, count, 1, MCOptions{}); err == nil {
+			t.Errorf("%d realizations accepted", count)
+		}
+	}
+	if _, err := MonteCarloWith(scen, s, 1, 1, MCOptions{}); err != nil {
+		t.Errorf("1 realization: %v", err)
+	}
+}
+
 // Evaluating with per-processor uncertainty must flow through every
 // method (extension coverage).
 func TestEvaluatorsWithProcUL(t *testing.T) {

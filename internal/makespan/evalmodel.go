@@ -2,13 +2,13 @@ package makespan
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/internal/robustness"
+	"repro/internal/runner"
 	"repro/internal/schedule"
 	"repro/internal/stochastic"
 )
@@ -153,15 +153,6 @@ func getOps() *stochastic.Ops { return opsPool.Get().(*stochastic.Ops) }
 
 func putOps(o *stochastic.Ops) { opsPool.Put(o) }
 
-// classicGoroutines counts the goroutines of the process evaluating
-// Classic tasks: every caller of Classic, and every helper one started.
-// A helper starts only while the count is below GOMAXPROCS and stops
-// before its next task once the count is above it, so helpers use idle
-// processors only. Like opsPool, the count changes no result — a
-// task's density is the same whichever goroutine computes it — only
-// how many goroutines share an evaluation's work.
-var classicGoroutines atomic.Int32
-
 // zeroCommArc is THE skip rule of the evaluation layer, shared by every
 // evaluator: a disjunctive arc's
 // communication drops out of the evaluation exactly when its time is
@@ -295,22 +286,22 @@ func (m *EvalModel) Schedule() *schedule.Schedule { return m.sched }
 // and the sink maximum runs on the caller after the last task, so the
 // result is the same bits at any worker count. Helpers start only
 // while a ready task is waiting, up to classicWidth workers, and only
-// on processors that no other Classic goroutine holds (see
-// classicGoroutines); the caller never waits for a processor.
+// on idle processors (a runner.Team); a helper stops before its next
+// task once the processors are crowded, and the caller never waits for
+// a processor. Like opsPool, the team changes no result — a task's
+// density is the same whichever goroutine computes it.
 func (m *EvalModel) Classic() *stochastic.Numeric {
 	rv, _ := m.classic(m.classicWidth())
 	return rv
 }
 
-// classicWidth is Classic's worker count: GOMAXPROCS, but at most
-// ⌊n / (2·depth)⌋, where depth is the number of tasks on the longest
-// disjunctive path. With fewer than two tasks per level for each
-// worker, on average, a helper mostly finds the queue empty, so deep
-// schedules stay on the caller.
+// classicWidth is Classic's worker cap: ⌊n / (2·depth)⌋, where depth is
+// the number of tasks on the longest disjunctive path. With fewer than
+// two tasks per level for each worker, on average, a helper mostly
+// finds the queue empty, so deep schedules stay on the caller.
 func (m *EvalModel) classicWidth() int {
-	procs := runtime.GOMAXPROCS(0)
 	d := m.d
-	if procs < 2 || d.N == 0 {
+	if d.N == 0 {
 		return 1
 	}
 	level := make([]int32, d.N) // tasks on the longest path ending at t
@@ -323,7 +314,7 @@ func (m *EvalModel) classicWidth() int {
 		level[t] = l + 1
 		depth = max(depth, l+1)
 	}
-	return max(1, min(procs, d.N/(2*int(depth))))
+	return max(1, d.N/(2*int(depth)))
 }
 
 // classicRun is one Classic evaluation, shared by its caller and
@@ -344,11 +335,8 @@ type classicRun struct {
 	maxPreds int32
 	zero     *stochastic.Numeric
 
-	width   int32 // worker cap of this evaluation, caller included
-	procs   int32 // GOMAXPROCS at the call
-	workers atomic.Int32
+	team    *runner.Team
 	helpers atomic.Int32 // helpers started, for tests
-	wg      sync.WaitGroup
 }
 
 // classic evaluates the makespan density with up to workers
@@ -364,8 +352,7 @@ func (m *EvalModel) classic(workers int) (*stochastic.Numeric, int) {
 		refs:       make([]atomic.Int32, n),
 		ready:      make(chan int32, n),
 		zero:       stochastic.NewPoint(0),
-		width:      int32(workers),
-		procs:      int32(runtime.GOMAXPROCS(0)),
+		team:       runner.NewTeam(workers),
 	}
 	for t := 0; t < n; t++ {
 		preds := d.PredStart[t+1] - d.PredStart[t]
@@ -385,9 +372,6 @@ func (m *EvalModel) classic(workers int) (*stochastic.Numeric, int) {
 		close(r.ready)
 	}
 
-	classicGoroutines.Add(1)
-	defer classicGoroutines.Add(-1)
-	r.workers.Store(1)
 	ops := getOps()
 	defer putOps(ops)
 	arrivals := make([]*stochastic.Numeric, r.maxPreds)
@@ -395,7 +379,7 @@ func (m *EvalModel) classic(workers int) (*stochastic.Numeric, int) {
 		r.spawn()
 		r.task(ops, arrivals, t)
 	}
-	r.wg.Wait()
+	r.team.Wait()
 
 	acc := m.cache.acc
 	makespan := r.zero
@@ -414,47 +398,28 @@ func (m *EvalModel) classic(workers int) (*stochastic.Numeric, int) {
 	return makespan, int(r.helpers.Load())
 }
 
-// spawn starts a helper when a ready task is waiting, the evaluation
-// is below its worker cap, and the process has fewer Classic
-// goroutines than processors.
+// spawn starts a helper when a ready task is waiting and the team can
+// grow.
 func (r *classicRun) spawn() {
-	w := r.workers.Load()
-	if w >= r.width || len(r.ready) == 0 || !r.workers.CompareAndSwap(w, w+1) {
-		return
+	if len(r.ready) > 0 && r.team.Grow(r.help) {
+		r.helpers.Add(1)
 	}
-	for {
-		c := classicGoroutines.Load()
-		if c >= r.procs {
-			r.workers.Add(-1)
-			return
-		}
-		if classicGoroutines.CompareAndSwap(c, c+1) {
-			break
-		}
-	}
-	r.helpers.Add(1)
-	r.wg.Add(1)
-	go r.help()
 }
 
 // help evaluates ready tasks on its own workspace until the queue is
-// empty or closed, or until the process has more Classic goroutines
-// than processors.
+// empty or closed, or until the processors are crowded.
 func (r *classicRun) help() {
-	defer r.wg.Done()
 	ops := getOps()
 	defer putOps(ops)
 	arrivals := make([]*stochastic.Numeric, r.maxPreds)
-	for classicGoroutines.Load() <= r.procs {
+	for !r.team.Crowded() {
 		t, ok := r.next()
 		if !ok {
-			break
+			return
 		}
 		r.spawn()
 		r.task(ops, arrivals, t)
 	}
-	r.workers.Add(-1)
-	classicGoroutines.Add(-1)
 }
 
 // next takes a ready task without waiting; ok is false when the queue

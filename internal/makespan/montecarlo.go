@@ -1,6 +1,8 @@
 package makespan
 
 import (
+	"fmt"
+
 	"repro/internal/platform"
 	"repro/internal/schedule"
 	"repro/internal/stochastic"
@@ -18,22 +20,19 @@ type MCOptions struct {
 	// (schedule.DefaultBlockSize when <= 0). Results depend on it:
 	// each block owns one RNG stream.
 	BlockSize int
-	// Workers bounds the kernel's goroutines; results are identical
-	// for every value.
-	Workers int
-}
-
-func (o MCOptions) kernelOptions() schedule.KernelOptions {
-	return schedule.KernelOptions{BlockSize: o.BlockSize, Workers: o.Workers}
 }
 
 // MonteCarloWith draws count realizations of the schedule through the
 // compiled batch kernel and returns the empirical makespan
-// distribution.
+// distribution. The kernel runs on the caller and on helpers on idle
+// processors. A count below 1 is an error.
 func MonteCarloWith(scen *platform.Scenario, s *schedule.Schedule, count int, seed int64, opt MCOptions) (*stochastic.Empirical, error) {
+	if count < 1 {
+		return nil, fmt.Errorf("makespan: %d Monte-Carlo realizations, want at least 1", count)
+	}
 	sim, err := schedule.NewSimulator(scen, s)
 	if err != nil {
 		return nil, err
 	}
-	return sim.Compile(opt.Sampler).Empirical(count, seed, opt.kernelOptions()), nil
+	return sim.Compile(opt.Sampler).Empirical(count, seed, schedule.KernelOptions{BlockSize: opt.BlockSize}), nil
 }

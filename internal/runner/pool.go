@@ -1,9 +1,10 @@
 // Package runner provides the experiment orchestration substrate: a
 // shared bounded worker pool that treats every schedule evaluation of
-// every case as one job stream, a disk-backed result cache so
-// interrupted sweeps resume instead of recomputing, and deterministic
-// per-job seed derivation so results are byte-identical regardless of
-// worker count or scheduling order.
+// every case as one job stream, the process's one processor budget
+// that the pool and every Team's helpers share, a disk-backed result
+// cache so interrupted sweeps resume instead of recomputing, and
+// deterministic per-job seed derivation so results are byte-identical
+// regardless of worker count or scheduling order.
 package runner
 
 import (
@@ -31,7 +32,9 @@ type Pool struct {
 }
 
 // NewPool starts a pool with the given number of workers; workers <= 0
-// selects GOMAXPROCS.
+// selects GOMAXPROCS. A worker counts in the processor budget while it
+// runs a job, so a Team inside the job grows only onto processors that
+// no other worker holds.
 func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -42,7 +45,9 @@ func NewPool(workers int) *Pool {
 		go func() {
 			defer p.wg.Done()
 			for job := range p.jobs {
+				busy.Add(1)
 				runSupervised(job)
+				busy.Add(-1)
 			}
 		}()
 	}

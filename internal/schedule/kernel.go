@@ -1,10 +1,10 @@
 package schedule
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/runner"
 	"repro/internal/seeds"
 	"repro/internal/stochastic"
 )
@@ -82,14 +82,14 @@ func blockSeeds(count, block int, seed int64) []int64 {
 }
 
 // KernelOptions tunes a kernel run. The zero value selects
-// DefaultBlockSize and GOMAXPROCS workers.
+// DefaultBlockSize, and the caller plus helpers on idle processors.
 type KernelOptions struct {
 	// BlockSize is the number of realizations sampled and timed per
 	// batch. Results depend on the block size (each block owns an RNG
 	// stream).
 	BlockSize int
-	// Workers bounds the goroutines of a run; results are identical
-	// for every value.
+	// Workers, when positive, caps the goroutines of a run, the caller
+	// included; results are identical for every value.
 	Workers int
 }
 
@@ -98,13 +98,6 @@ func (o KernelOptions) block() int {
 		return o.BlockSize
 	}
 	return DefaultBlockSize
-}
-
-func (o KernelOptions) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Compile builds the batch realization kernel for the simulator's
@@ -295,8 +288,9 @@ func (k *RealizationKernel) Realizations(count int, seed int64, opt KernelOption
 
 // RealizationsInto is Realizations writing into a caller-owned slice,
 // for steady-state loops that want zero per-call sample allocations.
-// Whole blocks fan out over the option's workers, each block timing its
-// realizations straight into its own window of out.
+// Whole blocks run on the caller and on helpers that a runner.Team
+// starts on idle processors, each block timing its realizations
+// straight into its own window of out.
 func (k *RealizationKernel) RealizationsInto(out []float64, seed int64, opt KernelOptions) {
 	count := len(out)
 	if count == 0 {
@@ -304,17 +298,27 @@ func (k *RealizationKernel) RealizationsInto(out []float64, seed int64, opt Kern
 	}
 	block := opt.block()
 	bs := blockSeeds(count, block, seed)
-	workers := min(opt.workers(), len(bs))
-	var next int64
-	runWorker := func() {
+	limit := len(bs)
+	if opt.Workers > 0 {
+		limit = min(limit, opt.Workers)
+	}
+	team := runner.NewTeam(limit)
+	var next atomic.Int64
+	var help func()
+	// run times blocks until none is left or, on a helper, until the
+	// processors are crowded.
+	run := func(helper bool) {
 		// No block holds more than count realizations, so a block size
 		// beyond count sizes the buffers by what is drawn.
 		w := k.getWorker(min(block, count))
 		defer k.workerPool.Put(w)
-		for {
-			kb := int(atomic.AddInt64(&next, 1)) - 1
+		for !helper || !team.Crowded() {
+			kb := int(next.Add(1)) - 1
 			if kb >= len(bs) {
 				return
+			}
+			if kb+1 < len(bs) {
+				team.Grow(help)
 			}
 			lo := kb * block
 			ms := out[lo:min(lo+block, count)]
@@ -323,19 +327,9 @@ func (k *RealizationKernel) RealizationsInto(out []float64, seed int64, opt Kern
 			k.passBlock(w, ms)
 		}
 	}
-	if workers <= 1 {
-		runWorker()
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runWorker()
-		}()
-	}
-	wg.Wait()
+	help = func() { run(true) }
+	run(false)
+	team.Wait()
 }
 
 // Empirical draws count realizations and wraps them as an empirical

@@ -63,7 +63,7 @@ type (
 	// (built with Simulator.Compile).
 	RealizationKernel = schedule.RealizationKernel
 	// MCOptions tunes the Monte-Carlo kernel (sampler mode, block
-	// size, workers).
+	// size).
 	MCOptions = makespan.MCOptions
 	// EvalCache is the per-scenario compiled evaluation state: cached
 	// discretizations and graph tables shared by every schedule of a
