@@ -13,11 +13,9 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
-	"repro/internal/graphgen"
 	"repro/internal/heuristics"
 	"repro/internal/makespan"
 	"repro/internal/numeric"
-	"repro/internal/platform"
 	"repro/internal/robustness"
 	"repro/internal/schedule"
 	"repro/internal/stats"
@@ -339,71 +337,6 @@ func BenchmarkEvalCase(b *testing.B) {
 	}
 }
 
-// --- Dodin reduction at scale ----------------------------------------------
-//
-// The flat edge-id series-parallel reduction on stochastic.Ops, on a
-// fully series-reducible case — a task chain on one processor — at two
-// uncertainty levels:
-//
-//   - BenchmarkDodin (UL = 1): every duration is deterministic, so each
-//     reduction step is pure graph work;
-//   - BenchmarkDodinStochastic (UL = 1.3): the end-to-end evaluation,
-//     dominated by the work-grid spline fit and convolution inside Add,
-//     the EvalAccuracy work-grid knob's lever (see the
-//     BenchmarkEvalAccuracyFast pair below).
-//
-// CI archives both series as absolute numbers. Gated behind -short like
-// the other large-N benches.
-
-var dodinBenchSizes = []int{1000, 5000}
-
-func benchDodinCase(b *testing.B, n int, ul float64) (*Scenario, *Schedule) {
-	b.Helper()
-	g := graphgen.Chain(n, 0)
-	etc := make([][]float64, n)
-	for i := range etc {
-		etc[i] = []float64{10, 10}
-	}
-	tau, lat := platform.NewUniformNetwork(2, 1, 0)
-	scen := &platform.Scenario{
-		G:  g,
-		P:  &platform.Platform{M: 2, ETC: etc, Tau: tau, Lat: lat},
-		UL: ul,
-	}
-	s := schedule.New(n, 2)
-	for i := 0; i < n; i++ {
-		s.Assign(Task(i), 0)
-	}
-	return scen, s
-}
-
-func benchDodinSizes(b *testing.B, ul float64) {
-	b.Helper()
-	if testing.Short() {
-		b.Skip("large-N Dodin benches are skipped with -short")
-	}
-	for _, n := range dodinBenchSizes {
-		b.Run("N="+itoa(n), func(b *testing.B) {
-			scen, s := benchDodinCase(b, n, ul)
-			cache := makespan.NewEvalCache(scen, 0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m, err := cache.Model(s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := m.Dodin(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkDodin(b *testing.B) { benchDodinSizes(b, 1) }
-
-func BenchmarkDodinStochastic(b *testing.B) { benchDodinSizes(b, 1.3) }
-
 // --- Evaluation accuracy: fast preset vs reference --------------------------
 //
 // The acceptance pair of the EvalAccuracy knob: both legs run the
@@ -450,17 +383,6 @@ func BenchmarkEvaluateClassic(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := makespan.Evaluate(scen, s, makespan.Classic, 64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEvaluateDodin(b *testing.B) {
-	scen := benchRandom30(b)
-	s := RandomSchedule(scen, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := makespan.Evaluate(scen, s, makespan.Dodin, 64); err != nil {
 			b.Fatal(err)
 		}
 	}

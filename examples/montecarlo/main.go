@@ -1,6 +1,6 @@
 // Validate the analytic makespan-distribution evaluation against
 // Monte-Carlo ground truth (the experiment behind the paper's Figs. 1
-// and 2), comparing the classical, Dodin and Spelde methods.
+// and 2), comparing the classical and Spelde methods.
 package main
 
 import (
@@ -33,16 +33,8 @@ func main() {
 	fmt.Printf("Monte Carlo (100k):  mean %8.3f   std %7.4f   [q05 %.3f, q95 %.3f]\n",
 		emp.Mean(), emp.StdDev(), emp.Quantile(0.05), emp.Quantile(0.95))
 
-	for _, method := range []makespan.Method{
-		repro.MethodClassic, repro.MethodDodin, repro.MethodSpelde,
-	} {
+	for _, method := range []makespan.Method{repro.MethodClassic, repro.MethodSpelde} {
 		rv, err := repro.MakespanDistribution(scen, s, method)
-		if makespan.IsReductionError(err) {
-			// Dodin's reduction can exhaust its duplication budget on
-			// graphs that are far from series-parallel.
-			fmt.Printf("%-12s %v\n", method.String()+":", err)
-			continue
-		}
 		if err != nil {
 			log.Fatal(err)
 		}

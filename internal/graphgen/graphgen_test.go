@@ -95,13 +95,6 @@ func TestChainForkJoin(t *testing.T) {
 	if len(j.Sources()) != 4 {
 		t.Errorf("join sources = %d, want 4", len(j.Sources()))
 	}
-	fj := ForkJoin(3, 1)
-	if fj.N() != 5 || fj.EdgeCount() != 6 {
-		t.Error("fork-join malformed")
-	}
-	if !fj.IsAcyclic() {
-		t.Error("fork-join cyclic")
-	}
 }
 
 func TestCholeskyTaskCounts(t *testing.T) {

@@ -84,15 +84,3 @@ func Join(n int, vol float64) *dag.Graph {
 	}
 	return g
 }
-
-// ForkJoin returns a source, width parallel tasks and a sink
-// (width+2 tasks).
-func ForkJoin(width int, vol float64) *dag.Graph {
-	g := dag.New(width + 2)
-	sink := dag.Task(width + 1)
-	for i := 1; i <= width; i++ {
-		_ = g.AddEdge(0, dag.Task(i), vol)
-		_ = g.AddEdge(dag.Task(i), sink, vol)
-	}
-	return g
-}

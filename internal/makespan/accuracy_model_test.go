@@ -67,10 +67,8 @@ func TestEvalModelDegenerateAtEveryPreset(t *testing.T) {
 			}
 			d := single.TaskDist(0, 1)
 			lo, hi := d.Support()
-			for _, rv := range classicAndDodin(t, m) {
-				if rv.Lo() != lo || rv.Hi() != hi {
-					t.Errorf("single-task support [%g,%g], want [%g,%g]", rv.Lo(), rv.Hi(), lo, hi)
-				}
+			if rv := m.Classic(); rv.Lo() != lo || rv.Hi() != hi {
+				t.Errorf("single-task support [%g,%g], want [%g,%g]", rv.Lo(), rv.Hi(), lo, hi)
 			}
 
 			// All-Dirac: a point equal to the reference at every preset.
@@ -78,10 +76,8 @@ func TestEvalModelDegenerateAtEveryPreset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, rv := range classicAndDodin(t, m2) {
-				if !rv.IsPoint() || rv.Lo() != refDet.Lo() {
-					t.Errorf("all-Dirac makespan %v, want point at %g", rv, refDet.Lo())
-				}
+			if rv := m2.Classic(); !rv.IsPoint() || rv.Lo() != refDet.Lo() {
+				t.Errorf("all-Dirac makespan %v, want point at %g", rv, refDet.Lo())
 			}
 
 			// Zero-duration chain: point at 0 regardless of accuracy.
@@ -89,10 +85,8 @@ func TestEvalModelDegenerateAtEveryPreset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, rv := range classicAndDodin(t, m3) {
-				if !rv.IsPoint() || rv.Lo() != 0 {
-					t.Errorf("zero-duration chain makespan %v, want point at 0", rv)
-				}
+			if rv := m3.Classic(); !rv.IsPoint() || rv.Lo() != 0 {
+				t.Errorf("zero-duration chain makespan %v, want point at 0", rv)
 			}
 		})
 	}
@@ -151,14 +145,4 @@ func TestEvalModelGridConvergence(t *testing.T) {
 			t.Errorf("%s preset max relative error %.3e, want < %g", name, e, tol)
 		}
 	}
-}
-
-// classicAndDodin evaluates m by both density methods.
-func classicAndDodin(t *testing.T, m *makespan.EvalModel) []*stochastic.Numeric {
-	t.Helper()
-	dodin, err := m.Dodin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []*stochastic.Numeric{m.Classic(), dodin}
 }

@@ -21,9 +21,6 @@ func TestEvaluatorsRejectBadInput(t *testing.T) {
 	if _, err := Evaluate(scen, incomplete, Classic, 64); err == nil {
 		t.Error("classic accepted incomplete schedule")
 	}
-	if _, err := Evaluate(scen, incomplete, Dodin, 64); err == nil {
-		t.Error("dodin accepted incomplete schedule")
-	}
 	if _, err := Evaluate(scen, incomplete, Spelde, 64); err == nil {
 		t.Error("spelde accepted incomplete schedule")
 	}
@@ -53,6 +50,20 @@ func TestMonteCarloRejectsCountBelowOne(t *testing.T) {
 	}
 	if _, err := MonteCarloWith(scen, s, 1, 1, MCOptions{}); err != nil {
 		t.Errorf("1 realization: %v", err)
+	}
+}
+
+// Monte Carlo rejects a sampler mode it does not know: the kernel
+// would draw such a mode as a third, undocumented stream, exact
+// samplers filled slot-major.
+func TestMonteCarloRejectsUnknownSampler(t *testing.T) {
+	g := graphgen.Chain(3, 1)
+	scen := uniformScenario(g, 2, 10, 1.1)
+	s := allOnProc(t, g, 2, 0)
+	for _, mode := range []stochastic.SamplerMode{2, 7, -1} {
+		if _, err := MonteCarloWith(scen, s, 100, 1, MCOptions{Sampler: mode}); err == nil {
+			t.Errorf("sampler %v accepted", mode)
+		}
 	}
 }
 
@@ -111,74 +122,5 @@ func TestClassicWithCustomDurFn(t *testing.T) {
 	}
 	if !almostEqual(rv.StdDev(), emp.StdDev(), 0.1*emp.StdDev()+0.01) {
 		t.Errorf("classic std %g vs MC %g with custom DurFn", rv.StdDev(), emp.StdDev())
-	}
-}
-
-// Dodin's reduction must finish on series-parallel structures, proving
-// the reduction path is exercised, and a chain's mean is the sum of its
-// task means.
-func TestDodinStrictOnSPStructures(t *testing.T) {
-	// Chain on one processor.
-	g := graphgen.Chain(4, 0)
-	scen := uniformScenario(g, 1, 10, 1.3)
-	s := allOnProc(t, g, 1, 0)
-	rv, err := Evaluate(scen, s, Dodin, 64)
-	if err != nil {
-		t.Fatalf("strict Dodin failed on a chain: %v", err)
-	}
-	if !almostEqual(rv.Mean(), 4*scen.TaskDist(0, 0).Mean(), 0.1) {
-		t.Errorf("chain mean = %g", rv.Mean())
-	}
-	// Fork-join across processors.
-	fj := graphgen.ForkJoin(3, 0)
-	scen2 := uniformScenario(fj, 3, 10, 1.5)
-	s2 := schedule.New(5, 3)
-	s2.Assign(0, 0)
-	s2.Assign(1, 0)
-	s2.Assign(2, 1)
-	s2.Assign(3, 2)
-	s2.Assign(4, 0)
-	if _, err := Evaluate(scen2, s2, Dodin, 64); err != nil {
-		t.Fatalf("strict Dodin failed on fork-join: %v", err)
-	}
-}
-
-// On general random schedules the duplication mechanism should usually
-// complete too; count how often it succeeds to keep the mechanism
-// honest (it must work at least some of the time, or Dodin is dead
-// code).
-func TestDodinStrictOnRandomSchedules(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	succeeded := 0
-	const trials = 10
-	for i := 0; i < trials; i++ {
-		g, w := graphgen.Random(10, rng)
-		tau, lat := platform.NewUniformNetwork(3, 1, 0)
-		scen := &platform.Scenario{
-			G:  g,
-			P:  &platform.Platform{M: 3, ETC: platform.GenerateETCFromWeights(w, 3, 0.5, rng), Tau: tau, Lat: lat},
-			UL: 1.1,
-		}
-		s := heuristics.RandomSchedule(scen, rng)
-		rv, err := Evaluate(scen, s, Dodin, 64)
-		if IsReductionError(err) {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		succeeded++
-		// When it succeeds it must agree with classic within tolerance.
-		cls, err := Evaluate(scen, s, Classic, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(rv.Mean(), cls.Mean(), 0.05*cls.Mean()) {
-			t.Errorf("trial %d: strict Dodin mean %g vs classic %g", i, rv.Mean(), cls.Mean())
-		}
-	}
-	t.Logf("strict Dodin completed %d/%d random 10-task schedules", succeeded, trials)
-	if succeeded == 0 {
-		t.Error("strict Dodin never succeeded on random schedules — reduction is dead code")
 	}
 }

@@ -54,8 +54,8 @@ type distKey struct {
 
 // cacheEntry is one duration distribution of the scenario with its
 // exact moments and skip classification. The 64-point discretization
-// is materialized lazily on first use by a density consumer (Classic,
-// Dodin): moments-only consumers — Spelde, Slacks — never pay for it.
+// is materialized lazily on first use by the density consumer,
+// Classic: moments-only consumers — Spelde, Slacks — never pay for it.
 type cacheEntry struct {
 	d        stochastic.Dist
 	mean     float64
@@ -186,7 +186,6 @@ func zeroCommArc(d stochastic.Dist) bool {
 //     memory is bounded by the schedule's frontier width, not n. Tasks
 //     that do not precede one another may run on helper goroutines,
 //     with the same bits at any worker count;
-//   - Dodin: the series-parallel reduction (dodin_compiled.go);
 //   - Spelde: Clark moment propagation, equal to the same propagation
 //     on the rebuilt map-based disjunctive graph;
 //   - Slacks: the §IV mean-duration slack vector, equal to the longest

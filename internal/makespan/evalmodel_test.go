@@ -19,7 +19,7 @@ package makespan_test
 // internal/testdigest). Regenerate them only for a deliberate change of
 // Classic's densities or the metrics, on amd64 and without -short:
 //
-//	go test ./internal/makespan -run '^(TestEvalModel(MatchesReference|UnderULExtensions|DegenerateInputs)|TestMetricsMatchesReference|TestCompiledDodinMatchesLegacyOn(SP|Random|AllFamilies))$' -update
+//	go test ./internal/makespan -run '^(TestEvalModel(MatchesReference|UnderULExtensions|DegenerateInputs)|TestMetricsMatchesReference)$' -update
 
 import (
 	"errors"
@@ -525,10 +525,10 @@ func TestZeroMinCommMatchesMonteCarlo(t *testing.T) {
 }
 
 // Evaluate is the one-shot entry over EvalModel: on Fig. 3's Cholesky
-// case it returns the model's Classic density and Dodin's density or
-// error bit for bit, and for Spelde the normal law of the model's
-// moments on the same grid, a point when UL is 1. An unknown method is
-// an error.
+// case it returns the model's Classic density bit for bit, and for
+// Spelde the normal law of the model's moments on the same grid, a
+// point when UL is 1. An unknown method is an error, Method(2), the
+// value Dodin held, included.
 func TestEvaluateDispatch(t *testing.T) {
 	const grid = 64
 	for _, ul := range []float64{1.01, 1} {
@@ -551,15 +551,6 @@ func TestEvaluateDispatch(t *testing.T) {
 			}
 			assertSameRV(t, label+" classic", got, model.Classic())
 
-			got, err = makespan.Evaluate(scen, s, makespan.Dodin, grid)
-			want, wantErr := model.Dodin()
-			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-				t.Fatalf("%s: Evaluate(Dodin) error %v, want %v", label, err, wantErr)
-			}
-			if err == nil {
-				assertSameRV(t, label+" dodin", got, want)
-			}
-
 			got, err = makespan.Evaluate(scen, s, makespan.Spelde, grid)
 			if err != nil {
 				t.Fatal(err)
@@ -577,12 +568,12 @@ func TestEvaluateDispatch(t *testing.T) {
 
 	// An unknown method is rejected before anything is built, so no
 	// scenario is needed.
-	for _, m := range []makespan.Method{-1, 99} {
+	for _, m := range []makespan.Method{-1, 2, 99} {
 		if _, err := makespan.Evaluate(nil, nil, m, grid); err == nil {
 			t.Errorf("unknown method %v accepted", m)
 		}
 	}
-	if makespan.Classic.String() != "classic" || makespan.Dodin.String() != "dodin" || makespan.Spelde.String() != "spelde" {
+	if makespan.Classic.String() != "classic" || makespan.Spelde.String() != "spelde" {
 		t.Error("method names wrong")
 	}
 	if makespan.Method(99).String() == "" {

@@ -41,12 +41,3 @@ func DensityDigest(rv *stochastic.Numeric, extra ...float64) string {
 	}
 	return testdigest.Sum(buf)
 }
-
-// DodinDigest is the digest of a Dodin result: its density's, or its
-// error message's when the reduction failed.
-func DodinDigest(rv *stochastic.Numeric, err error) string {
-	if err != nil {
-		return testdigest.Sum([]byte(err.Error()))
-	}
-	return DensityDigest(rv)
-}

@@ -50,6 +50,16 @@ func allOnProc(t *testing.T, g *dag.Graph, m, p int) *schedule.Schedule {
 	return s
 }
 
+// modelFor compiles the 64-point evaluation model of s.
+func modelFor(t *testing.T, scen *platform.Scenario, s *schedule.Schedule) *EvalModel {
+	t.Helper()
+	m, err := NewEvalCache(scen, 0).Model(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestClassicChainMatchesMonteCarlo(t *testing.T) {
 	// A 4-task chain on one processor: makespan = sum of 4 Beta(2,5)
 	// variables — classic evaluation is exact (up to discretization).
@@ -223,80 +233,6 @@ func TestSpeldeAgreesWithMonteCarloOnRealCase(t *testing.T) {
 	}
 	if !almostEqual(sp.Std, emp.StdDev(), 0.5*emp.StdDev()+0.02) {
 		t.Errorf("Spelde std %g vs MC %g", sp.Std, emp.StdDev())
-	}
-}
-
-func TestDodinChainEqualsClassic(t *testing.T) {
-	// A chain is fully series-reducible: Dodin and classic agree.
-	g := graphgen.Chain(4, 0)
-	scen := uniformScenario(g, 1, 10, 1.3)
-	s := allOnProc(t, g, 1, 0)
-	dod, err := Evaluate(scen, s, Dodin, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cls, err := Evaluate(scen, s, Classic, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(dod.Mean(), cls.Mean(), 0.05) {
-		t.Errorf("Dodin mean %g vs classic %g", dod.Mean(), cls.Mean())
-	}
-	if !almostEqual(dod.StdDev(), cls.StdDev(), 0.05) {
-		t.Errorf("Dodin std %g vs classic %g", dod.StdDev(), cls.StdDev())
-	}
-}
-
-func TestDodinForkJoin(t *testing.T) {
-	// Fork-join is series-parallel: Dodin handles it without
-	// duplication and should match Monte Carlo.
-	g := graphgen.ForkJoin(3, 0)
-	scen := uniformScenario(g, 3, 10, 1.5)
-	s := schedule.New(5, 3)
-	s.Assign(0, 0)
-	s.Assign(1, 0)
-	s.Assign(2, 1)
-	s.Assign(3, 2)
-	s.Assign(4, 0)
-	dod, err := Evaluate(scen, s, Dodin, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emp, err := MonteCarloWith(scen, s, 50000, 5, MCOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(dod.Mean(), emp.Mean(), 0.15) {
-		t.Errorf("Dodin mean %g vs MC %g", dod.Mean(), emp.Mean())
-	}
-	if !almostEqual(dod.StdDev(), emp.StdDev(), 0.15) {
-		t.Errorf("Dodin std %g vs MC %g", dod.StdDev(), emp.StdDev())
-	}
-}
-
-func TestDodinGeneralGraphCloseToClassic(t *testing.T) {
-	// A non-SP random graph exercises the duplication path; Dodin and
-	// classic make the same independence approximation and should stay
-	// close.
-	rng := rand.New(rand.NewSource(6))
-	g, w := graphgen.Random(15, rng)
-	tau, lat := platform.NewUniformNetwork(3, 1, 0)
-	scen := &platform.Scenario{
-		G:  g,
-		P:  &platform.Platform{M: 3, ETC: platform.GenerateETCFromWeights(w, 3, 0.5, rng), Tau: tau, Lat: lat},
-		UL: 1.1,
-	}
-	s := heuristics.RandomSchedule(scen, rng)
-	dod, err := Evaluate(scen, s, Dodin, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cls, err := Evaluate(scen, s, Classic, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(dod.Mean(), cls.Mean(), 0.05*cls.Mean()) {
-		t.Errorf("Dodin mean %g vs classic %g", dod.Mean(), cls.Mean())
 	}
 }
 

@@ -25,10 +25,14 @@ type MCOptions struct {
 // MonteCarloWith draws count realizations of the schedule through the
 // compiled batch kernel and returns the empirical makespan
 // distribution. The kernel runs on the caller and on helpers on idle
-// processors. A count below 1 is an error.
+// processors. A count below 1 and a sampler other than SamplerExact or
+// SamplerTable are errors.
 func MonteCarloWith(scen *platform.Scenario, s *schedule.Schedule, count int, seed int64, opt MCOptions) (*stochastic.Empirical, error) {
 	if count < 1 {
 		return nil, fmt.Errorf("makespan: %d Monte-Carlo realizations, want at least 1", count)
+	}
+	if opt.Sampler != stochastic.SamplerExact && opt.Sampler != stochastic.SamplerTable {
+		return nil, fmt.Errorf("makespan: unknown sampler mode %d", int(opt.Sampler))
 	}
 	sim, err := schedule.NewSimulator(scen, s)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/stochastic"
 )
 
-// TestSharedOpsPoolAcrossAccuracies runs Classic and Dodin from several
+// TestSharedOpsPoolAcrossAccuracies runs Classic from several
 // goroutines at once on caches at every accuracy preset. Evaluation
 // workspaces come from one package-level pool, so a workspace grown at
 // one accuracy is reused at another and its free list mixes 32- and
@@ -46,22 +46,15 @@ func TestSharedOpsPoolAcrossAccuracies(t *testing.T) {
 	}
 
 	classic := make([]*stochastic.Numeric, len(jobs))
-	dodin := make([]*stochastic.Numeric, len(jobs))
 	for i, j := range jobs {
 		classic[i] = j.model.Classic()
-		var err error
-		if dodin[i], err = j.model.Dodin(); err != nil {
-			t.Fatalf("%s: %v", j.label, err)
-		}
 	}
 
 	const workers = 4
 	gotClassic := make([][]*stochastic.Numeric, workers)
-	gotDodin := make([][]*stochastic.Numeric, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		gotClassic[w] = make([]*stochastic.Numeric, len(jobs))
-		gotDodin[w] = make([]*stochastic.Numeric, len(jobs))
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -70,10 +63,6 @@ func TestSharedOpsPoolAcrossAccuracies(t *testing.T) {
 			for k := range jobs {
 				i := (k + w*len(jobs)/workers) % len(jobs)
 				gotClassic[w][i] = jobs[i].model.Classic()
-				var err error
-				if gotDodin[w][i], err = jobs[i].model.Dodin(); err != nil {
-					t.Errorf("%s/worker%d: %v", jobs[i].label, w, err)
-				}
 			}
 		}(w)
 	}
@@ -81,7 +70,6 @@ func TestSharedOpsPoolAcrossAccuracies(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		for i, j := range jobs {
 			assertSameRV(t, "classic/"+j.label+"/worker"+itoa(w), gotClassic[w][i], classic[i])
-			assertSameRV(t, "dodin/"+j.label+"/worker"+itoa(w), gotDodin[w][i], dodin[i])
 		}
 	}
 }

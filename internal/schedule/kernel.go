@@ -55,8 +55,6 @@ type RealizationKernel struct {
 	// realization-major sampling consumes the RNG stream in that
 	// order.
 	samplers []stochastic.BatchSampler
-
-	workerPool sync.Pool // *kernelWorker, reused across Run calls
 }
 
 // DefaultBlockSize is the realization-block granularity of a kernel
@@ -166,18 +164,23 @@ func (k *RealizationKernel) Slots() int { return len(k.samplers) }
 // random source (reseeded per block), the structure-of-arrays sample
 // block (one row of block realizations per slot), and the finish rows
 // of the timing pass (one row of block realizations per task). Workers
-// are pooled on the kernel, so steady-state runs do not allocate per
-// realization or per call.
+// are pooled across kernels, so steady-state runs do not allocate per
+// realization or per call, and neither does compiling a new kernel for
+// each call. A worker holds no state of the kernel it last served:
+// every block reseeds its source and overwrites the rows it reads.
 type kernelWorker struct {
 	src    *stochastic.Source
 	block  []float64
 	finish []float64
 }
 
+// workerPool holds the kernel workers of every kernel.
+var workerPool sync.Pool // *kernelWorker
+
 // getWorker returns a pooled worker with room for blockLen
-// realizations per row.
+// realizations per row of this kernel.
 func (k *RealizationKernel) getWorker(blockLen int) *kernelWorker {
-	w, _ := k.workerPool.Get().(*kernelWorker)
+	w, _ := workerPool.Get().(*kernelWorker)
 	if w == nil {
 		w = &kernelWorker{src: stochastic.NewSource(0)}
 	}
@@ -311,7 +314,7 @@ func (k *RealizationKernel) RealizationsInto(out []float64, seed int64, opt Kern
 		// No block holds more than count realizations, so a block size
 		// beyond count sizes the buffers by what is drawn.
 		w := k.getWorker(min(block, count))
-		defer k.workerPool.Put(w)
+		defer workerPool.Put(w)
 		for !helper || !team.Crowded() {
 			kb := int(next.Add(1)) - 1
 			if kb >= len(bs) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/graphgen"
@@ -336,6 +337,62 @@ func TestKernelDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Kernel workers are pooled across kernels, so a worker grown by a
+// large kernel serves a small one and a small kernel's worker grows for
+// a large one. Two kernels of different sizes, in both sampler modes
+// and at two realization counts (so two block lengths), run alternately
+// from several goroutines; every run must equal its serial bits.
+func TestKernelWorkersSharedAcrossKernels(t *testing.T) {
+	type run struct {
+		label string
+		k     *RealizationKernel
+		count int
+		want  []float64
+	}
+	sims := []*Simulator{randomSimulator(t, 8, 2, 1.3, 11), randomSimulator(t, 60, 4, 1.3, 12)}
+	var runs []run // small and large kernels alternate
+	for _, mode := range []stochastic.SamplerMode{stochastic.SamplerExact, stochastic.SamplerTable} {
+		for _, count := range []int{100, 1000} {
+			for _, sim := range sims {
+				k := sim.Compile(mode)
+				runs = append(runs, run{
+					label: fmt.Sprintf("n=%d mode %v count %d", k.n, mode, count),
+					k:     k,
+					count: count,
+					want:  k.Realizations(count, 9, KernelOptions{Workers: 1}),
+				})
+			}
+		}
+	}
+
+	const goroutines = 4
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines*len(runs))
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := range runs {
+					r := runs[(i+g)%len(runs)]
+					got := r.k.Realizations(r.count, 9, KernelOptions{Workers: 2})
+					for j := range r.want {
+						if math.Float64bits(got[j]) != math.Float64bits(r.want[j]) {
+							errs <- fmt.Sprintf("goroutine %d, %s: realization %d = %v, serial %v", g, r.label, j, got[j], r.want[j])
+							break
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

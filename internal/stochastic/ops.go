@@ -85,12 +85,6 @@ func (o *Ops) Recycle(rv *Numeric) {
 	rv.pdf = nil
 }
 
-// Copy is Numeric.Clone with the copy's density drawn from the free
-// list: the result is owned by the caller and may be Recycled.
-// Dodin's cone duplication clones shared sub-structures through it so
-// the copies stay inside the workspace's buffer discipline.
-func (o *Ops) Copy(rv *Numeric) *Numeric { return o.copyOf(rv) }
-
 // copyOf is Numeric.Clone with the copy drawn from the free list.
 func (o *Ops) copyOf(rv *Numeric) *Numeric {
 	out := &Numeric{lo: rv.lo, hi: rv.hi, point: rv.point}

@@ -113,7 +113,6 @@ const (
 // Evaluation method names re-exported from the makespan package.
 const (
 	MethodClassic = makespan.Classic
-	MethodDodin   = makespan.Dodin
 	MethodSpelde  = makespan.Spelde
 )
 
@@ -177,9 +176,7 @@ func SDHEFT(scen *Scenario, lambda float64) (HeuristicResult, error) {
 }
 
 // MakespanDistribution evaluates the makespan distribution of s with
-// the given method on the paper's 64-point grid. MethodDodin returns
-// the reduction's error (makespan.IsReductionError) when Dodin's
-// reduction cannot finish.
+// the given method on the paper's 64-point grid.
 func MakespanDistribution(scen *Scenario, s *Schedule, method makespan.Method) (*MakespanRV, error) {
 	return makespan.Evaluate(scen, s, method, 0)
 }

@@ -174,15 +174,11 @@ func TestFacadeMethodsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rvDodin, err := MakespanDistribution(scen, s, MethodDodin)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rvSpelde, err := MakespanDistribution(scen, s, MethodSpelde)
 	if err != nil {
 		t.Fatal(err)
 	}
-	means := []float64{rvClassic.Mean(), rvDodin.Mean(), rvSpelde.Mean()}
+	means := []float64{rvClassic.Mean(), rvSpelde.Mean()}
 	for i := 1; i < len(means); i++ {
 		if math.Abs(means[i]-means[0]) > 0.05*means[0] {
 			t.Errorf("method %d mean %g deviates from classic %g", i, means[i], means[0])
@@ -194,51 +190,6 @@ func TestFacadeMethodsAgree(t *testing.T) {
 	}
 	if got := sim.MinTiming().Makespan; got > means[0] {
 		t.Errorf("min-duration makespan %g exceeds expected makespan %g", got, means[0])
-	}
-}
-
-// The facade's Dodin must be the compiled EvalModel.Dodin, bit for bit:
-// one production Dodin path, with the map-based reducer kept only as a
-// test reference.
-func TestFacadeDodinMatchesModel(t *testing.T) {
-	for _, family := range []string{"random", "fft", "cholesky"} {
-		for seed := int64(1); seed <= 6; seed++ {
-			scen, err := NewScenario(family, 30, 4, 1.2, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := RandomSchedule(scen, seed+100)
-			got, err := MakespanDistribution(scen, s, MethodDodin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := NewEvalCache(scen, 0).Model(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := m.Dodin()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameBits(got, want) {
-				t.Errorf("%s seed %d: facade Dodin mean %.12g differs from EvalModel.Dodin mean %.12g",
-					family, seed, got.Mean(), want.Mean())
-			}
-		}
-	}
-}
-
-// A Dodin reduction that cannot finish is an error, never Classic's
-// density under Dodin's name. Random schedules of the 1 000-task FFT
-// exhaust the duplication budget.
-func TestFacadeDodinReturnsReductionError(t *testing.T) {
-	scen, err := NewScenario("fft", 1000, 8, 1.1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = MakespanDistribution(scen, RandomSchedule(scen, 101), MethodDodin)
-	if !makespan.IsReductionError(err) {
-		t.Fatalf("MakespanDistribution(MethodDodin) error = %v, want a reduction error", err)
 	}
 }
 
