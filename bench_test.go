@@ -15,7 +15,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/heuristics"
 	"repro/internal/makespan"
-	"repro/internal/numeric"
 	"repro/internal/robustness"
 	"repro/internal/schedule"
 	"repro/internal/stats"
@@ -101,20 +100,6 @@ func BenchmarkFig9(b *testing.B) {
 }
 
 // --- Substrate micro-benches ---------------------------------------------
-
-func BenchmarkFFT1024(b *testing.B) {
-	re := make([]float64, 1024)
-	im := make([]float64, 1024)
-	rng := rand.New(rand.NewSource(1))
-	for i := range re {
-		re[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = numeric.FFT(re, im, false)
-		_ = numeric.FFT(re, im, true)
-	}
-}
 
 // BenchmarkAblationGridSize sweeps the density grid resolution (the
 // paper settled on 64 points).

@@ -170,26 +170,17 @@ func main() {
 		cfg = experiment.PaperConfig()
 	}
 	cfg.Seed = *seed
-	if *schedules > 0 {
-		cfg.Schedules = *schedules
-	}
-	if *mc > 0 {
-		cfg.MCRealizations = *mc
+	if err := applyCounts(&cfg, *schedules, *mc, *mcBlock, *workers); err != nil {
+		fatalf("%v", err)
 	}
 	if *sampler != "" {
 		cfg.MCSampler = *sampler
-	}
-	if *mcBlock > 0 {
-		cfg.MCBlockSize = *mcBlock
 	}
 	if *evalAcc != "" {
 		cfg.EvalAccuracy = *evalAcc
 	}
 	if err := cfg.Validate(); err != nil {
 		fatalf("%v", err)
-	}
-	if *workers > 0 {
-		cfg.Workers = *workers
 	}
 
 	// Fail on an unwritable output directory now, not after hours of
@@ -358,9 +349,35 @@ type runEnv struct {
 	sweep  experiment.Sweep
 }
 
+// applyCounts sets cfg's counts from the count flags: 0 keeps the
+// default, and a negative count is an error.
+func applyCounts(cfg *experiment.Config, schedules, mc, mcBlock, workers int) error {
+	for _, f := range []struct {
+		name  string
+		value int
+		field *int
+	}{
+		{"schedules", schedules, &cfg.Schedules},
+		{"mc", mc, &cfg.MCRealizations},
+		{"mc-block", mcBlock, &cfg.MCBlockSize},
+		{"workers", workers, &cfg.Workers},
+	} {
+		if f.value < 0 {
+			return fmt.Errorf("-%s %d: want 0 (the default) or a positive count", f.name, f.value)
+		}
+		if f.value > 0 {
+			*f.field = f.value
+		}
+	}
+	return nil
+}
+
 // parseSweep assembles the -fig sweep grid from the flag values.
 func parseSweep(families, sizes, uls string, reps int) (experiment.Sweep, error) {
 	s := experiment.Sweep{NamePrefix: "sweep", Reps: reps}
+	if reps < 1 {
+		return s, fmt.Errorf("-sweep-reps %d: want at least 1", reps)
+	}
 	for _, f := range strings.Split(families, ",") {
 		if f = strings.TrimSpace(f); f != "" {
 			s.Families = append(s.Families, f)

@@ -5,8 +5,56 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiment"
 	"repro/internal/resilience"
 )
+
+// A negative count flag is an error before any figure runs; 0 keeps the
+// default and a positive count replaces it.
+func TestApplyCounts(t *testing.T) {
+	def := experiment.DefaultConfig()
+	over := def
+	over.Schedules, over.MCRealizations, over.MCBlockSize, over.Workers = 10, 500, 64, 3
+	for _, tc := range []struct {
+		schedules, mc, mcBlock, workers int
+		want                            experiment.Config // unused on error
+		wantErr                         bool
+	}{
+		{schedules: -7, wantErr: true},
+		{mc: -5, wantErr: true},
+		{mcBlock: -1, wantErr: true},
+		{workers: -4, wantErr: true},
+		{schedules: 10, mc: -1, wantErr: true},
+		{want: def},
+		{schedules: 10, mc: 500, mcBlock: 64, workers: 3, want: over},
+	} {
+		cfg := def
+		err := applyCounts(&cfg, tc.schedules, tc.mc, tc.mcBlock, tc.workers)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("applyCounts(%d, %d, %d, %d) accepted", tc.schedules, tc.mc, tc.mcBlock, tc.workers)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(cfg, tc.want) {
+			t.Errorf("applyCounts(%d, %d, %d, %d) = %+v, %v; want %+v", tc.schedules, tc.mc, tc.mcBlock, tc.workers, cfg, err, tc.want)
+		}
+	}
+}
+
+// -sweep-reps must be at least 1: a cell of zero or fewer instances is
+// an error, not one instance.
+func TestParseSweepReps(t *testing.T) {
+	for reps, wantErr := range map[int]bool{-3: true, -1: true, 0: true, 1: false, 2: false} {
+		s, err := parseSweep("random", "10", "1.1", reps)
+		if (err != nil) != wantErr {
+			t.Errorf("parseSweep(reps %d): %v, want error %v", reps, err, wantErr)
+		}
+		if err == nil && s.Reps != reps {
+			t.Errorf("parseSweep(reps %d): Reps %d", reps, s.Reps)
+		}
+	}
+}
 
 func TestParseChaos(t *testing.T) {
 	for spec, want := range map[string][]resilience.Fault{

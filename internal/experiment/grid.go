@@ -22,10 +22,13 @@ type Sweep struct {
 	// ULs are the uncertainty levels of the grid.
 	ULs []float64
 	// Reps is the number of instances per (family, size, UL) cell;
-	// <= 0 means 1. Each instance gets its own derived seed.
+	// 0 means 1, and a negative count is an error. Each instance gets
+	// its own derived seed.
 	Reps int
 	// RepsFor overrides Reps per family name (Fig. 6 runs two random
-	// instances per cell but one of each structured graph).
+	// instances per cell but one of each structured graph); an entry
+	// of 0 keeps Reps, and a negative entry for a swept family is an
+	// error.
 	RepsFor map[string]int
 }
 
@@ -67,10 +70,16 @@ func (s Sweep) Cases(seed int64) ([]CaseSpec, error) {
 			return nil, err
 		}
 	}
+	if s.Reps < 0 {
+		return nil, fmt.Errorf("experiment: sweep has %d instances per cell, want 0 (one) or more", s.Reps)
+	}
 	for _, name := range s.Families {
 		fam, err := FamilyByName(name)
 		if err != nil {
 			return nil, err
+		}
+		if r := s.RepsFor[name]; r < 0 {
+			return nil, fmt.Errorf("experiment: sweep has %d instances per %s cell, want 0 (Reps) or more", r, name)
 		}
 		for _, n := range s.Sizes {
 			if _, err := fam.RoundSize(n); err != nil {
@@ -83,7 +92,7 @@ func (s Sweep) Cases(seed int64) ([]CaseSpec, error) {
 		prefix = "sweep"
 	}
 	reps := func(family string) int {
-		if r, ok := s.RepsFor[family]; ok && r > 0 {
+		if r := s.RepsFor[family]; r > 0 {
 			return r
 		}
 		if s.Reps > 0 {

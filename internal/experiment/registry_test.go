@@ -252,6 +252,29 @@ func TestSweepValidation(t *testing.T) {
 	if _, err := (Sweep{Families: []string{RandomFamily}, Sizes: []int{10}}).Cases(1); err == nil {
 		t.Error("empty UL list accepted")
 	}
+	// A negative instance count is an error; 0 is the zero value's one
+	// instance, and a RepsFor entry of 0 keeps Reps.
+	for _, tc := range []struct {
+		reps    int
+		repsFor map[string]int
+		want    int // cases; 0 for an error
+	}{
+		{reps: -1},
+		{reps: -3},
+		{reps: 2, repsFor: map[string]int{RandomFamily: -2}},
+		{reps: 0, want: 1},
+		{reps: 2, repsFor: map[string]int{RandomFamily: 0}, want: 2},
+		{reps: 0, repsFor: map[string]int{RandomFamily: 3}, want: 3},
+	} {
+		cases, err := (Sweep{Families: []string{RandomFamily}, Sizes: []int{10}, ULs: []float64{1.1},
+			Reps: tc.reps, RepsFor: tc.repsFor}).Cases(1)
+		if tc.want == 0 && err == nil {
+			t.Errorf("Reps %d, RepsFor %v accepted (%d cases)", tc.reps, tc.repsFor, len(cases))
+		}
+		if tc.want > 0 && (err != nil || len(cases) != tc.want) {
+			t.Errorf("Reps %d, RepsFor %v: %d cases, %v; want %d cases", tc.reps, tc.repsFor, len(cases), err, tc.want)
+		}
+	}
 	cases, err := (Sweep{
 		Families: []string{InTreeFamily, FFTFamily},
 		Sizes:    []int{10, 30},

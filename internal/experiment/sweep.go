@@ -44,8 +44,10 @@ type RunOptions struct {
 
 // caseCacheVersion tags cache entries; bump it whenever the result
 // semantics or encoding of a case change. v5: one key layout, which
-// hashes both axes of the evaluation accuracy.
-const caseCacheVersion = "repro/case/v5"
+// hashes both axes of the evaluation accuracy. v6: every convolution is
+// the direct sum, so density grids above 96 points, which an FFT used
+// to convolve, change by round-off; no v5 entry may mix with them.
+const caseCacheVersion = "repro/case/v6"
 
 // CaseCacheKey derives the disk-cache key of a case: a hash of the
 // full spec (workload family by stable name) and every configuration

@@ -8,7 +8,7 @@ import (
 )
 
 // oracleConvolveDirect is the plain double loop, kept verbatim as the
-// bit-identity oracle of convolveDirectInto (test files are outside the
+// bit-identity oracle of ConvolveInto (test files are outside the
 // floateq check, so the zero skip carries no allow directive here).
 func oracleConvolveDirect(out, a, b []float64) []float64 {
 	for i := range out {
@@ -126,16 +126,19 @@ func poison(ws *ConvScratch) {
 	}
 }
 
-// The direct kernel must be bit-identical to the double loop over random
+// ConvolveInto must be bit-identical to the double loop over random
 // shapes: either operand longer, length-1 operands, output lengths on
 // either side of one and two dotBlock passes with a much shorter a or b,
-// the work-grid sizes the evaluator produces, and signed zeros in both
-// operands. One ConvScratch serves every shape and is poisoned first.
+// the work-grid sizes the evaluator produces, both operands long (as
+// Fig. 8's 128-point sums and grids up to 256 points make them), and
+// signed zeros in both operands. One ConvScratch serves every shape and
+// is poisoned first.
 func TestConvolveDirectMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := [][2]int{
 		{1, 1}, {1, 9}, {9, 1}, {2, 3}, {3, 2}, {4, 4}, {5, 7}, {7, 5},
 		{64, 64}, {64, 257}, {257, 64}, {8192, 64}, {64, 8192}, {8192, 3},
+		{97, 97}, {128, 128}, {200, 97}, {97, 200}, {3840, 128}, {8192, 97}, {8192, 256},
 	}
 	for _, n := range []int{11, 12, 13, 23, 24, 25} {
 		for short := 1; short <= 3; short++ {
@@ -154,7 +157,7 @@ func TestConvolveDirectMatchesOracle(t *testing.T) {
 		}
 		poison(ws)
 		want := oracleConvolveDirect(make([]float64, len(out)), a, b)
-		sameBits(t, fmt.Sprint(sh), convolveDirectInto(out, a, b, ws), want)
+		sameBits(t, fmt.Sprint(sh), ConvolveInto(out, a, b, ws), want)
 	}
 }
 
@@ -177,8 +180,8 @@ func finiteVector(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// FuzzConvolveDirect checks the direct kernel against the double loop
-// bit for bit on finite operands of 1 to 600 elements each.
+// FuzzConvolveDirect checks ConvolveInto against the double loop bit
+// for bit on finite operands of 1 to 600 elements each.
 func FuzzConvolveDirect(f *testing.F) {
 	f.Add(uint16(0), uint16(0), int64(1))
 	f.Add(uint16(10), uint16(1), int64(2))
@@ -190,7 +193,7 @@ func FuzzConvolveDirect(f *testing.F) {
 		a := finiteVector(rng, 1+int(la)%600)
 		b := finiteVector(rng, 1+int(lb)%600)
 		want := oracleConvolveDirect(make([]float64, len(a)+len(b)-1), a, b)
-		sameBits(t, fmt.Sprint(len(a), len(b)), fresh(convolveDirectInto, a, b), want)
+		sameBits(t, fmt.Sprint(len(a), len(b)), convolve(a, b), want)
 	})
 }
 
@@ -266,47 +269,14 @@ func TestFitPairMatchesTwoFits(t *testing.T) {
 var sinkFloats []float64
 
 func BenchmarkConvolveDirect(b *testing.B) {
-	for _, sh := range [][2]int{{8192, 64}, {64, 8192}, {256, 8}} {
+	for _, sh := range [][2]int{{8192, 64}, {64, 8192}, {256, 8}, {3840, 128}, {8192, 97}, {8192, 256}} {
 		rng := rand.New(rand.NewSource(1))
 		x, y := sparseVector(rng, sh[0]), sparseVector(rng, sh[1])
 		out := make([]float64, sh[0]+sh[1]-1)
 		ws := &ConvScratch{}
 		b.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(b *testing.B) {
 			for b.Loop() {
-				sinkFloats = convolveDirectInto(out, x, y, ws)
-			}
-		})
-	}
-}
-
-// BenchmarkConvolveStrategies contrasts the three convolution
-// strategies on the 64-point densities the evaluation uses and on a
-// long signal with a 64-point kernel, the overlap-add regime.
-func BenchmarkConvolveStrategies(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	vec := func(n int) []float64 {
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = rng.Float64()
-		}
-		return v
-	}
-	a64, c64, long := vec(64), vec(64), vec(2048)
-	for _, bc := range []struct {
-		name string
-		into func(out, a, b []float64, ws *ConvScratch) []float64
-		x, y []float64
-	}{
-		{"direct-64x64", convolveDirectInto, a64, c64},
-		{"fft-64x64", convolveFFTInto, a64, c64},
-		{"fft-2048x64", convolveFFTInto, long, a64},
-		{"overlapadd-2048x64", convolveOverlapAddInto, long, a64},
-	} {
-		out := make([]float64, len(bc.x)+len(bc.y)-1)
-		ws := &ConvScratch{}
-		b.Run(bc.name, func(b *testing.B) {
-			for b.Loop() {
-				sinkFloats = bc.into(out, bc.x, bc.y, ws)
+				sinkFloats = ConvolveInto(out, x, y, ws)
 			}
 		})
 	}

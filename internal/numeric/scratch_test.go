@@ -5,22 +5,17 @@ import (
 	"testing"
 )
 
-// convolve is ConvolveInto on a fresh output and scratch (nil for an
-// empty operand): the allocating form the strategy tests compare with.
-func convolve(a, b []float64) []float64 { return fresh(ConvolveInto, a, b) }
-
-// fresh runs a convolution routine into a new output with a fresh
-// scratch; nil for an empty operand.
-func fresh(into func(out, a, b []float64, ws *ConvScratch) []float64, a, b []float64) []float64 {
+// convolve is ConvolveInto on a fresh output and scratch; nil for an
+// empty operand.
+func convolve(a, b []float64) []float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
-	return into(make([]float64, len(a)+len(b)-1), a, b, &ConvScratch{})
+	return ConvolveInto(make([]float64, len(a)+len(b)-1), a, b, &ConvScratch{})
 }
 
-// The scratch-carrying convolution entry points must give the same
-// bits with a reused scratch as with a fresh one — the evaluation
-// layer's workspaces rely on it.
+// ConvolveInto must give the same bits with a reused scratch as with a
+// fresh one — the evaluation layer's workspaces rely on it.
 func TestConvolveIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	shapes := [][2]int{
@@ -45,49 +40,6 @@ func TestConvolveIntoBitIdentical(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%v: ConvolveInto diverges at %d: %g != %g", sh, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// Each strategy must give the same bits with a scratch holding stale
-// garbage from a previous call as with a fresh one.
-func TestStrategyIntoVariantsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := make([]float64, 700)
-	b := make([]float64, 40)
-	for i := range a {
-		a[i] = rng.Float64()
-	}
-	for i := range b {
-		b[i] = rng.Float64()
-	}
-	ws := &ConvScratch{}
-	// Poison the scratch with a previous, larger convolution.
-	_ = convolveFFTInto(make([]float64, 2*len(a)-1), a, a, ws)
-
-	out := make([]float64, len(a)+len(b)-1)
-	for i := range out {
-		out[i] = -1 // prior contents must be overwritten
-	}
-	if want, got := fresh(convolveOverlapAddInto, a, b), convolveOverlapAddInto(out, a, b, ws); true {
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("overlap-add Into diverges at %d", i)
-			}
-		}
-	}
-	if want, got := fresh(convolveFFTInto, a, b), convolveFFTInto(out, a, b, ws); true {
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("FFT Into diverges at %d", i)
-			}
-		}
-	}
-	if want, got := fresh(convolveDirectInto, a, b), convolveDirectInto(out, a, b, ws); true {
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("direct Into diverges at %d", i)
 			}
 		}
 	}

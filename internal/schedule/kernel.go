@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -102,8 +103,14 @@ func (o KernelOptions) block() int {
 // schedule. mode selects the samplers: SamplerExact draws every
 // variate with its distribution's own Sample in the per-sample order,
 // SamplerTable swaps Beta durations/arcs for inverse-CDF table
-// lookups — the fast path for bulk Monte Carlo.
+// lookups — the fast path for bulk Monte Carlo. Any other mode panics
+// with "schedule: unknown sampler mode N".
 func (sim *Simulator) Compile(mode stochastic.SamplerMode) *RealizationKernel {
+	if mode != stochastic.SamplerExact && mode != stochastic.SamplerTable {
+		// int(mode): formatting the SamplerMode itself would link its
+		// String method into every binary that compiles a kernel.
+		panic(fmt.Sprintf("schedule: unknown sampler mode %d", int(mode)))
+	}
 	n := len(sim.dur)
 	k := &RealizationKernel{
 		n:         n,

@@ -475,6 +475,23 @@ func TestKernelBounds(t *testing.T) {
 	}
 }
 
+// Compile takes only the exact and table modes; any other mode panics
+// before a slot is built instead of drawing an undocumented stream.
+func TestCompileRejectsUnknownSamplerMode(t *testing.T) {
+	sim := randomSimulator(t, 20, 3, 1.3, 9)
+	for _, mode := range []stochastic.SamplerMode{2, 7, -1} {
+		t.Run(fmt.Sprint(int(mode)), func(t *testing.T) {
+			want := fmt.Sprintf("schedule: unknown sampler mode %d", int(mode))
+			defer func() {
+				if got := recover(); got != want {
+					t.Errorf("Compile(%d) recovered %v, want the panic %q", int(mode), got, want)
+				}
+			}()
+			sim.Compile(mode)
+		})
+	}
+}
+
 // A deterministic scenario (UL = 1) compiles to a kernel with zero
 // stochastic slots whose every realization is the deterministic
 // makespan.
@@ -552,6 +569,28 @@ func TestKernelTailDrawsAreNotClamped(t *testing.T) {
 // pool is warm.
 func TestKernelSteadyStateAllocations(t *testing.T) {
 	sim := randomSimulator(t, 20, 3, 1.3, 29)
+	// A worker held across blocks reseeds, samples and times each block
+	// without allocating, in either mode. No sync.Pool is involved.
+	for _, mode := range []stochastic.SamplerMode{stochastic.SamplerTable, stochastic.SamplerExact} {
+		k := sim.Compile(mode)
+		w := k.getWorker(DefaultBlockSize)
+		ms := make([]float64, DefaultBlockSize)
+		seed := int64(0)
+		allocs := testing.AllocsPerRun(8, func() {
+			seed++
+			w.src.Seed(seed)
+			k.sampleBlock(w, len(ms))
+			k.passBlock(w, ms)
+		})
+		if allocs != 0 {
+			t.Errorf("%v: a held worker allocates %g times per block", mode, allocs)
+		}
+	}
+	if raceEnabled {
+		// The race detector makes sync.Pool drop a random share of
+		// Puts, so a call below sometimes rebuilds its warm worker.
+		return
+	}
 	k := sim.Compile(stochastic.SamplerTable)
 	out := make([]float64, 4096)
 	opt := KernelOptions{Workers: 1}

@@ -20,7 +20,7 @@ const DefaultMaxWorkGrid = 8192
 // Numeric is a random variable represented numerically by its density
 // sampled on a uniform grid over [lo, hi] (endpoints included). It
 // supports the two operators the makespan computation needs — the sum of
-// independent variables (convolution of densities, via FFT) and the
+// independent variables (convolution of densities, a direct sum) and the
 // maximum of independent variables (product of CDFs) — plus moments,
 // differential entropy, CDF evaluation and quantiles.
 //

@@ -158,15 +158,13 @@ func planAdd(a, b *Numeric, acc EvalAccuracy) addPlan {
 }
 
 // convolve convolves the work-grid resamples pa and pb into s.cv, scales
-// by the step and clamps negatives, and lays the convolution's knot
-// grid into s.convXs.
+// by the step, and lays the convolution's knot grid into s.convXs. The
+// resamples are never negative (resampleFitted clamps them), and
+// neither is their convolution, a direct sum of their products.
 func (o *Ops) convolve(s *addScratch, pa, pb []float64, p addPlan) (xs, conv []float64) {
 	conv = numeric.ConvolveInto(grow(&s.cv, len(pa)+len(pb)-1), pa, pb, &o.conv)
 	for i := range conv {
 		conv[i] *= p.h
-		if conv[i] < 0 {
-			conv[i] = 0
-		}
 	}
 	// The convolution grid spans [lo, lo+(len-1)h]; resample onto the
 	// requested grid over the exact support.

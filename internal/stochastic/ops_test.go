@@ -235,10 +235,10 @@ func sameRV(t *testing.T, label string, got, want *Numeric) {
 
 // Ops.AddAcc and Ops.MaxAcc must be bit-identical to the oracle at the
 // same grid size across the operand shapes the evaluators produce:
-// generic pairs, wide-vs-narrow (the overlap-add/direct regime), point
-// operands on either side, truncating and dominating constants, and
-// disjoint supports. The workspace is reused throughout, so stale
-// scratch from one case must never leak into the next.
+// generic pairs, wide-vs-narrow, point operands on either side,
+// truncating and dominating constants, and disjoint supports. The
+// workspace is reused throughout, so stale scratch from one case must
+// never leak into the next.
 func TestOpsBitIdenticalToNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ops := &Ops{}

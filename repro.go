@@ -45,7 +45,8 @@ type (
 	// Schedule is an eager schedule (assignment + per-processor order).
 	Schedule = schedule.Schedule
 	// Simulator holds a schedule's eager execution: its deterministic
-	// timings, and Compile builds its RealizationKernel.
+	// timings, and Compile builds its RealizationKernel. Compile takes
+	// SamplerExact or SamplerTable and panics on any other mode.
 	Simulator = schedule.Simulator
 	// Metrics is the paper's eight-metric robustness vector.
 	Metrics = robustness.Metrics
