@@ -179,6 +179,8 @@ func main() {
 	if *evalAcc != "" {
 		cfg.EvalAccuracy = *evalAcc
 	}
+	cfg.CaseTimeout = *caseTimeout
+	cfg.MaxRetries = *maxRetries
 	if err := cfg.Validate(); err != nil {
 		fatalf("%v", err)
 	}
@@ -212,9 +214,6 @@ func main() {
 		<-sigCh
 		os.Exit(130)
 	}()
-
-	cfg.CaseTimeout = *caseTimeout
-	cfg.MaxRetries = *maxRetries
 
 	env := &runEnv{ctx: ctx, cfg: cfg, outDir: *out, json: *jsonOut}
 	var err error

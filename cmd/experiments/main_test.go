@@ -1,13 +1,49 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/experiment"
 	"repro/internal/resilience"
 )
+
+// TestMain runs the command instead of the tests when the test binary
+// is started with EXPERIMENTS_MAIN=1, so a test can drive main's flag
+// handling in a child process.
+func TestMain(m *testing.M) {
+	if os.Getenv("EXPERIMENTS_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// A negative -max-retries or -case-timeout fails before any figure
+// runs. main used to copy both flags into the config after validating
+// it, so a negative value ran as 0: no retries and no deadline.
+func TestNegativeSupervisionFlagsFail(t *testing.T) {
+	for _, tc := range []struct {
+		flags []string
+		want  string // a substring of the failure
+	}{
+		{[]string{"-max-retries", "-3"}, "retries"},
+		{[]string{"-case-timeout", "-1s"}, "timeout"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-fig", "9"}, tc.flags...)...)
+		cmd.Env = append(os.Environ(), "EXPERIMENTS_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || !strings.Contains(string(out), tc.want) {
+			t.Errorf("%v: exit %v, want a failure naming %q:\n%s", tc.flags, err, tc.want, out)
+		}
+	}
+}
 
 // A negative count flag is an error before any figure runs; 0 keeps the
 // default and a positive count replaces it.

@@ -43,14 +43,14 @@ type Config struct {
 	EvalAccuracy string
 
 	// CaseTimeout bounds the wall-clock time of one case attempt;
-	// <= 0 means no per-case deadline. Result-neutral: a case either
+	// 0 means no per-case deadline. Result-neutral: a case either
 	// completes (same bytes as without the deadline) or fails the
 	// attempt with a timeout, so the timeout never enters cache keys.
 	CaseTimeout time.Duration
 	// MaxRetries is the number of supervised re-attempts after a
-	// case's first failed attempt (panic, timeout, or error). Each
-	// re-attempt is a clean re-run from the case seed, so a retried
-	// case is byte-identical to one that succeeded first try.
+	// case's first failed attempt (panic, timeout, or error); 0 means
+	// none. Each re-attempt is a clean re-run from the case seed, so a
+	// retried case is byte-identical to one that succeeded first try.
 	MaxRetries int
 }
 
@@ -94,10 +94,11 @@ func (c Config) params() robustness.Params {
 
 // Validate checks the fields every driver shares: δ and γ
 // (robustness.Params.Check), the EvalAccuracy and MCSampler spellings,
-// at least two random schedules per case (a correlation needs two) and
-// at least one Monte-Carlo realization. Every driver runs it before any
-// schedule is evaluated or any cached case is served, so one
-// configuration fails the same way in all of them.
+// at least two random schedules per case (a correlation needs two), at
+// least one Monte-Carlo realization, and a CaseTimeout and MaxRetries
+// of 0 or more. Every driver runs it before any schedule is evaluated
+// or any cached case is served, so one configuration fails the same
+// way in all of them.
 func (c Config) Validate() error {
 	_, _, err := c.validate()
 	return err
@@ -122,6 +123,12 @@ func (c Config) validate() (stochastic.EvalAccuracy, stochastic.SamplerMode, err
 	}
 	if c.MCRealizations < 1 {
 		return acc, mode, fmt.Errorf("experiment: %d Monte-Carlo realizations, want at least 1", c.MCRealizations)
+	}
+	if c.CaseTimeout < 0 {
+		return acc, mode, fmt.Errorf("experiment: case timeout %v, want 0 (none) or more", c.CaseTimeout)
+	}
+	if c.MaxRetries < 0 {
+		return acc, mode, fmt.Errorf("experiment: %d retries per case, want 0 (none) or more", c.MaxRetries)
 	}
 	return acc, mode, nil
 }

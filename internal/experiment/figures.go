@@ -10,6 +10,7 @@ import (
 	"repro/internal/makespan"
 	"repro/internal/numeric"
 	"repro/internal/platform"
+	"repro/internal/runner"
 	"repro/internal/schedule"
 	"repro/internal/seeds"
 	"repro/internal/stats"
@@ -35,9 +36,16 @@ type Fig1Row struct {
 // schedules of random graphs are evaluated both analytically and by
 // Monte Carlo, and the CDF distances are averaged.
 func Fig1(cfg Config, sizes []int, schedulesPerSize int) ([]Fig1Row, error) {
+	rows, _, err := fig1(cfg, sizes, schedulesPerSize)
+	return rows, err
+}
+
+// fig1 is Fig1 that also reports how many of its Classic evaluations
+// ran beside the Monte-Carlo truth (classicAndTruth).
+func fig1(cfg Config, sizes []int, schedulesPerSize int) ([]Fig1Row, int, error) {
 	acc, mode, err := cfg.validate()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	mcOpts := makespan.MCOptions{Sampler: mode, BlockSize: cfg.MCBlockSize}
 	if len(sizes) == 0 {
@@ -57,6 +65,7 @@ func Fig1(cfg Config, sizes []int, schedulesPerSize int) ([]Fig1Row, error) {
 		}
 	}
 	var rows []Fig1Row
+	beside := 0
 	for _, n := range sizes {
 		// Every seed is derived from the size's identity, not its slice
 		// position: reordering `sizes` cannot change any row, and the
@@ -70,7 +79,7 @@ func Fig1(cfg Config, sizes []int, schedulesPerSize int) ([]Fig1Row, error) {
 		}
 		scen, err := spec.BuildScenario()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		cache := makespan.NewEvalCacheAccuracy(scen, acc)
 		rng := rand.New(rand.NewSource(seeds.Derive(spec.Seed, "fig1-schedules")))
@@ -80,12 +89,14 @@ func Fig1(cfg Config, sizes []int, schedulesPerSize int) ([]Fig1Row, error) {
 			s := heuristics.RandomSchedule(scen, rng)
 			model, err := cache.Model(s)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			rv := model.Classic()
-			emp, err := makespan.MonteCarloWith(scen, s, cfg.MCRealizations, mcSeeds.Seed(k), mcOpts)
+			rv, emp, helped, err := classicAndTruth(model, scen, s, cfg.MCRealizations, mcSeeds.Seed(k), mcOpts)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
+			}
+			if helped {
+				beside++
 			}
 			ksSum += stats.KSAgainstEmpirical(rv, emp)
 			lo, hi := stats.SupportUnion(rv, emp)
@@ -97,7 +108,33 @@ func Fig1(cfg Config, sizes []int, schedulesPerSize int) ([]Fig1Row, error) {
 			CM: cmSum / float64(schedulesPerSize),
 		})
 	}
-	return rows, nil
+	return rows, beside, nil
+}
+
+// classicAndTruth returns the classical makespan density of model, the
+// evaluation of schedule s, and count Monte-Carlo realizations of s,
+// the truth Figs. 1–2 measure the density against. Classic runs on a
+// runner.Team helper while the kernel draws on the caller, so the two
+// share the processors instead of taking turns; with no idle processor
+// (GOMAXPROCS 1, or a pool job while every worker holds one) Classic
+// runs on the caller after the draw. Neither result depends on where it
+// ran. It reports whether the helper started.
+//
+// The kernel stays on the caller so that its blocks can spread onto the
+// helper's processor once Classic returns. On the helper, inside a pool
+// job with one idle processor, it would run alone while the caller,
+// still counted by the pool, waited for it.
+func classicAndTruth(model *makespan.EvalModel, scen *platform.Scenario, s *schedule.Schedule, count int, seed int64, opt makespan.MCOptions) (*stochastic.Numeric, *stochastic.Empirical, bool, error) {
+	var rv *stochastic.Numeric
+	classic := func() { rv = model.Classic() }
+	team := runner.NewTeam(2)
+	helped := team.Grow(classic)
+	emp, err := makespan.MonteCarloWith(scen, s, count, seed, opt)
+	if !helped {
+		classic()
+	}
+	team.Wait()
+	return rv, emp, helped, err
 }
 
 // Fig2Result carries the two density curves of Fig. 2: the calculated
@@ -115,26 +152,32 @@ type Fig2Result struct {
 // experimental distributions on a large case). The paper shows a
 // ~100-task graph where KS ≈ 0.17 yet the curves nearly coincide.
 func Fig2(cfg Config) (*Fig2Result, error) {
+	res, _, err := fig2(cfg)
+	return res, err
+}
+
+// fig2 is Fig2 that also reports whether its Classic evaluation ran
+// beside the Monte-Carlo truth (classicAndTruth).
+func fig2(cfg Config) (*Fig2Result, bool, error) {
 	acc, mode, err := cfg.validate()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	mcOpts := makespan.MCOptions{Sampler: mode, BlockSize: cfg.MCBlockSize}
 	spec := Fig5Case(cfg.Seed + 999)
 	scen, err := spec.BuildScenario()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 4242))
 	s := heuristics.RandomSchedule(scen, rng)
 	model, err := makespan.NewEvalCacheAccuracy(scen, acc).Model(s)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	rv := model.Classic()
-	emp, err := makespan.MonteCarloWith(scen, s, cfg.MCRealizations, cfg.Seed+5, mcOpts)
+	rv, emp, helped, err := classicAndTruth(model, scen, s, cfg.MCRealizations, cfg.Seed+5, mcOpts)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	empRV := emp.ToNumeric(acc.GridSize)
 	lo, hi := stats.SupportUnion(rv, emp)
@@ -150,7 +193,7 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 		res.Calculated[i] = rv.PDFAt(x)
 		res.Empirical[i] = empRV.PDFAt(x)
 	}
-	return res, nil
+	return res, helped, nil
 }
 
 // Fig7Result carries the density curves of Fig. 7: the special

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/platform"
 )
@@ -27,8 +29,8 @@ type Sweep struct {
 	Reps int
 	// RepsFor overrides Reps per family name (Fig. 6 runs two random
 	// instances per cell but one of each structured graph); an entry
-	// of 0 keeps Reps, and a negative entry for a swept family is an
-	// error.
+	// of 0 keeps Reps. A negative entry, or a key that names no swept
+	// family, is an error.
 	RepsFor map[string]int
 }
 
@@ -78,13 +80,18 @@ func (s Sweep) Cases(seed int64) ([]CaseSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		if r := s.RepsFor[name]; r < 0 {
-			return nil, fmt.Errorf("experiment: sweep has %d instances per %s cell, want 0 (Reps) or more", r, name)
-		}
 		for _, n := range s.Sizes {
 			if _, err := fam.RoundSize(n); err != nil {
 				return nil, err
 			}
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(s.RepsFor)) {
+		if !slices.Contains(s.Families, name) {
+			return nil, fmt.Errorf("experiment: sweep sets instances per %q cell, but sweeps no such family (%v)", name, s.Families)
+		}
+		if r := s.RepsFor[name]; r < 0 {
+			return nil, fmt.Errorf("experiment: sweep has %d instances per %s cell, want 0 (Reps) or more", r, name)
 		}
 	}
 	prefix := s.NamePrefix

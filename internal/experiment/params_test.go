@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/runner"
 )
@@ -16,7 +17,7 @@ import (
 // read A = NaN and γ +Inf read R = 1; RunCase ran a misspelled sampler
 // to completion; fewer than two schedules read NaN correlations; Fig. 1
 // read KS 0, a perfect match, against zero realizations, and panicked
-// on a negative count.
+// on a negative count; a negative MaxRetries or CaseTimeout ran as 0.
 func TestDriversRejectBadMetricParams(t *testing.T) {
 	spec := Fig3Case(1)
 	ctx := context.Background()
@@ -108,6 +109,8 @@ func TestDriversRejectBadMetricParams(t *testing.T) {
 		{"1 schedule", func(c *Config) { c.Schedules = 1 }},
 		{"0 realizations", func(c *Config) { c.MCRealizations = 0 }},
 		{"-5 realizations", func(c *Config) { c.MCRealizations = -5 }},
+		{"-3 retries", func(c *Config) { c.MaxRetries = -3 }},
+		{"-1s case timeout", func(c *Config) { c.CaseTimeout = -time.Second }},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {

@@ -265,6 +265,9 @@ func TestSweepValidation(t *testing.T) {
 		{reps: 0, want: 1},
 		{reps: 2, repsFor: map[string]int{RandomFamily: 0}, want: 2},
 		{reps: 0, repsFor: map[string]int{RandomFamily: 3}, want: 3},
+		// A key that names no swept family is an error, not a default.
+		{reps: 0, repsFor: map[string]int{"randm": 3}},
+		{reps: 0, repsFor: map[string]int{RandomFamily: 3, CholeskyFamily: 2}},
 	} {
 		cases, err := (Sweep{Families: []string{RandomFamily}, Sizes: []int{10}, ULs: []float64{1.1},
 			Reps: tc.reps, RepsFor: tc.repsFor}).Cases(1)

@@ -209,10 +209,7 @@ func RunCases(ctx context.Context, specs []CaseSpec, cfg Config, opts RunOptions
 // runCaseCached, so whichever attempt succeeds delivers exactly the
 // bytes a fault-free run would.
 func runCaseSupervised(ctx context.Context, spec CaseSpec, cfg Config, pool *runner.Pool, opts RunOptions) (*CaseResult, error) {
-	attempts := 1
-	if cfg.MaxRetries > 0 {
-		attempts += cfg.MaxRetries
-	}
+	attempts := 1 + cfg.MaxRetries // RunCases validated cfg: never negative
 	rep := CaseReport{Case: spec.Name}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
