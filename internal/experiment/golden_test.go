@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/resilience"
 	"repro/internal/robustness"
+	"repro/internal/testdigest"
 )
 
 // Golden-file tests for every report writer and machine-readable
@@ -20,12 +20,10 @@ import (
 // with:
 //
 //	go test ./internal/experiment -run TestGolden -update
-var update = flag.Bool("update", false, "rewrite golden files")
-
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
-	if *update {
+	if testdigest.Updating() {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
