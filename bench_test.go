@@ -84,9 +84,8 @@ func BenchmarkFig7(b *testing.B) {
 }
 
 func BenchmarkFig8(b *testing.B) {
-	cfg := experiment.BenchConfig()
 	for i := 0; i < b.N; i++ {
-		experiment.Fig8(cfg, 10)
+		experiment.Fig8(10)
 	}
 }
 

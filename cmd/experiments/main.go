@@ -261,38 +261,49 @@ func main() {
 	defer pool.Close()
 	env.opts.Pool = pool
 
-	figs := strings.Split(*figFlag, ",")
-	if *figFlag == "all" {
-		figs = []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "ul", "osc"}
-	}
-	for _, f := range figs {
-		if ctx.Err() != nil {
-			fatalf("interrupted before figure %s", f)
-		}
-		if err := env.runFig(strings.TrimSpace(f)); err != nil {
-			fatalf("fig %s: %v", f, err)
-		}
-	}
-
 	// Surface everything non-clean: the text summary on stderr always,
-	// plus failure_report.json next to the figures when -out is set. A
-	// sweep that survived its faults (retries, -keep-going failures,
-	// quarantined cache entries) still exits 0 — the report is the
-	// contract for noticing what happened.
-	if report.Eventful() {
+	// plus failure_report.json next to the figures when -out is set,
+	// also when a figure fails. A sweep that survived its faults
+	// (retries, -keep-going failures, quarantined cache entries) still
+	// exits 0 — the report is the contract for noticing what happened.
+	writeReport := func() error {
+		if !report.Eventful() {
+			return nil
+		}
 		d := report.Snapshot()
 		var sb strings.Builder
 		experiment.WriteRunReport(&sb, d)
 		for _, line := range strings.Split(strings.TrimRight(sb.String(), "\n"), "\n") {
 			log.Print(line)
 		}
-		if *out != "" {
-			if err := env.writeFile("failure_report.json", func(w io.Writer) error {
-				return experiment.WriteJSON(w, d)
-			}); err != nil {
-				fatalf("failure report: %v", err)
-			}
+		if *out == "" {
+			return nil
 		}
+		return env.writeFile("failure_report.json", func(w io.Writer) error {
+			return experiment.WriteJSON(w, d)
+		})
+	}
+	figFailed := func(format string, args ...any) {
+		if err := writeReport(); err != nil {
+			log.Printf("failure report: %v", err)
+		}
+		fatalf(format, args...)
+	}
+
+	figs := strings.Split(*figFlag, ",")
+	if *figFlag == "all" {
+		figs = []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "ul", "osc"}
+	}
+	for _, f := range figs {
+		if ctx.Err() != nil {
+			figFailed("interrupted before figure %s", f)
+		}
+		if err := env.runFig(strings.TrimSpace(f)); err != nil {
+			figFailed("fig %s: %v", f, err)
+		}
+	}
+	if err := writeReport(); err != nil {
+		fatalf("failure report: %v", err)
 	}
 }
 
@@ -472,11 +483,16 @@ func (e *runEnv) progress() func(done, total int, name string) {
 }
 
 // runCaseFig runs one correlation case through the orchestrator (so
-// the shared pool and cache apply) and renders it.
+// the shared pool and cache apply) and renders it. Under -keep-going a
+// case that failed leaves nothing to render: that is an error, before
+// any output file is opened.
 func (e *runEnv) runCaseFig(fig string, spec experiment.CaseSpec) error {
 	results, err := experiment.RunCases(e.ctx, []experiment.CaseSpec{spec}, e.cfg, e.opts)
 	if err != nil {
 		return err
+	}
+	if results[0] == nil {
+		return fmt.Errorf("case %q failed (see the failure report)", spec.Name)
 	}
 	return e.emitCase(fig, results[0])
 }
@@ -529,7 +545,7 @@ func (e *runEnv) runFig(fig string) error {
 			return nil
 		})
 	case "8":
-		rows := experiment.Fig8(cfg, 0)
+		rows := experiment.Fig8(0)
 		return e.emit(fig, rows, func(w io.Writer) error {
 			experiment.WriteFig8(w, rows)
 			return nil
@@ -544,7 +560,7 @@ func (e *runEnv) runFig(fig string) error {
 			return nil
 		})
 	case "ul":
-		res, err := experiment.VariableUL(cfg, 2)
+		res, err := experiment.VariableUL(cfg)
 		if err != nil {
 			return err
 		}
@@ -585,12 +601,7 @@ func (e *runEnv) runFig(fig string) error {
 		if err != nil {
 			return err
 		}
-		return e.emitWithCSV(fig, res, func(w io.Writer) error {
-			experiment.WriteCase(w, res)
-			return nil
-		}, "fig"+fig+"_corr.csv", func(w io.Writer) error {
-			return experiment.WriteCorrCSV(w, res)
-		})
+		return e.emitCase(fig, res)
 	default:
 		return fmt.Errorf("unknown figure %q", fig)
 	}

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -43,6 +45,55 @@ func TestNegativeSupervisionFlagsFail(t *testing.T) {
 			t.Errorf("%v: exit %v, want a failure naming %q:\n%s", tc.flags, err, tc.want, out)
 		}
 	}
+}
+
+// runFailedFigure runs the command with -keep-going, an injected error
+// at every site and args, in a child process. Every case then fails,
+// so the figure has nothing to render: the run must exit 1 (a panic
+// exits 2) without writing a figure file, and failure_report.json must
+// name failedCase.
+func runFailedFigure(t *testing.T, failedCase string, args ...string) {
+	t.Helper()
+	dir := t.TempDir()
+	args = append(args, "-schedules", "4", "-keep-going", "-chaos", "error@", "-out", dir)
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "EXPERIMENTS_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("%v: exit %v, want status 1:\n%s", args, err, out)
+	}
+	report, err := os.ReadFile(filepath.Join(dir, "failure_report.json"))
+	if err != nil {
+		t.Fatalf("%v: no failure report: %v\n%s", args, err, out)
+	}
+	if !strings.Contains(string(report), `"case": `+strconv.Quote(failedCase)) {
+		t.Errorf("%v: failure report does not name case %q:\n%s", args, failedCase, report)
+	}
+	if figs, _ := filepath.Glob(filepath.Join(dir, "fig*")); len(figs) > 0 {
+		t.Errorf("%v: wrote figure files %v", args, figs)
+	}
+}
+
+// A case figure whose case failed under -keep-going used to panic on
+// the nil result, after creating an empty figure file, and lose the
+// failure report.
+func TestKeepGoingFailedCaseFigure(t *testing.T) {
+	runFailedFigure(t, experiment.Fig3Case(1).Name, "-fig", "3,9")
+}
+
+// A sweep whose every case failed under -keep-going used to stop on
+// "stats: no matrices" and lose the failure report.
+func TestKeepGoingFailedSweep(t *testing.T) {
+	sweep, err := parseSweep("random", "10", "1.1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := sweep.Cases(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFailedFigure(t, specs[0].Name, "-fig", "sweep", "-families", "random", "-sweep-sizes", "10", "-sweep-uls", "1.1")
 }
 
 // A negative count flag is an error before any figure runs; 0 keeps the

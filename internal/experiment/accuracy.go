@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -9,7 +10,7 @@ import (
 	"repro/internal/heuristics"
 	"repro/internal/makespan"
 	"repro/internal/robustness"
-	"repro/internal/schedule"
+	"repro/internal/runner"
 	"repro/internal/seeds"
 	"repro/internal/stochastic"
 )
@@ -101,7 +102,8 @@ func newErrAccumulator(nAccs, nMetrics int) *errAccumulator {
 	return a
 }
 
-func (a *errAccumulator) add(i int, vec, refVec []float64) {
+func (a *errAccumulator) add(i int, got, ref robustness.Metrics) {
+	vec, refVec := got.Vector(), ref.Vector()
 	for c := range vec {
 		e := relErr(vec[c], refVec[c])
 		a.sumErr[i][c] += e
@@ -125,9 +127,11 @@ func (a *errAccumulator) mean(i int) []float64 {
 // widens the draw), and one schedule per registered heuristic, then
 // evaluates the full metric vector at the reference accuracy and at
 // each studied accuracy, aggregating the per-metric relative errors
-// separately for the random and the heuristic schedules. The README's
-// "Evaluation accuracy" numbers come from this report (cmd/experiments
-// -fig accuracy).
+// separately for the random and the heuristic schedules. Each
+// (family, accuracy) pair runs through the correlation cases'
+// evaluation loop, on a private pool of cfg.Workers workers. The
+// README's "Evaluation accuracy" numbers come from this report
+// (cmd/experiments -fig accuracy).
 func AccuracyStudyRun(cfg Config) (*AccuracyStudy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -135,17 +139,17 @@ func AccuracyStudyRun(cfg Config) (*AccuracyStudy, error) {
 	families := FamilyNames()
 	schedulesPerFamily := studySchedulesPerFamily(cfg)
 
-	hs := heuristics.All()
-
 	accs := studyAccuracies()
 	study := &AccuracyStudy{Families: families, Schedules: schedulesPerFamily}
-	for _, h := range hs {
+	for _, h := range heuristics.All() {
 		study.Heuristics = append(study.Heuristics, h.Name)
 	}
 	k := robustness.NumMetrics
 	randErr := newErrAccumulator(len(accs), k)
 	heurErr := newErrAccumulator(len(accs), k)
 
+	pool := runner.NewPool(cfg.Workers)
+	defer pool.Close()
 	for _, family := range families {
 		spec := CaseSpec{
 			Name: "accuracy-" + family, Family: family, N: 30, M: 4, UL: 1.2,
@@ -157,41 +161,27 @@ func AccuracyStudyRun(cfg Config) (*AccuracyStudy, error) {
 		}
 		rng := rand.New(rand.NewSource(seeds.Derive(spec.Seed, "accuracy-schedules")))
 		scheds := heuristics.RandomSchedules(scen, schedulesPerFamily, rng)
-
-		refCache := makespan.NewEvalCacheAccuracy(scen, stochastic.AccuracyReference)
-		caches := make([]*makespan.EvalCache, len(accs))
+		evaluate := func(acc stochastic.EvalAccuracy) (*CaseResult, error) {
+			return runCase(context.TODO(), spec, makespan.NewEvalCacheAccuracy(scen, acc), scheds, cfg, pool)
+		}
+		ref, err := evaluate(stochastic.AccuracyReference)
+		if err != nil {
+			return nil, err
+		}
+		randErr.samples += len(ref.Metrics)
+		heurErr.samples += len(ref.Heuristics)
+		// Every (accuracy, metric) sum adds the schedules in family,
+		// then draw order.
 		for i, acc := range accs {
-			caches[i] = makespan.NewEvalCacheAccuracy(scen, acc)
-		}
-		measure := func(s *schedule.Schedule, into *errAccumulator) error {
-			refModel, err := refCache.Model(s)
+			got, err := evaluate(acc)
 			if err != nil {
-				return err
-			}
-			refVec := refModel.Metrics(cfg.params()).Vector()
-			into.samples++
-			for i, cache := range caches {
-				m, err := cache.Model(s)
-				if err != nil {
-					return err
-				}
-				vec := m.Metrics(cfg.params()).Vector()
-				into.add(i, vec[:], refVec[:])
-			}
-			return nil
-		}
-		for _, s := range scheds {
-			if err := measure(s, randErr); err != nil {
 				return nil, err
 			}
-		}
-		for _, h := range hs {
-			hr, err := h.Fn(scen)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: accuracy study %s heuristic %s: %w", family, h.Name, err)
+			for j, m := range got.Metrics {
+				randErr.add(i, m, ref.Metrics[j])
 			}
-			if err := measure(hr.Schedule, heurErr); err != nil {
-				return nil, err
+			for j, h := range got.Heuristics {
+				heurErr.add(i, h.Metrics, ref.Heuristics[j].Metrics)
 			}
 		}
 	}

@@ -104,7 +104,7 @@ func TestInvalidAccuracyRejectedByDrivers(t *testing.T) {
 	if _, err := Fig9(cfg, 0); err == nil {
 		t.Error("Fig9 must reject an invalid accuracy")
 	}
-	if _, err := VariableUL(cfg, 1); err == nil {
+	if _, err := VariableUL(cfg); err == nil {
 		t.Error("VariableUL must reject an invalid accuracy")
 	}
 	if _, err := OscillatingDurationsCase(cfg); err == nil {

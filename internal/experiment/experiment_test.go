@@ -235,8 +235,7 @@ func TestFig7Shapes(t *testing.T) {
 }
 
 func TestFig8Converges(t *testing.T) {
-	cfg := testConfig()
-	rows := Fig8(cfg, 10)
+	rows := Fig8(10)
 	if len(rows) != 11 {
 		t.Fatalf("got %d rows, want 11", len(rows))
 	}
@@ -317,7 +316,7 @@ func TestReportsRender(t *testing.T) {
 		t.Error("fig7 report malformed")
 	}
 	b.Reset()
-	WriteFig8(&b, Fig8(cfg, 2))
+	WriteFig8(&b, Fig8(2))
 	if !strings.Contains(b.String(), "sums") {
 		t.Error("fig8 report malformed")
 	}

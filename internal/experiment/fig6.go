@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"repro/internal/stats"
@@ -33,7 +34,8 @@ func Fig6Run(ctx context.Context, cfg Config, opts RunOptions) (*Fig6Result, err
 // NaN cells skipped); custom Sweep grids reuse it to get the same
 // report types as the paper's figure. Under RunOptions.KeepGoing,
 // permanently failed cases (nil slots, enumerated in opts.Report) are
-// excluded from the aggregation rather than failing it.
+// excluded from the aggregation rather than failing it; when every
+// case failed, there is nothing to aggregate and that is an error.
 func AggregateCases(ctx context.Context, specs []CaseSpec, cfg Config, opts RunOptions) (*Fig6Result, error) {
 	cases, err := RunCases(ctx, specs, cfg, opts)
 	if err != nil {
@@ -51,6 +53,9 @@ func AggregateCases(ctx context.Context, specs []CaseSpec, cfg Config, opts RunO
 		if !math.IsNaN(cr.RelByMakespanVsStd) {
 			relVals = append(relVals, cr.RelByMakespanVsStd)
 		}
+	}
+	if len(mats) == 0 && len(specs) > 0 {
+		return nil, fmt.Errorf("experiment: every case failed, %d of %d (see the failure report)", len(specs), len(specs))
 	}
 	mean, std, err := stats.AggregateMatrices(mats)
 	if err != nil {

@@ -245,7 +245,7 @@ type Fig8Row struct {
 // Fig8 reproduces Fig. 8: convergence of repeated self-sums of the
 // special distribution to normality (the CLT argument behind the
 // metric equivalences). maxSums <= 0 selects the paper's 30.
-func Fig8(cfg Config, maxSums int) []Fig8Row {
+func Fig8(maxSums int) []Fig8Row {
 	if maxSums <= 0 {
 		maxSums = 30
 	}

@@ -80,7 +80,7 @@ func TestDriversRejectBadMetricParams(t *testing.T) {
 			return err
 		}},
 		{"VariableUL", func(t *testing.T, cfg Config) error {
-			_, err := VariableUL(cfg, 1)
+			_, err := VariableUL(cfg)
 			return err
 		}},
 		{"OscillatingDurationsCase", func(t *testing.T, cfg Config) error {

@@ -100,39 +100,49 @@ func RunCaseOn(ctx context.Context, spec CaseSpec, cfg Config, pool *runner.Pool
 	if err != nil {
 		return nil, err
 	}
-	// Chaos-injection scope: nil outside chaos runs, so the fault
-	// hooks below cost one pointer check per job on the happy path.
-	scope := resilience.ScopeFrom(ctx)
 	// The serial phases run as (single-job) pool batches too, so the
 	// whole case — generation and assembly, not just the fan-out —
 	// stays inside the worker bound even when many cases are in
 	// flight.
 	var (
-		scen   *platform.Scenario
 		cache  *makespan.EvalCache
 		scheds []*schedule.Schedule
 	)
 	err = pool.Batch(ctx, 1, func(int) error {
-		if err := scope.Hit("build"); err != nil {
+		if err := resilience.ScopeFrom(ctx).Hit("build"); err != nil {
 			return err
 		}
-		var err error
-		scen, err = spec.BuildScenario()
+		scen, err := spec.BuildScenario()
 		if err != nil {
 			return err
 		}
 		cache = makespan.NewEvalCacheAccuracy(scen, acc)
-		rng := rand.New(rand.NewSource(spec.Seed ^ 0x5DEECE66D))
-		scheds = heuristics.RandomSchedules(scen, cfg.schedulesFor(scen.G.N()), rng)
+		scheds = caseSchedules(spec, scen, cfg)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	nSched := len(scheds)
+	return runCase(ctx, spec, cache, scheds, cfg, pool)
+}
 
-	metrics := make([]robustness.Metrics, nSched)
-	err = pool.Batch(ctx, nSched, func(i int) error {
+// caseSchedules draws a case's random schedules from its spec seed.
+func caseSchedules(spec CaseSpec, scen *platform.Scenario, cfg Config) []*schedule.Schedule {
+	rng := rand.New(rand.NewSource(spec.Seed ^ 0x5DEECE66D))
+	return heuristics.RandomSchedules(scen, cfg.schedulesFor(scen.G.N()), rng)
+}
+
+// runCase is the one evaluation loop of every correlation study: it
+// evaluates scheds and the heuristics' schedules on the scenario of
+// cache, each as a pool job, and correlates the schedules' metric
+// vectors. Heuristic rows follow heuristics.All. With a chaos scope on
+// ctx it consults the sites eval/<i> and heur/<name>.
+func runCase(ctx context.Context, spec CaseSpec, cache *makespan.EvalCache, scheds []*schedule.Schedule, cfg Config, pool *runner.Pool) (*CaseResult, error) {
+	// Chaos-injection scope: nil outside chaos runs, so the fault
+	// hooks below cost one pointer check per job on the happy path.
+	scope := resilience.ScopeFrom(ctx)
+	metrics := make([]robustness.Metrics, len(scheds))
+	err := pool.Batch(ctx, len(scheds), func(i int) error {
 		if scope != nil {
 			if err := scope.Hit("eval/" + strconv.Itoa(i)); err != nil {
 				return err
@@ -158,7 +168,7 @@ func RunCaseOn(ctx context.Context, spec CaseSpec, cfg Config, pool *runner.Pool
 		if err := scope.Hit("heur/" + h.Name); err != nil {
 			return err
 		}
-		hr, err := h.Fn(scen)
+		hr, err := h.Fn(cache.Scenario())
 		if err != nil {
 			return fmt.Errorf("experiment: case %q heuristic %s: %w", spec.Name, h.Name, err)
 		}

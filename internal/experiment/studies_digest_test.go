@@ -28,12 +28,11 @@ func jsonDigest(t *testing.T, v any) string {
 	return testdigest.Sum(b.Bytes())
 }
 
-// The studies that are not Figs. 3–6 — the variable-UL study, the
-// oscillating-durations case and the accuracy study — are frozen as
-// digests of their results, at one and at four workers: a change to
-// how they draw, evaluate or correlate their schedules must keep every
-// bit, at every worker count. The oscillating case is pinned on its
-// random schedules' metrics and correlations only.
+// The studies that are not Figs. 3–6 are frozen as digests of their
+// results, at one and at four workers: a change to how they draw,
+// evaluate or correlate their schedules must keep every bit, at every
+// worker count. The oscillating case is pinned on its random
+// schedules' metrics and correlations only.
 func TestStudyDigests(t *testing.T) {
 	frozen := testdigest.Load(t)
 	for _, workers := range []int{1, 4} {
@@ -42,7 +41,7 @@ func TestStudyDigests(t *testing.T) {
 		cfg.Workers = workers
 		suffix := fmt.Sprintf("/workers%d", workers)
 
-		ul, err := VariableUL(cfg, 2)
+		ul, err := VariableUL(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,11 +61,24 @@ func TestStudyDigests(t *testing.T) {
 		}
 		buf = floatBits(buf, osc.RelByMakespanVsStd)
 		frozen.Check(t, "osc"+suffix, testdigest.Sum(buf))
+	}
+}
 
+// The accuracy study is frozen the same way. Its draw has a floor of
+// 8 schedules per family, which makes it ~1 min under the race
+// detector; TestStudyDigests runs the same evaluation loop there.
+func TestAccuracyStudyDigests(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the accuracy study takes ~1 min under the race detector")
+	}
+	frozen := testdigest.Load(t)
+	for _, workers := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
 		study, err := AccuracyStudyRun(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		frozen.Check(t, "accuracy"+suffix, jsonDigest(t, study))
+		frozen.Check(t, fmt.Sprintf("accuracy/workers%d", workers), jsonDigest(t, study))
 	}
 }

@@ -1,15 +1,14 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
 
 	"repro/internal/heuristics"
 	"repro/internal/makespan"
-	"repro/internal/platform"
-	"repro/internal/robustness"
-	"repro/internal/stats"
+	"repro/internal/runner"
 	"repro/internal/stochastic"
 )
 
@@ -52,39 +51,18 @@ type SDHEFTPoint struct {
 	Differs  bool    `json:"differs"` // schedule differs from HEFT's
 }
 
-// runCorr draws schedules for a prepared scenario and returns
-// Pearson(E(M), σ_M) over them.
-func runCorr(scen *platform.Scenario, nSched int, seed int64, cfg Config) (float64, error) {
-	acc, err := cfg.EvalAccuracyValue()
-	if err != nil {
-		return 0, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	cache := makespan.NewEvalCacheAccuracy(scen, acc)
-	mk := make([]float64, 0, nSched)
-	sd := make([]float64, 0, nSched)
-	for i := 0; i < nSched; i++ {
-		s := heuristics.RandomSchedule(scen, rng)
-		m, err := evaluateOne(cache, s, cfg)
-		if err != nil {
-			return 0, err
-		}
-		mk = append(mk, m.Makespan)
-		sd = append(sd, m.StdDev)
-	}
-	return stats.Pearson(mk, sd), nil
-}
+// variableULLambda is SDHEFT's weight in the variable-UL study.
+const variableULLambda = 2
 
 // VariableUL runs the paper's §VIII conjecture: with a constant UL the
 // makespan is a decent robustness proxy because every σ is
 // proportional to its mean; with a variable per-task UL that
 // equivalence breaks, the makespan↔σ correlation drops, and a
-// σ-aware heuristic (SDHEFT) can buy robustness that HEFT cannot see.
-// lambda is SDHEFT's weight and must pass heuristics.CheckLambda.
-func VariableUL(cfg Config, lambda float64) (*VariableULResult, error) {
-	if err := heuristics.CheckLambda(lambda); err != nil {
-		return nil, err
-	}
+// σ-aware heuristic (SDHEFT, at λ = variableULLambda) can buy
+// robustness that HEFT cannot see. Both correlations come from the
+// correlation cases' evaluation loop, on a private pool of
+// cfg.Workers workers.
+func VariableUL(cfg Config) (*VariableULResult, error) {
 	acc, _, err := cfg.validate()
 	if err != nil {
 		return nil, err
@@ -95,24 +73,33 @@ func VariableUL(cfg Config, lambda float64) (*VariableULResult, error) {
 		return nil, err
 	}
 	base.UL = 1.1
-	res := &VariableULResult{ULLo: 1.0, ULHi: 1.8, Lambda: lambda}
-
+	res := &VariableULResult{ULLo: 1.0, ULHi: 1.8, Lambda: variableULLambda}
+	pool := runner.NewPool(cfg.Workers)
+	defer pool.Close()
+	// corr returns Pearson(E(M), σ_M) over nSched random schedules
+	// drawn from seed: the case matrix's (makespan, stddev) entry,
+	// which InvertedColumns leaves uninverted.
 	nSched := cfg.schedulesFor(base.G.N())
-	res.ConstCorr, err = runCorr(base, nSched, cfg.Seed+1, cfg)
-	if err != nil {
+	corr := func(cache *makespan.EvalCache, seed int64) (float64, error) {
+		scheds := heuristics.RandomSchedules(cache.Scenario(), nSched, rand.New(rand.NewSource(seed)))
+		cr, err := runCase(context.TODO(), spec, cache, scheds, cfg, pool)
+		if err != nil {
+			return 0, err
+		}
+		return cr.Corr[0][1], nil
+	}
+	if res.ConstCorr, err = corr(makespan.NewEvalCacheAccuracy(base, acc), cfg.Seed+1); err != nil {
 		return nil, err
 	}
-
 	varScen, err := base.WithVariableUL(res.ULLo, res.ULHi, rand.New(rand.NewSource(cfg.Seed+2)))
 	if err != nil {
 		return nil, err
 	}
-	res.VarCorr, err = runCorr(varScen, nSched, cfg.Seed+3, cfg)
-	if err != nil {
+	varCache := makespan.NewEvalCacheAccuracy(varScen, acc)
+	if res.VarCorr, err = corr(varCache, cfg.Seed+3); err != nil {
 		return nil, err
 	}
 
-	varCache := makespan.NewEvalCacheAccuracy(varScen, acc)
 	hr, err := heuristics.HEFT(varScen)
 	if err != nil {
 		return nil, err
@@ -121,7 +108,7 @@ func VariableUL(cfg Config, lambda float64) (*VariableULResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr, err := heuristics.SDHEFT(varScen, lambda)
+	sr, err := heuristics.SDHEFT(varScen, variableULLambda)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +154,7 @@ func VariableUL(cfg Config, lambda float64) (*VariableULResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ns, err := heuristics.SDHEFT(noisy, lambda)
+	ns, err := heuristics.SDHEFT(noisy, variableULLambda)
 	if err != nil {
 		return nil, err
 	}
@@ -183,9 +170,11 @@ func VariableUL(cfg Config, lambda float64) (*VariableULResult, error) {
 // OscillatingDurationsCase reruns one correlation case with the
 // paper's "non-standard probability distributions (with some
 // oscillations)" future-work item: durations follow a shifted
-// concatenated-Beta mixture instead of Beta(2,5). Returns the Pearson
-// matrix over the random schedules so callers can verify the metric
-// equivalences survive the distribution swap.
+// concatenated-Beta mixture instead of Beta(2,5). It runs through the
+// correlation cases' evaluation loop, on a private pool of cfg.Workers
+// workers, so callers get the Pearson matrix over the random schedules
+// (to verify the metric equivalences survive the distribution swap)
+// and the heuristic rows of Figs. 3–5.
 func OscillatingDurationsCase(cfg Config) (*CaseResult, error) {
 	acc, _, err := cfg.validate()
 	if err != nil {
@@ -205,23 +194,9 @@ func OscillatingDurationsCase(cfg Config) (*CaseResult, error) {
 			Off: min,
 		}
 	}
-	nSched := cfg.schedulesFor(scen.G.N())
-	rng := rand.New(rand.NewSource(spec.Seed ^ 0x5DEECE66D))
-	scheds := heuristics.RandomSchedules(scen, nSched, rng)
-	cache := makespan.NewEvalCacheAccuracy(scen, acc)
-	metrics := make([]robustness.Metrics, nSched)
-	for i, s := range scheds {
-		m, err := evaluateOne(cache, s, cfg)
-		if err != nil {
-			return nil, err
-		}
-		metrics[i] = m
-	}
-	res := &CaseResult{Spec: spec, Metrics: metrics}
-	if err := correlate(res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	pool := runner.NewPool(cfg.Workers)
+	defer pool.Close()
+	return runCase(context.TODO(), spec, makespan.NewEvalCacheAccuracy(scen, acc), caseSchedules(spec, scen, cfg), cfg, pool)
 }
 
 // WriteVariableUL renders the variable-UL report.

@@ -12,7 +12,7 @@ func TestVariableULDropsCorrelation(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Schedules = 50
-	res, err := VariableUL(cfg, 1)
+	res, err := VariableUL(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,20 +38,6 @@ func TestVariableULDropsCorrelation(t *testing.T) {
 	WriteVariableUL(&b, res)
 	if !strings.Contains(b.String(), "variable") {
 		t.Error("report malformed")
-	}
-}
-
-// VariableUL checks SDHEFT's weight before anything else: the
-// config's accuracy is invalid, so an error naming lambda shows that
-// nothing ran first. λ <= 0 used to be replaced by 1.
-func TestVariableULRejectsLambda(t *testing.T) {
-	cfg := testConfig()
-	cfg.EvalAccuracy = "typo"
-	for _, lambda := range []float64{-1, math.NaN(), math.Inf(1)} {
-		res, err := VariableUL(cfg, lambda)
-		if err == nil || !strings.Contains(err.Error(), "lambda") || res != nil {
-			t.Errorf("VariableUL(lambda %v) = %v, %v; want a lambda error", lambda, res, err)
-		}
 	}
 }
 
