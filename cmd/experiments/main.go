@@ -7,7 +7,9 @@
 // The correlation cases (figs 3–6) run on a shared worker pool that
 // streams every case×schedule evaluation as one job stream, so all
 // cases progress concurrently; -workers bounds the pool. Results are
-// deterministic for a fixed -seed at every worker count. With
+// deterministic for a fixed -seed at every worker count. -fig ul, osc
+// and accuracy evaluate through the same loop, on a private pool of
+// -workers workers, but bypass the case cache. With
 // -resume (or an explicit -cache-dir) finished cases are stored on
 // disk and an interrupted sweep picks up where it left off. -json
 // switches the reports to machine-readable JSON (plus CSV matrices
@@ -37,10 +39,12 @@
 // error instead of crashing the run, -case-timeout bounds each
 // attempt, and -max-retries re-runs failed cases from their case seed
 // (delivered results stay byte-identical to a fault-free run).
-// -keep-going completes a sweep past permanently failed cases.
+// -keep-going completes a sweep past permanently failed cases; a
+// figure left with no case to render still fails the run.
 // Whenever anything non-clean happens — a retry, failure, or a cache
 // entry that failed its checksum and was quarantined — a failure
-// summary lands on stderr and, with -out, in failure_report.json.
+// summary lands on stderr and, with -out, in failure_report.json,
+// also when the run exits non-zero.
 // -chaos arms deterministic fault injection (panics, delays, errors,
 // cache corruption at named sites) to drill exactly those paths.
 //

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -11,7 +12,6 @@ import (
 
 	"repro/internal/resilience"
 	"repro/internal/robustness"
-	"repro/internal/testdigest"
 )
 
 // Golden-file tests for every report writer and machine-readable
@@ -23,7 +23,7 @@ import (
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
-	if testdigest.Updating() {
+	if updating() {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -49,6 +49,14 @@ func renderGolden(t *testing.T, name string, render func(io.Writer) error) {
 		t.Fatalf("%s: %v", name, err)
 	}
 	checkGolden(t, name, b.Bytes())
+}
+
+// updating reports whether the test binary runs with -update. The flag
+// is internal/testdigest's, which the digest tests of this package
+// import: a test binary can define a flag only once.
+func updating() bool {
+	f := flag.Lookup("update")
+	return f != nil && f.Value.String() == "true"
 }
 
 // fixtureMetrics builds a deterministic metric vector.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/heuristics"
 )
 
 func TestVariableULDropsCorrelation(t *testing.T) {
@@ -50,6 +52,16 @@ func TestOscillatingDurationsPreserveEquivalences(t *testing.T) {
 	}
 	if len(res.Metrics) != 60 {
 		t.Fatalf("got %d metric vectors", len(res.Metrics))
+	}
+	// The case carries the heuristic rows of Figs. 3–5.
+	hs := heuristics.All()
+	if len(res.Heuristics) != len(hs) {
+		t.Fatalf("got %d heuristic rows, want %d", len(res.Heuristics), len(hs))
+	}
+	for i, h := range hs {
+		if r := res.Heuristics[i]; r.Name != h.Name || r.Metrics.Makespan <= 0 {
+			t.Errorf("heuristic row %d = %s E(M) %g, want %s with a positive makespan", i, r.Name, r.Metrics.Makespan, h.Name)
+		}
 	}
 	// The dispersion-metric equivalence class survives the swap to an
 	// oscillating duration family (CLT at work).

@@ -28,11 +28,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.digests from the results the tests compute")
 
-// Updating reports whether the test binary runs with -update. A
-// package whose tests keep other frozen files (goldens) reads the one
-// flag through it: a test binary can define -update only once.
-func Updating() bool { return *update }
-
 // Sum is the first 8 bytes, in hex, of the SHA-256 of buf.
 func Sum(buf []byte) string {
 	sum := sha256.Sum256(buf)
